@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from . import published
 from .kernel import (
-    Add, Call, Expr, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
-    differentiate, evaluate, is_zero, normalize, sign_normalize, substitute,
-    to_text,
+    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
+    collect_by, differentiate, evaluate, is_zero, normalize, sign_normalize,
+    substitute, to_text,
 )
 from .model import Model
 
@@ -83,9 +83,8 @@ class MaterialSolution:
     branch: str = "generic"    # "generic" | "gradient-free" | "extension"
 
 
-def _coef_pair(e: Expr, model: Model, coord: Sym):
+def _coef_pair(e: Expr, coord: Sym):
     """Affine coefficients (c0, c1) of e = c0 + c1*coord; None if not affine."""
-    from .kernel import collect_by
     groups = collect_by(e, (coord.name,))
     c0, c1 = ZERO, ZERO
     for key, val in groups.items():
@@ -114,8 +113,8 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
         function_symbol = "G" if pde.func == "D" else "F"
     H = function_symbol
 
-    r_pair = _coef_pair(pde.c_r, m, m.r)
-    t_pair = _coef_pair(pde.c_t, m, m.t)
+    r_pair = _coef_pair(pde.c_r, m.r)
+    t_pair = _coef_pair(pde.c_t, m.t)
     if r_pair is None or t_pair is None:
         raise UnsupportedBranchError("coefficients are not affine in r, t")
     b_r, m_r = r_pair      # c_r = b_r + m_r * r
@@ -197,19 +196,10 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
 
 @dataclass(frozen=True)
 class BackSubstitution:
-    verdict: str               # "zero" | "numeric-only" | "nonzero"
+    verdict: str               # "zero" | "numeric-only" | "nonzero" | "unknown"
     symbolic_zero: bool
     max_residual: float = 0.0
-
-
-def _default_fns():
-    import math
-    return {
-        "G": lambda x: math.exp(-x * x),
-        "G'": lambda x: -2 * x * math.exp(-x * x),
-        "F": lambda x: 1.0 / (1.0 + x * x),
-        "F'": lambda x: -2 * x / (1.0 + x * x) ** 2,
-    }
+    evaluated: int = 0         # sample points the numeric check evaluated
 
 
 def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
@@ -220,7 +210,8 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     Symbolic first: the chain rule runs through the arbitrary-function
     derivative symbol and the residual must normalize to zero.  If the
     normal form is inconclusive the verdict downgrades to a numeric check
-    at random points.
+    at random points, with G and F sampled by DEFAULT_SAMPLED_FNS.  The
+    verdict is 'unknown' when fewer than half of the points evaluate.
     """
     residual = pde.residual(sol.expression, model)
     if residual == ZERO:
@@ -228,21 +219,27 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     verdict = is_zero(residual, model.table, seed=seed)
     if verdict == ZeroVerdict.NONZERO:
         return BackSubstitution("nonzero", False, float("inf"))
+    # imported here: loading numerics (and scipy) ahead of the symbolic
+    # modules made a cold `import fluxsym.cli` 0.1 s slower
+    from .numerics import DEFAULT_SAMPLED_FNS
     rng = random.Random(seed)
-    fns = _default_fns()
     worst = 0.0
+    evaluated = 0
     for _ in range(points):
         point = {name: rng.uniform(0.25, 2.0) for name in
                  ("a1", "a2", "a3", "a4", "r", "t", "C")}
         try:
-            val = evaluate(residual, point, fns)
-            scale = abs(evaluate(sol.expression, point, fns)) + 1.0
-        except Exception:
+            val = evaluate(residual, point, DEFAULT_SAMPLED_FNS)
+            scale = abs(evaluate(sol.expression, point, DEFAULT_SAMPLED_FNS)) + 1.0
+        except (EvaluationError, ZeroDivisionError, OverflowError):
             continue
+        evaluated += 1
         worst = max(worst, abs(val) / scale)
+    if evaluated == 0 or 2 * evaluated < points:
+        return BackSubstitution("unknown", False, worst, evaluated)
     if worst <= tol:
-        return BackSubstitution("numeric-only", False, worst)
-    return BackSubstitution("nonzero", False, worst)
+        return BackSubstitution("numeric-only", False, worst, evaluated)
+    return BackSubstitution("nonzero", False, worst, evaluated)
 
 
 # --------------------------------------------------------------------------

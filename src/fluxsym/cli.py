@@ -36,16 +36,11 @@ from .model import Model
 from .numerics import (
     GridSpec, MaterialModel, TransformParams, compile_numeric,
     DEFAULT_SAMPLED_FNS, export_csv, invariance_residual, material_residual,
-    max_interior_residual, solve_pde, SolverError,
+    max_interior_residual, sampled_functions, solve_pde, SolverError,
 )
 from .parser import parse
 
-_CONFIG_KEYS = {
-    "geometry", "seed", "tol", "out", "json", "strict_audit", "case",
-    "a1", "a2", "a3", "a4", "a6", "eps", "r0", "r1", "t1", "nr", "nt",
-    "refine", "closure", "invariance", "materials", "diffusion", "gamma",
-    "speed", "initial", "bc_left", "bc_right", "amplitude",
-}
+_UNSET = object()
 
 
 def _load_config(path) -> dict:
@@ -53,19 +48,38 @@ def _load_config(path) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise SystemExit("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if getattr(args, "config", None) is None:
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """{command name: its parser}."""
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _merge_config(args: argparse.Namespace, argv):
+    """Fill every option not given in `argv` from the --config file.
+
+    The config keys are the option destinations of the subcommands; other
+    keys are rejected.  Explicit flags are found by parsing `argv` again
+    with every default of the command replaced by a sentinel.
+    """
+    if args.config is None:
         return args
     data = _load_config(args.config)
-    defaults = parser.parse_args([args.command])
+    probe = build_parser()
+    commands = _subcommands(probe)
+    keys = set().union(*(vars(probe.parse_args([c])) for c in commands))
+    unknown = set(data) - (keys - {"command", "config"})
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    dests = set(vars(args)) - {"command"}
+    commands[args.command].set_defaults(**dict.fromkeys(dests, _UNSET))
+    given = {k for k, v in vars(probe.parse_args(argv)).items()
+             if v is not _UNSET}
     for key, value in data.items():
-        if hasattr(args, key) and getattr(args, key) == getattr(defaults, key, None):
+        if key in dests and key not in given:
             setattr(args, key, value)
     return args
 
@@ -88,8 +102,8 @@ def _a_values(args) -> dict:
 
 
 def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
-    """Numeric material callables for one case instance with the default
-    sampled functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).
+    """Numeric material callables for one case instance with the sampled
+    functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).
 
     When a3 = 0 the generic compiled form of Gamma is indeterminate at
     t = 0; for the F above with a4 = 2*a2 the family member has the closed
@@ -99,12 +113,7 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
     case = cases[case_id]
     params = {k: v for k, v in a.items()}
     params["C"] = amplitude
-    fns = {
-        "G": lambda x: np.exp(-x * x),
-        "G'": lambda x: -2 * x * np.exp(-x * x),
-        "F": lambda x: amplitude / (1.0 + x * x),
-        "F'": lambda x: -2 * amplitude * x / (1.0 + x * x) ** 2,
-    }
+    fns = sampled_functions(amplitude)
     d_fn = compile_numeric(case.diffusion.expression, params=params, fns=fns)
     if a["a3"] == 0.0:
         if abs(a["a4"] - 2 * a["a2"]) > 1e-12:
@@ -371,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
-    np.random.seed(args.seed)
+    args = _merge_config(args, argv)
     handlers = {
         "derive": cmd_derive,
         "cases": cmd_cases,

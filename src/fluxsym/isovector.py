@@ -11,8 +11,7 @@ ground truth; the published set is reference data graded by the audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import published
 from .forms import (
@@ -20,10 +19,10 @@ from .forms import (
     exterior_d, scalar_form, section, wedge, zero_form, SLOTS, _SLOT_INDEX,
 )
 from .kernel import (
-    Add, Call, Expr, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
-    as_expr, collect_by, clear_denominators, differentiate, free_symbols,
-    is_zero, normalize, poly_div_exact, sign_normalize, substitute, to_text,
-    _is_int, _key, _poly_scale, _rebuild, _to_poly,
+    Add, Expr, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
+    apply_derivation, as_expr, collect_by, clear_denominators, differentiate,
+    free_symbols, is_zero, normalize, poly_div_exact, sign_normalize,
+    strip_coordinates, substitute, to_text,
 )
 from .model import Model
 
@@ -75,45 +74,8 @@ class Generator:
 def lie_scalar(gen: Generator, f, model: Model) -> Expr:
     """Directional derivative of a scalar along the generator, with jet
     propagation: chi(D) = xi_r D_r + xi_t D_t, chi(D_r) = xi_r D_rr + xi_t D_rt."""
-    return normalize(_lie(as_expr(f), gen, model))
-
-
-def _lie(e: Expr, gen: Generator, model: Model) -> Expr:
-    if isinstance(e, Rat):
-        return ZERO
-    if isinstance(e, Sym):
-        return _lie_symbol(e, gen, model)
-    if isinstance(e, Add):
-        return Add(tuple(_lie(t, gen, model) for t in e.terms))
-    if isinstance(e, Mul):
-        fs = e.factors
-        terms = []
-        for i in range(len(fs)):
-            df = _lie(fs[i], gen, model)
-            if df == ZERO:
-                continue
-            terms.append(Mul(tuple(fs[:i] + (df,) + fs[i + 1:])))
-        return Add(tuple(terms)) if terms else ZERO
-    if isinstance(e, Pow):
-        if normalize(_lie(e.exponent, gen, model)) != ZERO:
-            raise DerivationError("generator acts on a power's exponent")
-        db = normalize(_lie(e.base, gen, model))
-        if db == ZERO:
-            return ZERO
-        return Mul((e.exponent, Pow(e.base, Add((e.exponent, Rat(-1)))), db))
-    if isinstance(e, Call):
-        terms = []
-        for i, a in enumerate(e.args):
-            da = _lie(a, gen, model)
-            if da == ZERO:
-                continue
-            if e.func == "exp":
-                dfn = Call("exp", e.args)
-            else:
-                dfn = Call(model.table.derivative_function(e.func), e.args)
-            terms.append(Mul((dfn, da)))
-        return Add(tuple(terms)) if terms else ZERO
-    raise TypeError(type(e))
+    return apply_derivation(
+        f, lambda sym: _lie_symbol(sym, gen, model), model.table)
 
 
 def _lie_symbol(s: Sym, gen: Generator, model: Model) -> Expr:
@@ -167,15 +129,6 @@ def _basis_label(key) -> str:
     return "∧".join(f"d{SLOTS[i]}" for i in key)
 
 
-def _monomial_inverse(e: Expr):
-    p = _to_poly(normalize(as_expr(e)))
-    if len(p) != 1:
-        return None
-    (mono, coef), = p.items()
-    inv = {tuple((b, normalize(Mul((Rat(-1), x)))) for b, x in mono): 1 / coef}
-    return _rebuild(inv)
-
-
 @dataclass(frozen=True)
 class MultiplierSolve:
     """Multipliers and residual slot coefficients of one ideal reduction."""
@@ -197,7 +150,7 @@ def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSol
     multipliers = []
     for name, form, pivot in basis:
         pivot_coef = form.get(*pivot)
-        inv = _monomial_inverse(pivot_coef)
+        inv = poly_div_exact(ONE, pivot_coef)
         if inv is None:
             raise DerivationError(
                 f"unsolvable multiplier match for {name}: pivot "
@@ -221,48 +174,6 @@ def split_by_monomials(e: Expr, names=("phi", "w")) -> dict:
 # Determining-system extraction
 # --------------------------------------------------------------------------
 
-def _integerize(e: Expr) -> Expr:
-    """Scale so rational coefficients are coprime integers, leading positive."""
-    p = _to_poly(as_expr(e))
-    if not p:
-        return ZERO
-    from math import gcd, lcm
-    num = 0
-    den = 1
-    for c in p.values():
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    p = _poly_scale(p, Fraction(den, num))
-    return sign_normalize(_rebuild(p))
-
-
-def strip_coordinates(e: Expr) -> Expr:
-    """Remove common powers of the base coordinates r, t (an identity in the
-    coordinates is unaffected) and integerize."""
-    p = _to_poly(as_expr(e))
-    if not p:
-        return ZERO
-    common: dict = {}
-    first = True
-    for mono in p:
-        expo = {b.name: x.value for b, x in mono
-                if isinstance(b, Sym) and b.name in ("r", "t") and _is_int(x)}
-        if first:
-            common = expo
-            first = False
-        else:
-            common = {k: min(v, expo.get(k, Fraction(0)))
-                      for k, v in common.items()}
-            common = {k: v for k, v in common.items() if k in expo or v < 0}
-    common = {k: v for k, v in common.items() if v != 0}
-    if common:
-        factor = {tuple(sorted(((Sym(k), Rat(-v)) for k, v in common.items()),
-                               key=lambda be: _key(be[0]))): Fraction(1)}
-        from .kernel import _poly_mul
-        p = _poly_mul(p, factor)
-    return _integerize(_rebuild(p))
-
-
 def solve_linear(e: Expr, name: str):
     """Solve c1*name + c0 = 0 for `name`; None if not linear or c1 not monomial."""
     groups = collect_by(e, (name,))
@@ -275,7 +186,7 @@ def solve_linear(e: Expr, name: str):
             c0 = v
         elif k != Sym(name):
             return None
-    inv = _monomial_inverse(c1)
+    inv = poly_div_exact(ONE, c1)
     if inv is None:
         return None
     return normalize(Mul((Rat(-1), c0, inv)))
@@ -318,7 +229,7 @@ def _coefficient_of(e: Expr, jet_name: str) -> Expr:
     return collect_by(e, (jet_name,)).get(Sym(jet_name), ZERO)
 
 
-def eliminate_jets(e: Expr, relations, model: Model):
+def eliminate_jets(e: Expr, relations, table: SymbolTable):
     """Subtract multiples of the relations to remove their leading jets from
     `e`.  relations: ((jet name, equation), ...); multipliers must divide
     exactly (they always do here: the residuals are jet-linear)."""
@@ -338,6 +249,47 @@ def eliminate_jets(e: Expr, relations, model: Model):
         out = normalize(Add((out, Mul((Rat(-1), mult, relation)))))
         used.append(mult)
     return out, tuple(used)
+
+
+def _impose_links(e: Expr, a8_solution: Expr, table: SymbolTable) -> Expr:
+    """e with the link constraints a5 = a7 = 0 and a8 = a8_solution imposed."""
+    return substitute(e, {"a5": ZERO, "a7": ZERO, "a8": a8_solution}, table)
+
+
+def _reducer(diffusion_pde: Expr, gamma_pde: Expr, a8_solution: Expr,
+             table: SymbolTable):
+    """The map reducing an expression modulo the derived system: the
+    material conditions eliminate the jets D_t, D_rt and Gamma_t, then the
+    link constraints are imposed."""
+    relations = (
+        ("D_t", diffusion_pde),
+        ("D_rt", sign_normalize(differentiate(diffusion_pde, "r", table))),
+        ("Gamma_t", gamma_pde),
+    )
+
+    def reduce(e: Expr) -> Expr:
+        reduced, _ = eliminate_jets(e, relations, table)
+        return _impose_links(reduced, a8_solution, table)
+    return reduce
+
+
+def _branch_reducer(system: DeterminingSystem, table: SymbolTable):
+    """The map from an expression to its geometry branches modulo the
+    derived system (n = 0 or a1 = 0 under the symbolic geometry lock, a1 = 0
+    under a literal one); the expression is implied iff every branch
+    vanishes."""
+    a8_equation = next(c.equation for c in system.constraints if c.name == "a8")
+    reduce = _reducer(system.diffusion_pde, system.gamma_pde,
+                      solve_linear(a8_equation, "a8"), table)
+    pins = []
+    if system.geometry_lock is not None:
+        pins = ([{"n": ZERO}, {"a1": ZERO}] if system.geometry_mode == "symbolic"
+                else [{"a1": ZERO}])
+
+    def branches(e: Expr) -> list:
+        reduced = reduce(e)
+        return [substitute(reduced, pin, table) for pin in pins] or [reduced]
+    return branches
 
 
 def extract_determining(model: Model, geometry_mode="symbolic") -> DeterminingSystem:
@@ -364,7 +316,6 @@ def extract_determining(model: Model, geometry_mode="symbolic") -> DeterminingSy
                 residual_equations.append(eq)
                 split_map[(source, basis_label, to_text(key))] = eq.expression
 
-    notes = []
     unknown = 0
 
     def verdict(e):
@@ -391,40 +342,30 @@ def extract_determining(model: Model, geometry_mode="symbolic") -> DeterminingSy
     e_flux_translation = split_map.get(("chi(r*mu1)", "dt∧dr", "1"), ZERO)
     e_lambda2 = split_map.get(("chi(r*mu1)", "dt∧dr", "w"), ZERO)
 
-    link_subs = {"a7": ZERO, "a8": a8_solution}
     diffusion_pde_reduced = sign_normalize(
-        substitute(diffusion_pde, link_subs, table))
+        _impose_links(diffusion_pde, a8_solution, table))
     diffusion_second_order = sign_normalize(
         differentiate(diffusion_pde_reduced, "r", table))
 
-    # second residual of the flux balance: eliminate the jets the material
-    # conditions already constrain, then impose the link constraints; the
-    # leftover is the geometry/translation lock.
-    relations = (
-        ("D_t", diffusion_pde),
-        ("D_rt", sign_normalize(differentiate(diffusion_pde, "r", table))),
-    )
-    reduced, _ = eliminate_jets(e_lambda2, relations, model.table)
-    reduced = substitute(reduced, link_subs, table)
-    leftover = strip_coordinates(clear_denominators(reduced))
+    # second residual of the flux balance: reduced modulo the material
+    # conditions and the links, the leftover is the geometry/translation lock
+    reduce = _reducer(diffusion_pde, gamma_pde, a8_solution, table)
+    leftover = strip_coordinates(clear_denominators(reduce(e_lambda2)))
     if free_symbols(leftover) & {"D_r", "D_t", "D_rr", "D_rt"}:
         raise DerivationError(
             f"unexpected jets in the reduced flux residual: {to_text(leftover)}")
 
+    # the flux-translation residual is r*Gamma*a5: check and reduce
+    a5_eq = sign_normalize(strip_coordinates(e_flux_translation))
+    if verdict(substitute(a5_eq, {"a5": ZERO}, table)) != ZeroVerdict.ZERO:
+        raise DerivationError("flux-translation residual is not linear in a5")
     constraints = [
-        Constraint("a5", sign_normalize(
-            strip_coordinates(e_flux_translation)), "a5 = 0",
-            assumption="Gamma is not identically 0"),
+        Constraint("a5", Sym("a5"), "a5 = 0",
+                   assumption="Gamma is not identically 0"),
         Constraint("a7", sign_normalize(e_w_translation), "a7 = 0"),
         Constraint("a8", sign_normalize(e_w_link),
                    f"a8 = {to_text(a8_solution)}"),
     ]
-    # the flux-translation residual is r*Gamma*a5: check and reduce
-    a5_eq = constraints[0].equation
-    if verdict(substitute(a5_eq, {"a5": ZERO}, table)) != ZeroVerdict.ZERO:
-        raise DerivationError("flux-translation residual is not linear in a5")
-    constraints[0] = Constraint("a5", Sym("a5"), "a5 = 0",
-                                assumption="Gamma is not identically 0")
 
     geometry_lock = None
     if leftover != ZERO:
@@ -436,12 +377,11 @@ def extract_determining(model: Model, geometry_mode="symbolic") -> DeterminingSy
         constraints.append(Constraint(
             "geometry_lock", leftover, solved, assumption="D != 0"))
 
-    final_subs = {"a5": ZERO, "a7": ZERO, "a8": a8_solution}
     generator_final = {
         "r": to_text(normalize(gen.xi_r)),
         "t": to_text(normalize(gen.xi_t)),
-        "phi": to_text(substitute(gen.xi_phi, final_subs, table)),
-        "w": to_text(substitute(gen.xi_w, final_subs, table)),
+        "phi": to_text(_impose_links(gen.xi_phi, a8_solution, table)),
+        "w": to_text(_impose_links(gen.xi_w, a8_solution, table)),
     }
 
     system = DeterminingSystem(
@@ -474,29 +414,9 @@ def check_self_consistency(system: DeterminingSystem, model: Model):
     """Every residual must vanish once the constraint set and the material
     conditions are imposed (branching over the geometry lock)."""
     table = model.table
-    link_subs = {"a5": ZERO, "a7": ZERO}
-    a8_solution = None
-    for c in system.constraints:
-        if c.name == "a8":
-            a8_solution = solve_linear(c.equation, "a8")
-    if a8_solution is not None:
-        link_subs["a8"] = a8_solution
-    relations = (
-        ("D_t", system.diffusion_pde),
-        ("D_rt", sign_normalize(differentiate(system.diffusion_pde, "r", table))),
-        ("Gamma_t", system.gamma_pde),
-    )
+    branches = _branch_reducer(system, table)
     for eq in system.residual_equations:
-        reduced, _ = eliminate_jets(eq.expression, relations, table)
-        reduced = substitute(reduced, link_subs, table)
-        branches = [reduced]
-        if system.geometry_lock is not None:
-            if system.geometry_mode == "symbolic":
-                branches = [substitute(reduced, {"n": ZERO}, table),
-                            substitute(reduced, {"a1": ZERO}, table)]
-            else:
-                branches = [substitute(reduced, {"a1": ZERO}, table)]
-        for b in branches:
+        for b in branches(eq.expression):
             v = is_zero(b, table)
             if v != ZeroVerdict.ZERO:
                 raise DerivationError(
@@ -534,28 +454,6 @@ class AuditReport:
         raise KeyError(identifier)
 
 
-def _imposed(e: Expr, system: DeterminingSystem, model: Model):
-    """Reduce an expression modulo the derived system; returns the geometry
-    branches that must all vanish for the expression to be implied."""
-    table = model.table
-    relations = (
-        ("D_t", system.diffusion_pde),
-        ("D_rt", sign_normalize(differentiate(system.diffusion_pde, "r", table))),
-        ("Gamma_t", system.gamma_pde),
-    )
-    reduced, _ = eliminate_jets(e, relations, table)
-    a8_solution = solve_linear(
-        next(c.equation for c in system.constraints if c.name == "a8"), "a8")
-    reduced = substitute(
-        reduced, {"a5": ZERO, "a7": ZERO, "a8": a8_solution}, table)
-    if system.geometry_lock is None:
-        return [reduced]
-    if system.geometry_mode == "symbolic":
-        return [substitute(reduced, {"n": ZERO}, table),
-                substitute(reduced, {"a1": ZERO}, table)]
-    return [substitute(reduced, {"a1": ZERO}, table)]
-
-
 def audit_against_published(system: DeterminingSystem, model: Model) -> AuditReport:
     """Grade every published determining equation against the derivation."""
     from .parser import parse
@@ -587,6 +485,7 @@ def audit_against_published(system: DeterminingSystem, model: Model) -> AuditRep
         "diffusion_second_order_reduced": system.diffusion_second_order,
     }
 
+    branches = _branch_reducer(system, table)
     unknown = 0
     rows = []
     for identifier, text in published.DETERMINING_EQUATIONS.items():
@@ -607,8 +506,7 @@ def audit_against_published(system: DeterminingSystem, model: Model) -> AuditRep
                 note="r-derivative of the first-order diffusion condition "
                      "under the w-scaling link"))
             continue
-        branches = _imposed(printed, system, model)
-        verdicts = [is_zero(b, table) for b in branches]
+        verdicts = [is_zero(b, table) for b in branches(printed)]
         if any(v == ZeroVerdict.UNKNOWN for v in verdicts):
             unknown += 1
             rows.append(AuditRow(identifier, text, None, "discrepant",
@@ -682,7 +580,7 @@ def closure_check(model: Model, override_gradient_action=None) -> ClosureResult:
     mu3 = build_mu3(model)
     lie_mu3 = lie_form(gen, mu3, model)
     pivot_coef = mu3.get("t", "D")
-    inv = _monomial_inverse(pivot_coef)
+    inv = poly_div_exact(ONE, pivot_coef)
     lam = normalize(Mul((lie_mu3.get("t", "D"), inv)))
     remainder = lie_mu3 - mu3.scale(lam)
     sectioned = section(remainder, SectionMap.standard(model))

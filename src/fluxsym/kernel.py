@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,26 +172,24 @@ class SymbolTable:
 
     def __init__(self):
         self._entries: dict[str, SymbolInfo] = {}
-        self._lock = threading.RLock()
 
     def declare(self, name: str, kind: str, *, base=None, order=None,
                 arity=None, depends=()) -> Sym:
         if kind not in KINDS:
             raise KernelError(f"unknown symbol kind {kind!r}")
         info = SymbolInfo(name, kind, base, order, arity, tuple(depends))
-        with self._lock:
-            prior = self._entries.get(name)
-            if prior is not None:
-                if prior != info:
-                    raise KernelError(
-                        f"symbol {name!r} already declared as {prior.kind}")
-                return Sym(name)
-            if kind == "jet":
-                if base is None or order is None or sum(order) < 1:
-                    raise KernelError("jet symbols need a base and a nonempty order")
-                if base not in self._entries:
-                    raise KernelError(f"jet base {base!r} is not declared")
-            self._entries[name] = info
+        prior = self._entries.get(name)
+        if prior is not None:
+            if prior != info:
+                raise KernelError(
+                    f"symbol {name!r} already declared as {prior.kind}")
+            return Sym(name)
+        if kind == "jet":
+            if base is None or order is None or sum(order) < 1:
+                raise KernelError("jet symbols need a base and a nonempty order")
+            if base not in self._entries:
+                raise KernelError(f"jet base {base!r} is not declared")
+        self._entries[name] = info
         return Sym(name)
 
     def info(self, name: str) -> SymbolInfo:
@@ -215,9 +212,8 @@ class SymbolTable:
         if d_r == d_t == 0:
             return Sym(base)
         name = self.jet_name(base, d_r, d_t)
-        with self._lock:
-            if name not in self._entries:
-                self.declare(name, "jet", base=base, order=(d_r, d_t))
+        if name not in self._entries:
+            self.declare(name, "jet", base=base, order=(d_r, d_t))
         return Sym(name)
 
     def derivative_function(self, func: str) -> str:
@@ -227,9 +223,8 @@ class SymbolTable:
             raise DifferentiationError(
                 f"{func!r} is not a unary arbitrary function")
         name = func + "'"
-        with self._lock:
-            if name not in self._entries:
-                self._entries[name] = SymbolInfo(name, "arbitrary-function", arity=1)
+        if name not in self._entries:
+            self._entries[name] = SymbolInfo(name, "arbitrary-function", arity=1)
         return name
 
 
@@ -381,11 +376,6 @@ def _poly_content(p: dict):
     return c, _poly_scale(p, 1 / c)
 
 
-def _coef_power_atom(c: Fraction, exponent: Expr):
-    """Rational constant raised to a non-integer exponent, as a (base, exp) pair."""
-    return (Rat(c), exponent)
-
-
 def _to_poly(e: Expr) -> dict:
     if isinstance(e, Rat):
         return {(): e.value} if e.value else {}
@@ -440,14 +430,14 @@ def _poly_product(factors) -> dict:
                 if _is_int(outer_exp):
                     coef *= c ** int(outer_exp.value)
                 else:
-                    pairs.append(_coef_power_atom(c, outer_exp))
+                    pairs.append((Rat(c), outer_exp))
             return
         c, prim = _poly_content(pf)
         if c != 1:
             if _is_int(outer_exp):
                 coef *= c ** int(outer_exp.value)
             else:
-                pairs.append(_coef_power_atom(c, outer_exp))
+                pairs.append((Rat(c), outer_exp))
         pairs.append((_rebuild(prim), outer_exp))
 
     for f in factors:
@@ -579,9 +569,49 @@ def clear_denominators(e: Expr) -> Expr:
                 mins[base] = min(cur, exp.value)
     if not mins:
         return _rebuild(p)
-    factor = {tuple(sorted(((b, Rat(-v)) for b, v in mins.items()),
-                           key=lambda be: _key(be[0]))): Fraction(1)}
-    return _rebuild(_poly_mul(p, factor))
+    return _rebuild(_divide_by_powers(p, mins))
+
+
+def strip_coordinates(e: Expr) -> Expr:
+    """Remove common powers of the base coordinates r, t (an identity in the
+    coordinates is unaffected) and integerize."""
+    p = _to_poly(as_expr(e))
+    if not p:
+        return ZERO
+    common: dict = {}
+    first = True
+    for mono in p:
+        expo = {b: x.value for b, x in mono
+                if isinstance(b, Sym) and b.name in ("r", "t") and _is_int(x)}
+        if first:
+            common = expo
+            first = False
+        else:
+            common = {k: min(v, expo.get(k, Fraction(0)))
+                      for k, v in common.items()}
+            common = {k: v for k, v in common.items() if k in expo or v < 0}
+    common = {k: v for k, v in common.items() if v != 0}
+    if common:
+        p = _divide_by_powers(p, common)
+    return _integerize(p)
+
+
+def _divide_by_powers(p: dict, powers: dict) -> dict:
+    """p divided by the monomial prod(base**v) over powers {Sym base: v}."""
+    factor = tuple(sorted(((b, Rat(-v)) for b, v in powers.items()),
+                          key=lambda be: _key(be[0])))
+    return _poly_mul(p, {factor: Fraction(1)})
+
+
+def _integerize(p: dict) -> Expr:
+    """Scale a nonzero poly so its rational coefficients are coprime
+    integers, leading positive."""
+    num = 0
+    den = 1
+    for c in p.values():
+        num = math.gcd(num, abs(c.numerator))
+        den = math.lcm(den, c.denominator)
+    return sign_normalize(_rebuild(_poly_scale(p, Fraction(den, num))))
 
 
 # --------------------------------------------------------------------------
@@ -600,37 +630,45 @@ def differentiate(e: Expr, var, table: SymbolTable) -> Expr:
     var_name = var.name if isinstance(var, Sym) else str(var)
     if not table.is_declared(var_name) or table.info(var_name).kind != "coordinate":
         raise DifferentiationError(f"{var_name!r} is not a coordinate")
-    return normalize(_diff(as_expr(e), var_name, table))
+    return apply_derivation(
+        e, lambda s: _diff_symbol(s, var_name, table), table)
 
 
-def _diff(e: Expr, var: str, table: SymbolTable) -> Expr:
+def apply_derivation(e: Expr, symbol_action, table: SymbolTable) -> Expr:
+    """Normalized image of `e` under the derivation whose value on each
+    symbol is `symbol_action(Sym)`, extended by the sum, product, power and
+    chain rules.  Exponents must be constant under the derivation."""
+    return normalize(_diff(as_expr(e), symbol_action, table))
+
+
+def _diff(e: Expr, action, table: SymbolTable) -> Expr:
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, Sym):
-        return _diff_symbol(e, var, table)
+        return action(e)
     if isinstance(e, Add):
-        return Add(tuple(_diff(t, var, table) for t in e.terms))
+        return Add(tuple(_diff(t, action, table) for t in e.terms))
     if isinstance(e, Mul):
         terms = []
         fs = e.factors
         for i, f in enumerate(fs):
-            df = _diff(f, var, table)
+            df = _diff(f, action, table)
             if df == ZERO:
                 continue
             terms.append(Mul(tuple(fs[:i] + (df,) + fs[i + 1:])))
         return Add(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
-        if normalize(_diff(e.exponent, var, table)) != ZERO:
+        if normalize(_diff(e.exponent, action, table)) != ZERO:
             raise DifferentiationError(
-                f"exponent {to_text(e.exponent)} depends on {var}")
-        db = normalize(_diff(e.base, var, table))
+                f"exponent {to_text(e.exponent)} is not constant")
+        db = normalize(_diff(e.base, action, table))
         if db == ZERO:
             return ZERO
         return Mul((e.exponent, Pow(e.base, Add((e.exponent, MINUS_ONE))), db))
     if isinstance(e, Call):
         terms = []
         for i, a in enumerate(e.args):
-            da = _diff(a, var, table)
+            da = _diff(a, action, table)
             if da == ZERO:
                 continue
             if e.func == "exp":

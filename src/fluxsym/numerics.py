@@ -17,14 +17,13 @@ O(epsilon) level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import solve_banded
 
 from .kernel import Add, Call, Mul, Pow, Rat, Sym, as_expr
-from .model import Model
 
 
 class SolverError(Exception):
@@ -94,12 +93,18 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
     return compiled
 
 
-DEFAULT_SAMPLED_FNS = {
-    "G": lambda x: np.exp(-x * x),
-    "G'": lambda x: -2 * x * np.exp(-x * x),
-    "F": lambda x: 1.0 / (1.0 + x * x),
-    "F'": lambda x: -2 * x / (1.0 + x * x) ** 2,
-}
+def sampled_functions(amplitude: float = 1.0) -> dict:
+    """Vectorized samples of the arbitrary functions and their derivative
+    symbols: G(x) = exp(-x^2) and F(x) = amplitude/(1 + x^2)."""
+    return {
+        "G": lambda x: np.exp(-x * x),
+        "G'": lambda x: -2 * x * np.exp(-x * x),
+        "F": lambda x: amplitude / (1.0 + x * x),
+        "F'": lambda x: -2 * amplitude * x / (1.0 + x * x) ** 2,
+    }
+
+
+DEFAULT_SAMPLED_FNS = sampled_functions()
 
 
 # --------------------------------------------------------------------------
@@ -148,24 +153,13 @@ class GridSpec:
 class MaterialModel:
     """D(r,t), Gamma(r,t) and the neutron speed v.
 
-    D and Gamma are vectorized callables; `from_expressions` compiles kernel
-    expressions.  An optional (nu_bar, Sigma_f, Sigma_a) decomposition must
+    D and Gamma are vectorized callables (see `compile_numeric`).  An optional (nu_bar, Sigma_f, Sigma_a) decomposition must
     reproduce Gamma to 1e-12.
     """
     D: object
     Gamma: object
     v: float = 1.0
     decomposition: tuple | None = None   # (nu_bar(r,t), Sigma_f(r,t), Sigma_a(r,t))
-
-    @staticmethod
-    def from_expressions(d_expr, gamma_expr, params, v=1.0, fns=None,
-                         model: Model | None = None) -> "MaterialModel":
-        fns = {**DEFAULT_SAMPLED_FNS, **(fns or {})}
-        return MaterialModel(
-            D=compile_numeric(d_expr, params=params, fns=fns),
-            Gamma=compile_numeric(gamma_expr, params=params, fns=fns),
-            v=float(v),
-        )
 
     def validate(self, grid: GridSpec):
         rr, tt = np.meshgrid(grid.r_nodes, grid.t_nodes)
@@ -215,11 +209,6 @@ class TransformParams:
             raise ValueError("a5 and a7 must vanish (determining constraints)")
         if abs(a["a8"] - (a["a6"] - a["a2"])) > 1e-12:
             raise ValueError("a8 must equal a6 - a2 (determining constraint)")
-
-    def map_forward(self, r, t):
-        a = self.a
-        return (self.eps * a["a1"] + math.exp(self.eps * a["a2"]) * np.asarray(r),
-                self.eps * a["a3"] + math.exp(self.eps * a["a4"]) * np.asarray(t))
 
     def map_inverse(self, r, t):
         a = self.a

@@ -31,11 +31,6 @@ DETERMINING_EQUATIONS = {
         "(a1 + a2*r)*D_rr + (a3 + a4*t)*D_rt - (a2 - a4)*D_r",
 }
 
-# Consequence rows: published equations that follow from the primary set
-# (the second-order diffusion conditions are the r-derivative of the
-# first-order one) rather than arising as independent residuals.
-CONSEQUENCE_IDS = ("diffusion_second_order", "diffusion_second_order_reduced")
-
 # The dphi^dt coefficient of the published expanded flux-balance relation.
 # The term-by-term expansion rule gives this coefficient with a single
 # D_r*(a1 + a2*r); the published display carries it twice.

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fluxsym import published
+from fluxsym import characteristics, published
 from fluxsym.characteristics import (
     CASE_CONSTRAINTS, MaterialSolution, QuasiLinearPDE,
     UnsupportedBranchError, back_substitute, constant_material_constraints,
@@ -12,7 +12,7 @@ from fluxsym.characteristics import (
     solve_characteristics,
 )
 from fluxsym.kernel import (
-    Rat, Sym, ZERO, evaluate, normalize, substitute,
+    Mul, Rat, Sym, ZERO, ZeroVerdict, evaluate, normalize, substitute,
 )
 from fluxsym.parser import parse
 
@@ -138,6 +138,25 @@ def test_published_table_typos_fail_back_substitution(model):
     assert check.verdict == "nonzero"
     derived = solve_characteristics(pde, model)
     assert back_substitute(derived, pde, model).verdict == "zero"
+
+
+def test_back_substitution_counts_evaluated_points(model, monkeypatch):
+    # force the numeric check with a wrong condition (s tripled); H has no
+    # sampled callable, so no point evaluates and the verdict stays unknown
+    monkeypatch.setattr(characteristics, "is_zero",
+                        lambda *args, **kwargs: ZeroVerdict.UNKNOWN)
+    model.table.declare("H", "arbitrary-function", arity=1)
+    pde = diffusion_condition(model)
+    tripled = QuasiLinearPDE(pde.func, pde.c_r, pde.c_t, pde.k,
+                             normalize(Mul((Rat(3), pde.s))))
+    unbound = back_substitute(solve_characteristics(pde, model, "H"),
+                              tripled, model)
+    assert unbound.verdict == "unknown"
+    assert unbound.evaluated == 0
+    sampled = back_substitute(solve_characteristics(pde, model, "G"),
+                              tripled, model, points=200)
+    assert sampled.verdict == "nonzero"
+    assert sampled.evaluated == 200
 
 
 def test_published_table_notes_recorded(model):

@@ -139,8 +139,26 @@ def test_config_file_merges_under_flags(tmp_path):
     assert [c["case"] for c in data["cases"]] == ["B"]
 
 
+def test_config_never_overrides_an_explicit_flag(tmp_path):
+    # --nr equals its default (32) and still wins; nt and csv come from the
+    # config file
+    config = tmp_path / "config.json"
+    csv = tmp_path / "from_config.csv"
+    config.write_text(json.dumps({"nr": 8, "nt": 8, "csv": str(csv)}))
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--nr", "32", "--config", str(config),
+                 "--out", str(out)])
+    assert code == 0
+    grid = json.loads(out.read_text())["grid"]
+    assert (grid["n_r"], grid["n_t"]) == (32, 8)
+    assert csv.is_file()
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"caes": "D"}))
+    with pytest.raises(SystemExit):
+        main(["cases", "--config", str(config)])
+    config.write_text(json.dumps({"materials": "D"}))
     with pytest.raises(SystemExit):
         main(["cases", "--config", str(config)])
