@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from . import published
 from .kernel import (
-    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
-    collect_by, differentiate, evaluate, is_zero, normalize, sign_normalize,
-    substitute, to_text,
+    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, Sym, UndeclaredSymbolError,
+    ZERO, ZeroVerdict, collect_by, differentiate, evaluate, is_zero, normalize,
+    sign_normalize, substitute, to_text,
 )
 from .model import Model
 
@@ -105,12 +105,16 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
         f = (a3 + a4 t)^((s-k)/a4) * H[(r + a1/a2) (a3 + a4 t)^(-a2/a4)]
     with the a1 term dropped when c_r = a2 r and the whole argument dropped
     (arbitrary constant) when c_r = 0.  Degenerate a4 = 0 / a2 = 0 branches
-    return exponential forms and are labeled as extensions.
+    return exponential forms and are labeled as extensions.  An undeclared
+    `function_symbol` raises UndeclaredSymbolError.
     """
     m = model
     table = m.table
     if function_symbol is None:
         function_symbol = "G" if pde.func == "D" else "F"
+    if not table.is_declared(function_symbol):
+        raise UndeclaredSymbolError(
+            f"symbol {function_symbol!r} is not declared")
     H = function_symbol
 
     r_pair = _coef_pair(pde.c_r, m.r)

@@ -63,7 +63,8 @@ def _merge_config(args: argparse.Namespace, argv):
 
     The config keys are the option destinations of the subcommands; other
     keys are rejected.  Explicit flags are found by parsing `argv` again
-    with every default of the command replaced by a sentinel.
+    with every default of the command replaced by a sentinel.  A value
+    passes the same `type` and `choices` checks as the flag it stands for.
     """
     if args.config is None:
         return args
@@ -74,14 +75,43 @@ def _merge_config(args: argparse.Namespace, argv):
     unknown = set(data) - (keys - {"command", "config"})
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    command = commands[args.command]
+    actions = {a.dest: a for a in command._actions}
     dests = set(vars(args)) - {"command"}
-    commands[args.command].set_defaults(**dict.fromkeys(dests, _UNSET))
+    command.set_defaults(**dict.fromkeys(dests, _UNSET))
     given = {k for k, v in vars(probe.parse_args(argv)).items()
              if v is not _UNSET}
     for key, value in data.items():
         if key in dests and key not in given:
-            setattr(args, key, value)
+            setattr(args, key, _config_value(command, actions[key], value))
     return args
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
+                  value):
+    """A config value checked as argparse checks its flag; a usage error
+    (exit 2) otherwise.  Switches take a JSON boolean, options a string or
+    number, read as the text of the flag's argument."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            parser.error(f"config {action.dest!r} for {flag}: "
+                         f"expected true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        parser.error(f"config {action.dest!r} for {flag}: "
+                     f"expected a string or a number, got {value!r}")
+    value = str(value)
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            parser.error(f"config {action.dest!r} for {flag}: invalid "
+                         f"{action.type.__name__} value: {value!r}")
+    if action.choices is not None and value not in action.choices:
+        parser.error(f"config {action.dest!r} for {flag}: invalid choice: "
+                     f"{value!r} (choose from {', '.join(action.choices)})")
+    return value
 
 
 def _geometry_mode(text):
@@ -140,11 +170,11 @@ def cmd_derive(args) -> int:
     model = Model()
     mode = _geometry_mode(args.geometry)
     try:
-        system = extract_determining(model, mode)
+        system = extract_determining(model, mode, seed=args.seed)
     except DerivationError as exc:
         print(f"derivation failed: {exc}", file=sys.stderr)
         return 2
-    audit = audit_against_published(system, model)
+    audit = audit_against_published(system, model, seed=args.seed)
     body = {
         "determining_system": reports.determining_system_payload(system),
         "audit": reports.audit_payload(audit),

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 from .kernel import (
-    Add, Expr, Mul, Pow, Rat, Sym, SymbolTable, ZERO, as_expr,
-    differentiate, normalize, sign_normalize, to_text,
+    Expr, Mul, Pow, Rat, Sym, SymbolTable, ZERO, as_expr, collect_by,
+    differentiate, linear_combination, normalize, sign_normalize, to_text,
 )
 from .model import Model
 
@@ -64,11 +64,10 @@ class DifferentialForm:
             srt, sign = _sort_with_sign(idx)
             if sign == 0:
                 continue
-            coef = as_expr(coef) if sign > 0 else Mul((Rat(-1), as_expr(coef)))
-            acc[srt] = Add((acc[srt], coef)) if srt in acc else coef
+            acc.setdefault(srt, []).append((sign, coef))
         out = []
         for key in sorted(acc):
-            c = normalize(acc[key])
+            c = linear_combination(acc[key])
             if c != ZERO:
                 out.append((key, c))
         return DifferentialForm(degree, tuple(out))
@@ -80,7 +79,7 @@ class DifferentialForm:
             return ZERO
         for key, coef in self.coefficients:
             if key == idx:
-                return coef if sign > 0 else normalize(Mul((Rat(-1), coef)))
+                return coef if sign > 0 else linear_combination(((-1, coef),))
         return ZERO
 
     def is_zero(self) -> bool:
@@ -220,15 +219,15 @@ def section(alpha: DifferentialForm, smap: SectionMap) -> DifferentialForm:
         raise FormError("sectioning needs a form of degree >= 1")
     smap.validate()
     repl = {name: form for name, form in smap.replacements}
-    out = zero_form(alpha.degree)
+    terms = []
     for key, coef in alpha.coefficients:
         term = scalar_form(coef)
         for i in key:
             name = SLOTS[i]
             factor = repl.get(name, d_slot(name))
             term = wedge(term, factor)
-        out = out + term
-    return out
+        terms.extend(term.coefficients)
+    return DifferentialForm.build(alpha.degree, terms)
 
 
 def annul(alpha: DifferentialForm) -> Expr:
@@ -248,14 +247,13 @@ def annul(alpha: DifferentialForm) -> Expr:
                 "section the form first")
     if residual is None:
         return ZERO
-    from .kernel import collect_by
     for jet in ("phi_t", "w_t"):
         groups = collect_by(residual, (jet,))
         linear = groups.get(Sym(jet))
         if linear is not None:
             lead = sign_normalize(linear)
             if lead == normalize(linear):
-                residual = normalize(Mul((Rat(-1), residual)))
+                residual = linear_combination(((-1, residual),))
             return normalize(residual)
     return sign_normalize(residual)
 

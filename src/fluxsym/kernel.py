@@ -93,6 +93,16 @@ class Expr:
         return f"<{type(self).__name__} {to_text(self)}>"
 
 
+def _hash_once(node, fields) -> int:
+    """The hash of an immutable node, computed on first use and kept on it:
+    bases and monomials are dict keys, so a node is hashed many times."""
+    d = node.__dict__
+    h = d.get("_hash")
+    if h is None:
+        h = d["_hash"] = hash(fields)
+    return h
+
+
 @dataclass(frozen=True, repr=False)
 class Rat(Expr):
     value: Fraction
@@ -101,20 +111,32 @@ class Rat(Expr):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
+    def __hash__(self):
+        return _hash_once(self, self.value)
+
 
 @dataclass(frozen=True, repr=False)
 class Sym(Expr):
     name: str
+
+    def __hash__(self):
+        return hash(self.name)
 
 
 @dataclass(frozen=True, repr=False)
 class Add(Expr):
     terms: tuple
 
+    def __hash__(self):
+        return _hash_once(self, self.terms)
+
 
 @dataclass(frozen=True, repr=False)
 class Mul(Expr):
     factors: tuple
+
+    def __hash__(self):
+        return _hash_once(self, self.factors)
 
 
 @dataclass(frozen=True, repr=False)
@@ -122,11 +144,17 @@ class Pow(Expr):
     base: Expr
     exponent: Expr
 
+    def __hash__(self):
+        return _hash_once(self, (self.base, self.exponent))
+
 
 @dataclass(frozen=True, repr=False)
 class Call(Expr):
     func: str
     args: tuple
+
+    def __hash__(self):
+        return _hash_once(self, (self.func, self.args))
 
 
 ZERO = Rat(Fraction(0))
@@ -233,93 +261,169 @@ class SymbolTable:
 # --------------------------------------------------------------------------
 #
 # Internal representation during normalization:
-#   poly     : dict  monomial -> Fraction           (sum of monomials)
-#   monomial : tuple of (base Expr, exponent Expr)  sorted by sort key
+#   poly        : dict  monomial -> coefficient          (sum of monomials)
+#   monomial    : tuple of (base, exponent) pairs, sorted by the base's _key
+#   coefficient : a nonzero rational, an int when integral, else a Fraction
+#   exponent    : an int when integral, a Fraction when rational, else a
+#                 normalized non-constant Expr
 #
 # Bases are normalized atoms (Sym, Call, Rat for irrational constant powers,
-# or Add for opaque sum powers); exponents are normalized expressions.
+# or Add for opaque sum powers).  A poly a helper returns is a fresh dict
+# that its caller may update in place, unless the helper says otherwise.
+#
+# A compound normal form keeps a private copy of the poly it was built from
+# (its `_poly` attribute), so reading it back is a dict copy and normalizing
+# it again returns it unchanged.  The copy lives and dies with its node.
+
+def _num(q):
+    """A rational as an int when it is integral, else as a Fraction."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _div(a, b):
+    """The exact quotient of two rationals."""
+    return _num(Fraction(a) / b)
+
+
+def _rat_pow(c, k: int):
+    """c**k for a nonzero rational c and an integer k, exactly."""
+    return c ** k if k >= 0 else _num(Fraction(c) ** k)
+
+
+def _exponent(e: Expr):
+    """The exponent form of a normalized expression."""
+    return _num(e.value) if type(e) is Rat else e
+
+
+def _exponent_expr(x) -> Expr:
+    return x if isinstance(x, Expr) else Rat(x)
+
 
 def _key(e: Expr):
     """Deterministic total order on normalized expressions."""
-    if isinstance(e, Rat):
+    t = type(e)
+    if t is Rat:
         return (0, e.value)
-    if isinstance(e, Sym):
+    if t is Sym:
         return (1, e.name)
-    if isinstance(e, Call):
-        return (2, e.func, tuple(_key(a) for a in e.args))
-    if isinstance(e, Pow):
-        return (3, _key(e.base), _key(e.exponent))
-    if isinstance(e, Mul):
-        return (4, tuple(_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (5, tuple(_key(t) for t in e.terms))
-    raise TypeError(type(e))
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for mono, c in q.items():
-        nc = out.get(mono, Fraction(0)) + c
-        if nc:
-            out[mono] = nc
+    k = e.__dict__.get("_key")
+    if k is None:
+        if t is Call:
+            k = (2, e.func, tuple(_key(a) for a in e.args))
+        elif t is Pow:
+            k = (3, _key(e.base), _key(e.exponent))
+        elif t is Mul:
+            k = (4, tuple(_key(f) for f in e.factors))
+        elif t is Add:
+            k = (5, tuple(_key(f) for f in e.terms))
         else:
-            out.pop(mono, None)
-    return out
+            raise TypeError(t)
+        e.__dict__["_key"] = k
+    return k
 
 
-def _poly_scale(p: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {m: v * c for m, v in p.items()}
+def _base_key(pair):
+    return _key(pair[0])
 
 
-def _is_int(e: Expr) -> bool:
-    return isinstance(e, Rat) and e.value.denominator == 1
+def _mono_key(mono):
+    """The _key of a monomial's expression (coefficient 1), without
+    building it."""
+    if not mono:
+        return (0, 1)
+    keys = [_key(b) if x == 1
+            else (3, _key(b), _key(x) if isinstance(x, Expr) else (0, x))
+            for b, x in mono]
+    return keys[0] if len(keys) == 1 else (4, tuple(keys))
 
 
-def _merge_pairs(pairs_a, pairs_b):
-    """Combine two power lists, adding exponents of equal bases.
+def _poly_add_term(p: dict, mono, c) -> None:
+    """p += c*mono in place."""
+    old = p.get(mono)
+    if old is None:
+        p[mono] = c
+    else:
+        c = _num(old + c)
+        if c:
+            p[mono] = c
+        else:
+            del p[mono]
 
-    Returns (pairs, expansions) where expansions are (add_expr, k) factors
-    whose exponent became a positive integer and must be multiplied out.
+
+def _poly_iadd(p: dict, q: dict, scale=1) -> dict:
+    """p += scale*q in place, for a nonzero rational scale."""
+    if scale == 1:
+        for mono, c in q.items():
+            _poly_add_term(p, mono, c)
+    else:
+        for mono, c in q.items():
+            _poly_add_term(p, mono, _num(c * scale))
+    return p
+
+
+def _poly_scale(p: dict, c) -> dict:
+    return {m: _num(v * c) for m, v in p.items()}
+
+
+def _merge_pairs(pairs):
+    """Combine (base, exponent) pairs into a monomial, adding the exponents
+    of equal bases.
+
+    Returns (monomial, factor, expansions): `factor` is the rational value
+    of the constant bases whose exponent became an integer, and expansions
+    are (add_expr, k) factors whose exponent became a positive integer and
+    must be multiplied out.
     """
-    acc: dict = {}
-    order: list = []
-    for base, exp in list(pairs_a) + list(pairs_b):
-        if base in acc:
-            acc[base] = _add_exponents(acc[base], exp)
-        else:
-            acc[base] = exp
-            order.append(base)
-    pairs = []
+    if len(pairs) == 1:
+        acc = dict(pairs)
+    else:
+        acc = {}
+        for base, x in pairs:
+            old = acc.get(base)
+            acc[base] = x if old is None else _add_exponents(old, x)
+    mono = []
+    factor = 1
     expansions = []
-    for base in order:
-        exp = acc[base]
-        if isinstance(exp, Rat) and exp.value == 0:
-            continue
-        if isinstance(base, Add) and _is_int(exp) and exp.value > 0:
-            expansions.append((base, int(exp.value)))
-            continue
-        pairs.append((base, exp))
-    pairs.sort(key=lambda be: _key(be[0]))
-    return tuple(pairs), expansions
+    for base, x in acc.items():
+        if type(x) is int:
+            if x == 0:
+                continue
+            if type(base) is Add and x > 0:
+                expansions.append((base, x))
+                continue
+            if type(base) is Rat and base.value:
+                factor = _num(factor * _rat_pow(_num(base.value), x))
+                continue
+        mono.append((base, x))
+    if len(mono) > 1:
+        mono.sort(key=_base_key)
+    return tuple(mono), factor, expansions
 
 
-def _add_exponents(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value + b.value)
-    return normalize(Add((a, b)))
+def _add_exponents(a, b):
+    if type(a) is int and type(b) is int:
+        return a + b
+    if b == 0:
+        return a
+    if a == 0:
+        return b
+    if isinstance(a, Expr) or isinstance(b, Expr):
+        return _exponent(normalize(Add((_exponent_expr(a), _exponent_expr(b)))))
+    return _num(a + b)
 
 
-def _mul_exponent(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value * b.value)
-    return normalize(Mul((a, b)))
-
-
-def _mono_mul(m1, c1: Fraction, m2, c2: Fraction):
-    pairs, expansions = _merge_pairs(m1, m2)
-    return pairs, c1 * c2, expansions
+def _mul_exponent(a, b):
+    if b == 1:
+        return a
+    if a == 1:
+        return b
+    if a == 0 or b == 0:
+        return 0
+    if isinstance(a, Expr) or isinstance(b, Expr):
+        return _exponent(normalize(Mul((_exponent_expr(a), _exponent_expr(b)))))
+    return _num(a * b)
 
 
 def _maybe_atomize(p: dict, other: dict):
@@ -328,13 +432,13 @@ def _maybe_atomize(p: dict, other: dict):
     exponents combine instead of distributing over the expansion."""
     if len(p) < 2:
         return None
-    bases = {b for mono in other for b, _ in mono if isinstance(b, Add)}
+    bases = {b for mono in other for b, _ in mono if type(b) is Add}
     if not bases:
         return None
     c, prim = _poly_content(p)
     prim_expr = _rebuild(prim)
     if prim_expr in bases:
-        return {((prim_expr, ONE),): c}
+        return {((prim_expr, 1),): c}
     return None
 
 
@@ -349,16 +453,20 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            pairs, c, expansions = _mono_mul(m1, c1, m2, c2)
-            term = {pairs: c}
+            mono, factor, expansions = _merge_pairs(m1 + m2)
+            c = _num(c1 * c2 * factor)
+            if not expansions:
+                _poly_add_term(out, mono, c)
+                continue
+            term = {mono: c}
             for base, k in expansions:
                 term = _poly_mul(term, _poly_int_pow(_to_poly(base), k))
-            out = _poly_add(out, term)
+            _poly_iadd(out, term)
     return out
 
 
 def _poly_int_pow(p: dict, k: int) -> dict:
-    result = {(): Fraction(1)}
+    result = {(): 1}
     acc = p
     while k:
         if k & 1:
@@ -370,29 +478,43 @@ def _poly_int_pow(p: dict, k: int) -> dict:
 
 
 def _poly_content(p: dict):
-    """Split a multi-term poly into (leading coefficient, primitive poly)."""
-    lead = max(p, key=lambda m: _key(_rebuild({m: Fraction(1)})))
-    c = p[lead]
-    return c, _poly_scale(p, 1 / c)
+    """Split a multi-term poly into (leading coefficient, primitive poly);
+    the primitive poly is `p` itself when the leading coefficient is 1."""
+    c = p[max(p, key=_mono_key)]
+    if c == 1:
+        return 1, p
+    return c, _poly_scale(p, _div(1, c))
+
+
+def _lead_positive(p: dict) -> dict:
+    """`p`, negated when its leading coefficient is negative."""
+    if p and p[max(p, key=_mono_key)] < 0:
+        return _poly_scale(p, -1)
+    return p
 
 
 def _to_poly(e: Expr) -> dict:
-    if isinstance(e, Rat):
-        return {(): e.value} if e.value else {}
-    if isinstance(e, (Sym, Call)):
-        if isinstance(e, Call):
-            e = Call(e.func, tuple(normalize(a) for a in e.args))
-        return {((e, ONE),): Fraction(1)}
-    if isinstance(e, Add):
+    t = type(e)
+    if t is Sym:
+        return {((e, 1),): 1}
+    if t is Rat:
+        return {(): _num(e.value)} if e.value else {}
+    if t is Add or t is Mul or t is Pow:
+        own = e.__dict__.get("_poly")
+        if own is not None:
+            return dict(own)
+    if t is Add:
         out: dict = {}
-        for t in e.terms:
-            out = _poly_add(out, _to_poly(t))
+        for term in e.terms:
+            _poly_iadd(out, _to_poly(term))
         return out
-    if isinstance(e, Mul):
+    if t is Mul:
         return _poly_product(e.factors)
-    if isinstance(e, Pow):
+    if t is Pow:
         return _poly_product((e,))
-    raise TypeError(type(e))
+    if t is Call:
+        return {((Call(e.func, tuple(normalize(a) for a in e.args)), 1),): 1}
+    raise TypeError(t)
 
 
 def _poly_product(factors) -> dict:
@@ -400,54 +522,65 @@ def _poly_product(factors) -> dict:
     collected *before* any expansion, so powers of the same sum combine
     across factors.  Non-integer exponents distribute over products
     (positive-base convention)."""
-    coef = Fraction(1)
+    coef = 1
     pairs: list = []
+    sums: dict = {}     # primitive sum base -> its poly, for the expansion
     zero = False
 
-    def absorb(f: Expr, outer_exp: Expr):
+    def absorb(f: Expr, outer):
         nonlocal coef, zero
         if zero:
             return
-        if isinstance(f, Mul):
+        t = type(f)
+        if t is Mul:
             for g in f.factors:
-                absorb(g, outer_exp)
+                absorb(g, outer)
             return
-        if isinstance(f, Pow):
-            absorb(f.base, _mul_exponent(normalize(f.exponent), outer_exp))
+        if t is Pow:
+            x = f.exponent
+            x = _num(x.value) if type(x) is Rat else _exponent(normalize(x))
+            absorb(f.base, _mul_exponent(x, outer))
+            return
+        if t is Sym:
+            pairs.append((f, outer))
             return
         pf = _to_poly(f)
         if not pf:
-            # 0**e: zero for positive integer exponents, opaque otherwise
-            if isinstance(outer_exp, Rat) and outer_exp.value > 0:
+            # 0**e: zero for positive exponents, opaque otherwise
+            if not isinstance(outer, Expr) and outer > 0:
                 zero = True
             else:
-                pairs.append((ZERO, outer_exp))
+                pairs.append((ZERO, outer))
             return
         if len(pf) == 1:
             (mono, c), = pf.items()
-            pairs.extend((b, _mul_exponent(x, outer_exp)) for b, x in mono)
-            if c != 1:
-                if _is_int(outer_exp):
-                    coef *= c ** int(outer_exp.value)
-                else:
-                    pairs.append((Rat(c), outer_exp))
-            return
-        c, prim = _poly_content(pf)
-        if c != 1:
-            if _is_int(outer_exp):
-                coef *= c ** int(outer_exp.value)
+            if outer == 1:
+                pairs.extend(mono)
             else:
-                pairs.append((Rat(c), outer_exp))
-        pairs.append((_rebuild(prim), outer_exp))
+                pairs.extend((b, _mul_exponent(x, outer)) for b, x in mono)
+        else:
+            c, prim = _poly_content(pf)
+            base = _rebuild(prim)
+            sums[base] = prim
+            pairs.append((base, outer))
+        if c != 1:
+            if type(outer) is int:
+                coef *= _rat_pow(c, outer)
+            else:
+                pairs.append((Rat(c), outer))
 
     for f in factors:
-        absorb(f, ONE)
+        absorb(f, 1)
     if zero:
         return {}
-    merged, expansions = _merge_pairs(pairs, [])
-    out = {merged: coef}
+    if not pairs:
+        return {(): coef}
+    merged, factor, expansions = _merge_pairs(pairs)
+    out = {merged: _num(coef * factor)}
     for base, k in expansions:
-        out = _poly_mul(out, _poly_int_pow(_to_poly(base), k))
+        prim = sums.get(base)
+        out = _poly_mul(out, _poly_int_pow(
+            prim if prim is not None else _to_poly(base), k))
     return out
 
 
@@ -456,38 +589,52 @@ def _rebuild(p: dict) -> Expr:
         return ZERO
     terms = []
     for mono, coef in p.items():
-        factors = []
+        factors = [b if x == 1 else Pow(b, _exponent_expr(x)) for b, x in mono]
         if coef != 1 or not mono:
-            factors.append(Rat(coef))
-        for base, exp in mono:
-            if isinstance(exp, Rat) and exp.value == 1:
-                factors.append(base)
-            else:
-                factors.append(Pow(base, exp))
+            factors.insert(0, Rat(coef))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
-    terms.sort(key=_key)
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+    if len(terms) == 1:
+        e = terms[0]
+        if type(e) is not Mul and type(e) is not Pow:
+            return e
+    else:
+        terms.sort(key=_key)
+        e = Add(tuple(terms))
+    e.__dict__["_poly"] = dict(p)
+    return e
 
 
 def normalize(e: Expr) -> Expr:
     """Canonical form: expanded, collected, deterministically ordered.
     Idempotent; structural equality of normal forms is the kernel's equality."""
-    return _rebuild(_to_poly(as_expr(e)))
+    e = as_expr(e)
+    if "_poly" in getattr(e, "__dict__", ()):
+        return e
+    return _rebuild(_to_poly(e))
+
+
+def linear_combination(terms) -> Expr:
+    """Normal form of the sum of c*e over the (c, e) pairs of `terms`, each
+    c a rational number (int or Fraction) and e an expression.
+
+    The sum accumulates in one polynomial, so summing k expressions reads
+    each once, where normalizing a nested Add of normal forms would not.
+    """
+    acc: dict = {}
+    for c, e in terms:
+        c = _num(Fraction(c))
+        if c:
+            _poly_iadd(acc, _to_poly(as_expr(e)), c)
+    return _rebuild(acc)
 
 
 def equal(a: Expr, b: Expr) -> bool:
-    return normalize(Add((as_expr(a), Mul((MINUS_ONE, as_expr(b)))))) == ZERO
+    return linear_combination(((1, a), (-1, b))) == ZERO
 
 
 def sign_normalize(e: Expr) -> Expr:
     """Flip the overall sign so the leading monomial's coefficient is positive."""
-    p = _to_poly(as_expr(e))
-    if not p:
-        return ZERO
-    lead = max(p, key=lambda m: _key(_rebuild({m: Fraction(1)})))
-    if p[lead] < 0:
-        p = _poly_scale(p, Fraction(-1))
-    return _rebuild(p)
+    return _rebuild(_lead_positive(_to_poly(as_expr(e))))
 
 
 def free_symbols(e: Expr) -> set:
@@ -519,17 +666,16 @@ def collect_by(e: Expr, split_names: tuple) -> dict:
     groups: dict = {}
     for mono, coef in _to_poly(as_expr(e)).items():
         key_pairs, rest_pairs = [], []
-        for base, exp in mono:
-            if isinstance(base, Sym) and base.name in split:
-                if not _is_int(exp):
+        for base, x in mono:
+            if type(base) is Sym and base.name in split:
+                if type(x) is not int:
                     raise KernelError(
                         f"non-integer power of split symbol {base.name}")
-                key_pairs.append((base, exp))
+                key_pairs.append((base, x))
             else:
-                rest_pairs.append((base, exp))
-        key = _rebuild({tuple(key_pairs): Fraction(1)})
-        part = {tuple(rest_pairs): coef}
-        groups[key] = _poly_add(groups.get(key, {}), part)
+                rest_pairs.append((base, x))
+        key = _rebuild({tuple(key_pairs): 1})
+        _poly_add_term(groups.setdefault(key, {}), tuple(rest_pairs), coef)
     return {k: _rebuild(v) for k, v in groups.items() if v}
 
 
@@ -545,14 +691,14 @@ def poly_div_exact(p: Expr, q: Expr):
         return None
     if not pp:
         return ZERO
-    lead_p = max(pp, key=lambda m: _key(_rebuild({m: Fraction(1)})))
-    for mono_q in sorted(qq, key=lambda m: _key(_rebuild({m: Fraction(1)}))):
-        inv = tuple((b, _mul_exponent(e, MINUS_ONE)) for b, e in mono_q)
-        pairs, c, expansions = _mono_mul(lead_p, pp[lead_p], inv, 1 / qq[mono_q])
+    lead_p = max(pp, key=_mono_key)
+    for mono_q in sorted(qq, key=_mono_key):
+        inv = tuple((b, _mul_exponent(x, -1)) for b, x in mono_q)
+        mono, factor, expansions = _merge_pairs(lead_p + inv)
         if expansions:
             continue
-        cand = {pairs: c}
-        if _poly_add(pp, _poly_scale(_poly_mul(cand, qq), Fraction(-1))) == {}:
+        cand = {mono: _num(_div(pp[lead_p], qq[mono_q]) * factor)}
+        if _poly_mul(cand, qq) == pp:
             return _rebuild(cand)
     return None
 
@@ -563,10 +709,9 @@ def clear_denominators(e: Expr) -> Expr:
     p = _to_poly(as_expr(e))
     mins: dict = {}
     for mono in p:
-        for base, exp in mono:
-            if isinstance(base, Sym) and _is_int(exp) and exp.value < 0:
-                cur = mins.get(base, Fraction(0))
-                mins[base] = min(cur, exp.value)
+        for base, x in mono:
+            if type(base) is Sym and type(x) is int and x < 0:
+                mins[base] = min(mins.get(base, 0), x)
     if not mins:
         return _rebuild(p)
     return _rebuild(_divide_by_powers(p, mins))
@@ -574,23 +719,19 @@ def clear_denominators(e: Expr) -> Expr:
 
 def strip_coordinates(e: Expr) -> Expr:
     """Remove common powers of the base coordinates r, t (an identity in the
-    coordinates is unaffected) and integerize."""
+    coordinates is unaffected) and integerize: divide by r^i t^j, with i and
+    j the least integer powers over all monomials (0 where one lacks r or t)."""
     p = _to_poly(as_expr(e))
     if not p:
         return ZERO
-    common: dict = {}
-    first = True
-    for mono in p:
-        expo = {b: x.value for b, x in mono
-                if isinstance(b, Sym) and b.name in ("r", "t") and _is_int(x)}
-        if first:
-            common = expo
-            first = False
-        else:
-            common = {k: min(v, expo.get(k, Fraction(0)))
-                      for k, v in common.items()}
-            common = {k: v for k, v in common.items() if k in expo or v < 0}
-    common = {k: v for k, v in common.items() if v != 0}
+    powers = [{b.name: x for b, x in mono
+               if type(b) is Sym and b.name in ("r", "t") and type(x) is int}
+              for mono in p]
+    common = {}
+    for name in ("r", "t"):
+        low = min(pw.get(name, 0) for pw in powers)
+        if low:
+            common[Sym(name)] = low
     if common:
         p = _divide_by_powers(p, common)
     return _integerize(p)
@@ -598,9 +739,8 @@ def strip_coordinates(e: Expr) -> Expr:
 
 def _divide_by_powers(p: dict, powers: dict) -> dict:
     """p divided by the monomial prod(base**v) over powers {Sym base: v}."""
-    factor = tuple(sorted(((b, Rat(-v)) for b, v in powers.items()),
-                          key=lambda be: _key(be[0])))
-    return _poly_mul(p, {factor: Fraction(1)})
+    factor = tuple(sorted(((b, -v) for b, v in powers.items()), key=_base_key))
+    return _poly_mul(p, {factor: 1})
 
 
 def _integerize(p: dict) -> Expr:
@@ -611,7 +751,7 @@ def _integerize(p: dict) -> Expr:
     for c in p.values():
         num = math.gcd(num, abs(c.numerator))
         den = math.lcm(den, c.denominator)
-    return sign_normalize(_rebuild(_poly_scale(p, Fraction(den, num))))
+    return _rebuild(_lead_positive(_poly_scale(p, Fraction(den, num))))
 
 
 # --------------------------------------------------------------------------
@@ -896,6 +1036,9 @@ def _eval_exact(e: Expr, env: dict, fpolys: dict) -> Fraction:
     raise TypeError(type(e))
 
 
+_FLOAT_ZERO_TOL = 1e-9
+
+
 def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
             seed: int = 0, rng: random.Random | None = None) -> str:
     """'zero' iff the normal form is 0; otherwise randomized evaluation.
@@ -904,7 +1047,9 @@ def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
     arbitrary functions as random cubic polynomials with exact derivative
     polynomials for their primed symbols.  Any nonzero evaluation gives
     'nonzero'; all-zero without a structural zero is reported 'unknown',
-    never silently treated as zero.
+    never silently treated as zero.  With exp present the evaluation is in
+    floating point, and a value counts as nonzero only above
+    _FLOAT_ZERO_TOL times the largest term of the normal form.
     """
     n = normalize(e)
     if n == ZERO:
@@ -944,8 +1089,12 @@ def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
                     fns = {name: (lambda x, _p=p: float(_poly_eval(
                         _p, Fraction(x).limit_denominator(10**6))))
                         for name, p in fpolys.items()}
-                    val = _eval(n, envf, fns)
-                    if abs(val) > 1e-9:
+                    # relative to the largest term, so rounding in a large
+                    # identity is not taken for a nonzero and a tiny
+                    # nonzero still is
+                    vals = [_eval(t, envf, fns)
+                            for t in (n.terms if isinstance(n, Add) else (n,))]
+                    if abs(sum(vals)) > _FLOAT_ZERO_TOL * max(map(abs, vals)):
                         return ZeroVerdict.NONZERO
                 break
             except (ZeroDivisionError, EvaluationError, _Inexact):

@@ -12,7 +12,8 @@ from fluxsym.characteristics import (
     solve_characteristics,
 )
 from fluxsym.kernel import (
-    Mul, Rat, Sym, ZERO, ZeroVerdict, evaluate, normalize, substitute,
+    Mul, Rat, Sym, UndeclaredSymbolError, ZERO, ZeroVerdict, evaluate,
+    normalize, substitute,
 )
 from fluxsym.parser import parse
 
@@ -226,6 +227,14 @@ def test_fully_degenerate_raises(model):
     with pytest.raises(UnsupportedBranchError) as err:
         solve_characteristics(pde, model)
     assert "pivot" in str(err.value)
+
+
+def test_undeclared_function_symbol_is_rejected_at_the_call(model):
+    # also on the gradient-free branch, whose family never uses the symbol
+    for pde in (diffusion_condition(model),
+                diffusion_condition(model, gradient_free=True)):
+        with pytest.raises(UndeclaredSymbolError, match="'H'"):
+            solve_characteristics(pde, model, function_symbol="H")
 
 
 # --- degenerate material constraints -----------------------------------------

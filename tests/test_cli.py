@@ -162,3 +162,38 @@ def test_config_rejects_unknown_keys(tmp_path):
     config.write_text(json.dumps({"materials": "D"}))
     with pytest.raises(SystemExit):
         main(["cases", "--config", str(config)])
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    csv = tmp_path / "field.csv"
+    out = tmp_path / "r.json"
+    # a value the flag's type reads is taken as the flag would take it
+    config.write_text(json.dumps({"nr": "8", "nt": 8, "csv": str(csv)}))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    grid = json.loads(out.read_text())["grid"]
+    assert (grid["n_r"], grid["n_t"]) == (8, 8)
+    # anything the flag would refuse is a usage error, exit code 2
+    for command, bad in ((["simulate"], {"nr": "eight"}),
+                         (["simulate"], {"nr": 8.5}),
+                         (["simulate"], {"nt": None}),
+                         (["verify"], {"case": "Z"}),
+                         (["verify"], {"closure": "yes"})):
+        config.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(config), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "config" in capsys.readouterr().err
+
+
+def test_derive_seed_reaches_the_zero_tests(tmp_path, monkeypatch):
+    from fluxsym import isovector
+    seeds = []
+    real = isovector.is_zero
+
+    def recording(e, table, *args, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return real(e, table, *args, **kwargs)
+    monkeypatch.setattr(isovector, "is_zero", recording)
+    assert main(["derive", "--seed", "7", "--out", str(tmp_path / "r.json")]) == 0
+    assert seeds and set(seeds) == {7}

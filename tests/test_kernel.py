@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fluxsym.kernel import (
-    Call, EvaluationError, Pow, Rat, Sym, ZERO, ZeroVerdict,
+    Add, Call, EvaluationError, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
     differentiate, evaluate, is_zero, normalize, sign_normalize, substitute,
-    to_text, collect_by, poly_div_exact, clear_denominators,
+    to_text, collect_by, poly_div_exact, clear_denominators, strip_coordinates,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -32,6 +32,19 @@ def test_normalize_ring_identity(model):
     assert normalize((x + y) * (x - y) - x**2 + y**2) == ZERO
 
 
+def _copy(e):
+    """A structurally equal tree built afresh, node by node."""
+    if isinstance(e, (Rat, Sym)):
+        return type(e)(e.value if isinstance(e, Rat) else e.name)
+    if isinstance(e, Add):
+        return Add(tuple(_copy(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_copy(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_copy(e.base), _copy(e.exponent))
+    return Call(e.func, tuple(_copy(a) for a in e.args))
+
+
 def test_normalize_idempotent_on_random_expressions(model):
     rng = random.Random(7)
     names = ("r", "t", "a1", "a2", "a3", "a4", "phi", "w", "D", "Gamma")
@@ -39,6 +52,8 @@ def test_normalize_idempotent_on_random_expressions(model):
         e = random_expression(rng, names, depth=3)
         n = normalize(e)
         assert normalize(n) == n
+        # a normal form built afresh is read back, not passed through
+        assert normalize(_copy(n)) == n
 
 
 def test_normalize_commutative_and_distributive(model):
@@ -67,6 +82,13 @@ def test_inverse_of_sum_cancels(model):
     assert normalize(base**2 * base ** Rat(-1)) == normalize(base)
 
 
+def test_constant_power_with_integer_exponent_joins_the_coefficient():
+    h = Pow(Rat(2), Rat(Fraction(1, 2)))
+    assert normalize(h * h - 2) == ZERO
+    assert normalize(1 + h * h) == Rat(3)
+    assert normalize((1 + h) ** Rat(3)) == normalize(7 + 5 * h)
+
+
 def test_sign_normalize_flips_leading_negative():
     a6, a2, a8 = syms("a6", "a2", "a8")
     assert sign_normalize(a6 - a2 - a8) == sign_normalize(a8 + a2 - a6)
@@ -92,6 +114,16 @@ def test_clear_denominators():
     n, a1, D, r = syms("n", "a1", "D", "r")
     e = normalize(n * a1 * D * r ** Rat(-1))
     assert normalize(clear_denominators(e) - n * a1 * D) == ZERO
+
+
+def test_strip_coordinates_does_not_depend_on_term_order(model):
+    table = model.table
+    x = parse("(a4 - a3)*t^(-2)", table)
+    stripped = parse("a3 - a4 + 4*t^2", table)
+    assert strip_coordinates(Add((Rat(-4), x))) == normalize(stripped)
+    assert strip_coordinates(Add((x, Rat(-4)))) == normalize(stripped)
+    assert strip_coordinates(parse("a1*t^3*r^(-1) + t^2*r", table)) == \
+        normalize(parse("r^2 + a1*t", table))
 
 
 # --- differentiation ----------------------------------------------------
@@ -221,6 +253,16 @@ def test_is_zero_honest_unknown(model):
     e = a3 * base ** Rat(-1) + a4 * t * base ** Rat(-1) - 1
     assert normalize(e) != ZERO
     assert is_zero(e, Model().table) == ZeroVerdict.UNKNOWN
+
+
+def test_is_zero_float_branch_is_relative_to_the_terms(model):
+    table = model.table
+    # rounding in a large identity is no evidence of a nonzero
+    identity = parse("10^6*(exp(2*r) - exp(r)^2)", table)
+    assert is_zero(identity, table) != ZeroVerdict.NONZERO
+    # and a small nonzero is a nonzero
+    assert is_zero(parse("(1/10)^12*exp(r)", table), table) == ZeroVerdict.NONZERO
+    assert is_zero(parse("exp(r) - 1", table), table) == ZeroVerdict.NONZERO
 
 
 # --- evaluation ---------------------------------------------------------

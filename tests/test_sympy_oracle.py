@@ -1,0 +1,120 @@
+"""The kernel against sympy, an independent computer algebra system.
+
+On the conftest random expressions, `normalize` and `linear_combination`
+must agree with sympy's `expand`, `differentiate` with `diff` and
+`substitute` with `subs`: the difference of the two results, expanded by
+sympy, is zero.  Material functions map to sympy functions of (r, t), their
+jets to derivatives, and a unary function's derivative symbol G' to the
+derivative of G.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from fluxsym.kernel import (
+    Add, Call, Mul, Pow, Rat, Sym, differentiate, linear_combination,
+    normalize, substitute,
+)
+from fluxsym.model import Model
+
+from conftest import random_expression
+
+sympy = pytest.importorskip("sympy")
+
+R, T = sympy.symbols("r t")
+
+
+def to_sympy(e, table):
+    if isinstance(e, Rat):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Sym):
+        info = table.info(e.name)
+        if info.kind == "jet":
+            d_r, d_t = info.order
+            base = sympy.Function(info.base)(R, T)
+            return sympy.Derivative(base, *[(v, k) for v, k in ((R, d_r), (T, d_t)) if k])
+        if info.kind == "arbitrary-function" and info.depends:
+            return sympy.Function(e.name)(R, T)
+        return sympy.Symbol(e.name)
+    if isinstance(e, Add):
+        return sympy.Add(*(to_sympy(t, table) for t in e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*(to_sympy(f, table) for f in e.factors))
+    if isinstance(e, Pow):
+        return sympy.Pow(to_sympy(e.base, table), to_sympy(e.exponent, table))
+    assert isinstance(e, Call)
+    args = [to_sympy(a, table) for a in e.args]
+    if e.func == "exp":
+        return sympy.exp(*args)
+    name = e.func.rstrip("'")
+    order = len(e.func) - len(name)
+    if not order:
+        return sympy.Function(name)(*args)
+    x = sympy.Dummy("x")
+    return sympy.Derivative(sympy.Function(name)(x), (x, order)).subs(x, args[0])
+
+
+def same(a, b):
+    return sympy.expand(a - b) == 0
+
+
+NAMES = ("r", "t", "a1", "a2", "phi", "w", "D", "D_r", "Gamma")
+
+
+def test_normalize_agrees_with_expand():
+    table = Model().table
+    rng = random.Random(101)
+    for _ in range(300):
+        e = random_expression(rng, NAMES, depth=3, funcs=("G", "exp"))
+        assert same(to_sympy(normalize(e), table), to_sympy(e, table)), e
+
+
+def test_linear_combination_agrees_with_expand():
+    table = Model().table
+    rng = random.Random(113)
+    for _ in range(200):
+        terms = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  random_expression(rng, NAMES, depth=3, funcs=("G",)))
+                 for _ in range(rng.randint(1, 4))]
+        theirs = sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                             * to_sympy(e, table) for c, e in terms))
+        assert same(to_sympy(linear_combination(terms), table), theirs), terms
+
+
+def test_differentiate_agrees_with_diff():
+    table = Model().table
+    rng = random.Random(103)
+    for _ in range(200):
+        e = random_expression(rng, NAMES, depth=3, funcs=("G", "exp"))
+        for var, sym in (("r", R), ("t", T)):
+            ours = to_sympy(differentiate(e, var, table), table)
+            assert same(ours, sympy.diff(to_sympy(e, table), sym)), (e, var)
+
+
+def test_substitute_agrees_with_subs():
+    table = Model().table
+    rng = random.Random(107)
+    for _ in range(200):
+        e = random_expression(rng, NAMES, depth=3, funcs=("G",))
+        bindings = {"a1": random_expression(rng, ("a2", "t", "phi"), depth=2),
+                    "a2": random_expression(rng, ("a1", "r"), depth=2)}
+        ours = to_sympy(substitute(e, bindings, table), table)
+        theirs = to_sympy(e, table).subs(
+            {sympy.Symbol(k): to_sympy(v, table) for k, v in bindings.items()},
+            simultaneous=True)
+        assert same(ours, theirs), (e, bindings)
+
+
+def test_substitute_material_function_agrees_with_subs():
+    # binding D rewrites its jets into derivatives of the replacement
+    table = Model().table
+    rng = random.Random(109)
+    d_of_rt = sympy.Function("D")(R, T)
+    for _ in range(100):
+        e = random_expression(rng, NAMES, depth=3)
+        repl = random_expression(rng, ("r", "t", "a1"), depth=2)
+        ours = to_sympy(substitute(e, {"D": repl}, table), table)
+        theirs = to_sympy(e, table).subs(d_of_rt, to_sympy(repl, table)).doit()
+        assert same(ours, theirs), (e, repl)
