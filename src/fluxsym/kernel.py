@@ -1049,7 +1049,9 @@ def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
     'nonzero'; all-zero without a structural zero is reported 'unknown',
     never silently treated as zero.  With exp present the evaluation is in
     floating point, and a value counts as nonzero only above
-    _FLOAT_ZERO_TOL times the largest term of the normal form.
+    _FLOAT_ZERO_TOL times the largest term of the normal form; a sample
+    that overflows or gives a non-finite value is drawn again, and the
+    verdict is 'unknown' after five such failures in a row.
     """
     n = normalize(e)
     if n == ZERO:
@@ -1094,10 +1096,14 @@ def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
                     # nonzero still is
                     vals = [_eval(t, envf, fns)
                             for t in (n.terms if isinstance(n, Add) else (n,))]
-                    if abs(sum(vals)) > _FLOAT_ZERO_TOL * max(map(abs, vals)):
+                    total = sum(vals)
+                    if not math.isfinite(total):
+                        # an overflow that float arithmetic let through
+                        raise OverflowError("non-finite value")
+                    if abs(total) > _FLOAT_ZERO_TOL * max(map(abs, vals)):
                         return ZeroVerdict.NONZERO
                 break
-            except (ZeroDivisionError, EvaluationError, _Inexact):
+            except (ZeroDivisionError, OverflowError, EvaluationError, _Inexact):
                 if attempt == 4:
                     return ZeroVerdict.UNKNOWN
                 continue

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
-from scipy.linalg import solve_banded
 
 from .kernel import Add, Call, Mul, Pow, Rat, Sym, as_expr
 
@@ -127,14 +125,19 @@ class GridSpec:
             raise ValueError("need at least 4 cells in r and t")
         if self.r0 < 0 or self.r1 <= self.r0 or self.t1 <= 0:
             raise ValueError("bad domain bounds")
+        # built once and shared by every caller, hence read-only
+        for name, nodes in (("_r_nodes", np.linspace(self.r0, self.r1, self.n_r + 1)),
+                            ("_t_nodes", np.linspace(0.0, self.t1, self.n_t + 1))):
+            nodes.flags.writeable = False
+            object.__setattr__(self, name, nodes)
 
     @property
     def r_nodes(self):
-        return np.linspace(self.r0, self.r1, self.n_r + 1)
+        return self._r_nodes
 
     @property
     def t_nodes(self):
-        return np.linspace(0.0, self.t1, self.n_t + 1)
+        return self._t_nodes
 
     @property
     def dr(self):
@@ -162,7 +165,7 @@ class MaterialModel:
     decomposition: tuple | None = None   # (nu_bar(r,t), Sigma_f(r,t), Sigma_a(r,t))
 
     def validate(self, grid: GridSpec):
-        rr, tt = np.meshgrid(grid.r_nodes, grid.t_nodes)
+        rr, tt = grid.r_nodes[None, :], grid.t_nodes[:, None]
         d = self.D(rr, tt)
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             raise SolverError("D must be positive and finite on the grid")
@@ -221,59 +224,46 @@ class TransformParams:
 # --------------------------------------------------------------------------
 
 def _face_weights(grid: GridSpec, d_face_lo, d_face_hi):
-    """Conservative diffusion stencil weights (lo, hi) per node, including the
-    half-cell boundary rows and the r = 0 regularity limit."""
+    """Conservative diffusion stencil weights (lo, hi) per node along the last
+    axis, including the half-cell boundary rows and the r = 0 regularity
+    limit.  lo[..., 0] and hi[..., -1] are 0."""
     n = grid.geometry
     r = grid.r_nodes
     dr = grid.dr
     r_lo = r - 0.5 * dr
     r_hi = r + 0.5 * dr
-    lo = np.zeros_like(r)
-    hi = np.zeros_like(r)
+    lo = np.zeros_like(d_face_lo)
+    hi = np.zeros_like(d_face_hi)
     interior = slice(1, -1)
     rn = np.where(r[interior] > 0, r[interior] ** n, 1.0)
-    lo[interior] = (r_lo[interior] ** n) * d_face_lo[interior] / (rn * dr * dr)
-    hi[interior] = (r_hi[interior] ** n) * d_face_hi[interior] / (rn * dr * dr)
+    lo[..., interior] = (r_lo[interior] ** n) * d_face_lo[..., interior] / (rn * dr * dr)
+    hi[..., interior] = (r_hi[interior] ** n) * d_face_hi[..., interior] / (rn * dr * dr)
     # half-cell boundary rows (used only under zero-gradient conditions)
     if grid.r0 == 0.0 and n > 0:
         # volume-integrated limit over [0, dr/2]
-        hi[0] = 2.0 * (n + 1) * d_face_hi[0] / (dr * dr)
+        hi[..., 0] = 2.0 * (n + 1) * d_face_hi[..., 0] / (dr * dr)
     else:
         r0n = r[0] ** n if r[0] > 0 else 1.0
-        hi[0] = (r_hi[0] ** n) * d_face_hi[0] / (r0n * dr * (0.5 * dr))
+        hi[..., 0] = (r_hi[0] ** n) * d_face_hi[..., 0] / (r0n * dr * (0.5 * dr))
     rNn = r[-1] ** n if r[-1] > 0 else 1.0
-    lo[-1] = (r_lo[-1] ** n) * d_face_lo[-1] / (rNn * dr * (0.5 * dr))
+    lo[..., -1] = (r_lo[-1] ** n) * d_face_lo[..., -1] / (rNn * dr * (0.5 * dr))
     return lo, hi
 
 
-def _operator_bands(grid: GridSpec, material: MaterialModel, t_eval: float, bc):
-    """Tridiagonal bands of the spatial operator A with A*phi approximating
-    (1/r^n) d/dr[r^n D phi_r] + Gamma phi at time t_eval."""
-    r = grid.r_nodes
-    dr = grid.dr
-    m = r.size
-    faces_lo = r - 0.5 * dr
-    faces_hi = r + 0.5 * dr
-    d_nodes = material.D(r, np.full_like(r, t_eval))
-    d_face_lo = np.empty_like(r)
-    d_face_hi = np.empty_like(r)
-    d_face_lo[1:] = 0.5 * (d_nodes[1:] + d_nodes[:-1])
-    d_face_lo[0] = d_nodes[0]
-    d_face_hi[:-1] = d_face_lo[1:]
-    d_face_hi[-1] = d_nodes[-1]
-    lo, hi = _face_weights(grid, d_face_lo, d_face_hi)
-    gamma = material.Gamma(r, np.full_like(r, t_eval))
-    lower = np.zeros(m)
-    diag = -(lo + hi) + gamma
-    upper = np.zeros(m)
-    lower[1:] = lo[1:]
-    upper[:-1] = hi[:-1]
-    left, right = bc
-    if left[0] == "dirichlet":
-        diag[0], upper[0] = 0.0, 0.0
-    if right[0] == "dirichlet":
-        diag[-1], lower[-1] = 0.0, 0.0
-    return lower, diag, upper
+def _stencil(grid: GridSpec, material: MaterialModel, times):
+    """Stencil weights (lo, hi) and Gamma of the spatial operator
+    (1/r^n) d/dr[r^n D phi_r] + Gamma phi, one row per entry of `times`.
+
+    D and Gamma are evaluated once over the broadcast (times x r) grid and D
+    is averaged onto the cell faces (the edge faces take the node value)."""
+    r = grid.r_nodes[None, :]
+    t = np.asarray(times, dtype=float)[:, None]
+    shape = (t.shape[0], r.shape[1])
+    d = np.broadcast_to(material.D(r, t), shape)
+    d_face = 0.5 * (d[:, 1:] + d[:, :-1])
+    lo, hi = _face_weights(grid, np.concatenate((d[:, :1], d_face), axis=1),
+                           np.concatenate((d_face, d[:, -1:]), axis=1))
+    return lo, hi, np.broadcast_to(material.Gamma(r, t), shape)
 
 
 def _bc_value(spec, t: float) -> float:
@@ -288,6 +278,8 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     ("dirichlet", value-or-callable) or ("zero_gradient",).  Dirichlet rows
     are pinned to the boundary value at the new time level.
     """
+    from scipy.linalg import solve_banded
+
     if grid.r0 == 0.0 and grid.geometry > 0 and bc[0][0] != "zero_gradient":
         raise SolverError(
             "r = 0 in curvilinear geometry needs the zero-gradient "
@@ -301,20 +293,20 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     out = np.empty((grid.n_t + 1, m))
     out[0] = phi0
     dt = grid.dt
-    v = material.v
+    # coefficients frozen at the half steps (k + 1/2) dt
+    lower, upper, gamma = _stencil(grid, material, (np.arange(grid.n_t) + 0.5) * dt)
+    c = 0.5 * material.v * dt
+    ab = np.zeros((3, m))
     for k in range(grid.n_t):
-        t_half = (k + 0.5) * dt
-        lower, diag, upper = _operator_bands(grid, material, t_half, bc)
         # (I - v dt/2 A) phi_new = (I + v dt/2 A) phi_old  (+ Dirichlet rows)
-        c = 0.5 * v * dt
+        diag = -(lower[k] + upper[k]) + gamma[k]
         rhs = (out[k]
                + c * (diag * out[k]
-                      + np.concatenate(([0.0], lower[1:] * out[k][:-1]))
-                      + np.concatenate((upper[:-1] * out[k][1:], [0.0]))))
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -c * upper[:-1]
+                      + np.concatenate(([0.0], lower[k, 1:] * out[k][:-1]))
+                      + np.concatenate((upper[k, :-1] * out[k][1:], [0.0]))))
+        ab[0, 1:] = -c * upper[k, :-1]
         ab[1] = 1.0 - c * diag
-        ab[2, :-1] = -c * lower[1:]
+        ab[2, :-1] = -c * lower[k, 1:]
         t_new = (k + 1) * dt
         if bc[0][0] == "dirichlet":
             ab[1, 0] = 1.0
@@ -392,21 +384,23 @@ def transform_field(f: Field, p: TransformParams,
     interpolation on the source grid; points mapping outside the computed
     domain are masked and the clipped fraction is reported (error above
     `max_clip`)."""
+    from scipy.interpolate import RectBivariateSpline
+
     grid = f.grid
-    spline = RectBivariateSpline(f.grid.t_nodes, f.grid.r_nodes, f.phi,
-                                 kx=3, ky=3)
-    rr, tt = np.meshgrid(grid.r_nodes, grid.t_nodes)
-    r_src, t_src = p.map_inverse(rr, tt)
-    inside = ((r_src >= grid.r0 - 1e-12) & (r_src <= grid.r1 + 1e-12)
-              & (t_src >= -1e-12) & (t_src <= grid.t1 + 1e-12))
+    spline = RectBivariateSpline(grid.t_nodes, grid.r_nodes, f.phi, kx=3, ky=3)
+    # the inverse map is separable and increasing along each axis, so the
+    # mapped points form a tensor grid the spline evaluates axis by axis
+    r_src, t_src = p.map_inverse(grid.r_nodes, grid.t_nodes)
+    inside = (((t_src >= -1e-12) & (t_src <= grid.t1 + 1e-12))[:, None]
+              & ((r_src >= grid.r0 - 1e-12) & (r_src <= grid.r1 + 1e-12))[None, :])
     clipped = 1.0 - float(np.count_nonzero(inside)) / inside.size
     if clipped > max_clip:
         raise SolverError(
             f"{clipped:.1%} of the transformed grid falls outside the "
             f"computed domain (threshold {max_clip:.0%})")
     amp = math.exp(p.eps * p.a["a6"])
-    phi_new = amp * spline.ev(np.clip(t_src, 0.0, grid.t1),
-                              np.clip(r_src, grid.r0, grid.r1))
+    phi_new = amp * spline(np.clip(t_src, 0.0, grid.t1),
+                           np.clip(r_src, grid.r0, grid.r1), grid=True)
     phi_new = np.where(inside, phi_new, np.nan)
     return Field(grid=grid, material=f.material, phi=phi_new,
                  valid=inside, transform={"eps": p.eps, "a": dict(p.a),
@@ -417,26 +411,14 @@ def discrete_residual(f: Field) -> np.ndarray:
     """Pointwise discrete PDE residual on interior nodes: centered time
     difference minus conservative diffusion minus production."""
     grid = f.grid
-    r = grid.r_nodes
-    dt = grid.dt
     phi = f.phi
+    lo, hi, gamma = _stencil(grid, f.material, grid.t_nodes[1:-1])
+    mid = phi[1:-1, 1:-1]
+    diffusion = (hi[:, 1:-1] * (phi[1:-1, 2:] - mid)
+                 - lo[:, 1:-1] * (mid - phi[1:-1, :-2]))
     res = np.full_like(phi, np.nan)
-    for k in range(1, grid.n_t):
-        t_k = grid.t_nodes[k]
-        d_nodes = f.material.D(r, np.full_like(r, t_k))
-        d_face_lo = np.empty_like(r)
-        d_face_hi = np.empty_like(r)
-        d_face_lo[1:] = 0.5 * (d_nodes[1:] + d_nodes[:-1])
-        d_face_lo[0] = d_nodes[0]
-        d_face_hi[:-1] = d_face_lo[1:]
-        d_face_hi[-1] = d_nodes[-1]
-        lo, hi = _face_weights(grid, d_face_lo, d_face_hi)
-        gamma = f.material.Gamma(r, np.full_like(r, t_k))
-        diffusion = np.full_like(r, np.nan)
-        diffusion[1:-1] = (hi[1:-1] * (phi[k, 2:] - phi[k, 1:-1])
-                           - lo[1:-1] * (phi[k, 1:-1] - phi[k, :-2]))
-        res[k, 1:-1] = ((phi[k + 1, 1:-1] - phi[k - 1, 1:-1]) / (2 * dt * f.material.v)
-                        - diffusion[1:-1] - gamma[1:-1] * phi[k, 1:-1])
+    res[1:-1, 1:-1] = ((phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * grid.dt * f.material.v)
+                       - diffusion - gamma[:, 1:-1] * mid)
     if f.valid is not None:
         # centered stencils touch the 8 neighbours: require them all valid
         ok = f.valid.copy()
@@ -490,9 +472,10 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
     field across joint mesh refinements, plus the eps -> eps/2 control."""
     levels, residuals, base_residuals = [], [], []
     clipped = 0.0
+    f0 = solve_pde(grid, material, ic, bc)
     g = grid
     for _ in range(refinements):
-        f = solve_pde(g, material, ic, bc)
+        f = f0 if g is grid else solve_pde(g, material, ic, bc)
         tf = transform_field(f, p)
         levels.append((g.n_r, g.n_t))
         residuals.append(max_interior_residual(tf))
@@ -500,7 +483,6 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
         clipped = tf.transform["clipped_fraction"]
         g = g.refined()
     half = TransformParams(p.eps / 2, p.a)
-    f0 = solve_pde(grid, material, ic, bc)
     eps_half = max_interior_residual(transform_field(f0, half))
     ratios = tuple(residuals[i] / residuals[i + 1]
                    for i in range(len(residuals) - 1))
@@ -516,8 +498,10 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
 
 def export_csv(f: Field, path):
     """CSV rows r,t,phi in row-major (time outer) order."""
+    r_text = [f"{r!r}," for r in f.grid.r_nodes.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,t,phi\n")
-        for k, t in enumerate(f.grid.t_nodes):
-            for i, r in enumerate(f.grid.r_nodes):
-                fh.write(f"{float(r)!r},{float(t)!r},{float(f.phi[k, i])!r}\n")
+        for t, row in zip(f.grid.t_nodes.tolist(), f.phi.astype(float, copy=False)):
+            t_text = f"{t!r},"
+            fh.write("".join([f"{r}{t_text}{v!r}\n"
+                              for r, v in zip(r_text, row.tolist())]))

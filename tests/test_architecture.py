@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fluxsym
@@ -22,3 +25,13 @@ def test_only_the_kernel_knows_its_private_helpers():
                  for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "kernel.py"}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_the_cli_imports_without_scipy():
+    # scipy is imported where the solver and the spline need it, so the
+    # symbolic commands do not pay for its import
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, fluxsym.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -265,6 +265,37 @@ def test_is_zero_float_branch_is_relative_to_the_terms(model):
     assert is_zero(parse("exp(r) - 1", table), table) == ZeroVerdict.NONZERO
 
 
+class _CountingRandom(random.Random):
+    """Counts the symbol samples is_zero draws (one choice() each)."""
+    draws = 0
+
+    def choice(self, seq):
+        self.draws += 1
+        return super().choice(seq)
+
+
+def test_is_zero_float_branch_resamples_after_an_overflow(model):
+    table = model.table
+    # symbols are sampled from 0.75 to 6.5: exp overflows above r = 2.36,
+    # and a sample that overflows is drawn again
+    assert is_zero(parse("exp(300*r) - 1", table), table) == ZeroVerdict.NONZERO
+    # here nearly every sample overflows: unknown after the fifth failure
+    rng = _CountingRandom(0)
+    assert is_zero(parse("exp(900*r*D*a1*a2) - 1", table), table,
+                   rng=rng) == ZeroVerdict.UNKNOWN
+    assert rng.draws == 4 * 5
+
+
+def test_is_zero_float_branch_rejects_non_finite_values(model):
+    table = model.table
+    # each term overflows to +-inf in the product, so the sum is nan: a
+    # failed sample, not a trial passed as zero
+    e = parse("10^308*exp(r) - 10^308*exp(a1)", table)
+    rng = _CountingRandom(0)
+    assert is_zero(e, table, rng=rng) == ZeroVerdict.UNKNOWN
+    assert rng.draws == 2 * 5
+
+
 # --- evaluation ---------------------------------------------------------
 
 def test_evaluate_affine(model):

@@ -1,16 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
+from fluxsym import numerics
+from fluxsym.cli import main
 from fluxsym.model import Model
 from fluxsym.numerics import (
     DEFAULT_SAMPLED_FNS, Field, GridSpec, MaterialModel, SolverError,
-    TransformParams, compile_numeric, export_csv,
+    TransformParams, compile_numeric, discrete_residual, export_csv,
     integral_weights, invariance_residual, material_residual,
     max_interior_residual, solve_pde, transform_field,
 )
 from fluxsym.parser import parse
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def constant(value):
@@ -36,6 +42,18 @@ CASE_D_A = {"a1": 0, "a2": 1, "a3": 0, "a4": 2, "a6": 0, "a8": -1}
 
 
 # --- grid and material validation -------------------------------------------
+
+def test_grid_nodes_are_built_once_and_read_only():
+    grid = GridSpec(0.0, 1.0, 2.0, 8, 16)
+    assert grid.r_nodes is grid.r_nodes
+    assert grid.t_nodes is grid.t_nodes
+    assert np.array_equal(grid.t_nodes, np.linspace(0.0, 2.0, 17))
+    with pytest.raises(ValueError):
+        grid.r_nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        grid.t_nodes[:] = 0.0
+    assert grid == GridSpec(0.0, 1.0, 2.0, 8, 16)
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -245,7 +263,120 @@ def test_transform_out_of_domain_errors():
         transform_field(field, TransformParams(1.0, {"a3": 1.0}))
 
 
+def _transform_by_points(f, p):
+    """transform_field evaluated point by point on the mapped meshgrid."""
+    grid = f.grid
+    spline = RectBivariateSpline(grid.t_nodes, grid.r_nodes, f.phi, kx=3, ky=3)
+    rr, tt = np.meshgrid(grid.r_nodes, grid.t_nodes)
+    r_src, t_src = p.map_inverse(rr, tt)
+    inside = ((r_src >= grid.r0 - 1e-12) & (r_src <= grid.r1 + 1e-12)
+              & (t_src >= -1e-12) & (t_src <= grid.t1 + 1e-12))
+    phi = math.exp(p.eps * p.a["a6"]) * spline.ev(
+        np.clip(t_src, 0.0, grid.t1), np.clip(r_src, grid.r0, grid.r1))
+    return np.where(inside, phi, np.nan), inside
+
+
+def test_transform_matches_pointwise_spline_evaluation():
+    grid = GridSpec(0.25, 1.5, 1.0, 40, 32)
+    mat = MaterialModel(D=constant(1.0), Gamma=constant(0.0))
+    rr, tt = np.meshgrid(grid.r_nodes, grid.t_nodes)
+    field = Field(grid=grid, material=mat,
+                  phi=np.exp(-2 * rr * rr) * (1.0 + 0.5 * tt) + np.sin(3 * tt * rr))
+    a = {"a1": 0.5, "a2": 1.0, "a3": 0.5, "a4": -2.0, "a6": 0.3, "a8": -0.7}
+    for eps in (0.05, -0.05):
+        p = TransformParams(eps, a)
+        out = transform_field(field, p)
+        want, inside = _transform_by_points(field, p)
+        assert 0.0 < out.transform["clipped_fraction"] < 0.2
+        assert np.array_equal(out.valid, inside)
+        np.testing.assert_array_equal(out.phi, want)
+
+
+def _residual_by_rows(f):
+    """discrete_residual as one time row at a time."""
+    grid, phi = f.grid, f.phi
+    r, dr, n = grid.r_nodes, grid.dr, grid.geometry
+    res = np.full_like(phi, np.nan)
+    for k in range(1, grid.n_t):
+        d = f.material.D(r, np.full_like(r, grid.t_nodes[k]))
+        d_face = 0.5 * (d[1:] + d[:-1])
+        rn = r[1:-1] ** n
+        lo = (r[1:-1] - 0.5 * dr) ** n * d_face[:-1] / (rn * dr * dr)
+        hi = (r[1:-1] + 0.5 * dr) ** n * d_face[1:] / (rn * dr * dr)
+        gamma = f.material.Gamma(r, np.full_like(r, grid.t_nodes[k]))
+        diffusion = (hi * (phi[k, 2:] - phi[k, 1:-1])
+                     - lo * (phi[k, 1:-1] - phi[k, :-2]))
+        res[k, 1:-1] = ((phi[k + 1, 1:-1] - phi[k - 1, 1:-1]) / (2 * grid.dt * f.material.v)
+                        - diffusion - gamma[1:-1] * phi[k, 1:-1])
+    return res
+
+
+@pytest.mark.parametrize("geometry, r0, bc", [
+    (0, 0.0, ZERO_GRAD),
+    (2, 0.0, ZERO_GRAD),
+    (1, 0.25, (("zero_gradient",), ("dirichlet", lambda t: 1.0 + t))),
+])
+def test_discrete_residual_matches_a_row_by_row_loop(geometry, r0, bc):
+    grid = GridSpec(r0, 1.0, 0.5, 24, 20, geometry=geometry)
+    mat = MaterialModel(
+        D=lambda r, t: 0.3 + 0.2 * np.asarray(r) * np.asarray(t) + 0.1 * np.asarray(r) ** 2,
+        Gamma=lambda r, t: np.cos(np.asarray(r)) * np.exp(-np.asarray(t)), v=1.5)
+    field = solve_pde(grid, mat, lambda r: 1.0 + r * r, bc)
+    np.testing.assert_array_equal(discrete_residual(field), _residual_by_rows(field))
+
+
+def test_export_csv_matches_the_row_format(tmp_path):
+    grid = GridSpec(-0.0, 3.0, 1.0e17, 4, 4)
+    mat = MaterialModel(D=constant(1.0), Gamma=constant(0.0))
+    values = np.array([[-1.5, 1e-7, 1e17, -0.0, 0.1],
+                       [np.nan, -1e-7, 2.0 / 3.0, 1e-320, -1e17]] * 2
+                      + [[5e-324, 1.0, -2.5e-17, 123456789.125, 1e300]])
+    path = tmp_path / "field.csv"
+    for phi in (values, np.arange(25).reshape(5, 5) - 12):
+        export_csv(Field(grid=grid, material=mat, phi=phi), path)
+        want = "r,t,phi\n" + "".join(
+            f"{float(r)!r},{float(t)!r},{float(phi[k, i])!r}\n"
+            for k, t in enumerate(grid.t_nodes) for i, r in enumerate(grid.r_nodes))
+        assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_numerics_reports_match_the_golden_files(tmp_path, monkeypatch, capsys):
+    # the numerics reports and the CSV are pinned byte for byte; a change
+    # of these files is a change of the program's results
+    assert main(["verify", "--case", "D", "--invariance", "--eps", "0.02",
+                 "--refine", "3", "--json"]) == 0
+    assert (capsys.readouterr().out.encode("utf-8")
+            == (GOLDEN / "verify_case_d_invariance.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "2", "--D", "1/2 + r*r/4",
+                 "--Gamma", "exp(-r*t)", "--initial", "1 + r*r",
+                 "--bc-left", "zero_gradient", "--bc-right", "dirichlet:2",
+                 "--nr", "16", "--nt", "12", "--out", "simulate_small.json",
+                 "--csv", "simulate_small.csv"]) == 0
+    for name in ("simulate_small.json", "simulate_small.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 # --- invariance ----------------------------------------------------------------
+
+def test_invariance_solves_each_level_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve_pde(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "solve_pde", counted)
+    grid = GridSpec(0.5, 1.5, 1.0, 16, 16)
+    ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
+    rep = invariance_residual(grid, case_d_material(), TransformParams(0.02, CASE_D_A),
+                              ic, ZERO_GRAD, refinements=3)
+    assert [(g.n_r, g.n_t) for g in calls] == [(16, 16), (32, 32), (64, 64)]
+    # the eps/2 control reads the first level's solve
+    field = solve_pde(grid, case_d_material(), ic, ZERO_GRAD)
+    assert rep.eps_half_residual == max_interior_residual(
+        transform_field(field, TransformParams(0.01, CASE_D_A)))
+
 
 def test_invariance_case_d_refinement():
     grid = GridSpec(0.5, 1.5, 1.0, 40, 40)
