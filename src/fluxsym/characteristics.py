@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from . import published
 from .kernel import (
-    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, Sym, UndeclaredSymbolError,
-    ZERO, ZeroVerdict, collect_by, differentiate, evaluate, is_zero, normalize,
-    sign_normalize, substitute, to_text,
+    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, UndeclaredSymbolError,
+    ZERO, ZeroVerdict, affine_coefficients, differentiate, evaluate, is_zero,
+    normalize, sign_normalize, substitute, to_text,
 )
 from .model import Model
 
@@ -83,20 +83,6 @@ class MaterialSolution:
     branch: str = "generic"    # "generic" | "gradient-free" | "extension"
 
 
-def _coef_pair(e: Expr, coord: Sym):
-    """Affine coefficients (c0, c1) of e = c0 + c1*coord; None if not affine."""
-    groups = collect_by(e, (coord.name,))
-    c0, c1 = ZERO, ZERO
-    for key, val in groups.items():
-        if isinstance(key, Rat):
-            c0 = val
-        elif key == coord:
-            c1 = val
-        else:
-            return None
-    return c0, c1
-
-
 def solve_characteristics(pde: QuasiLinearPDE, model: Model,
                           function_symbol: str | None = None) -> MaterialSolution:
     """General solution of the quasi-linear condition.
@@ -117,8 +103,8 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
             f"symbol {function_symbol!r} is not declared")
     H = function_symbol
 
-    r_pair = _coef_pair(pde.c_r, m.r)
-    t_pair = _coef_pair(pde.c_t, m.t)
+    r_pair = affine_coefficients(pde.c_r, "r")
+    t_pair = affine_coefficients(pde.c_t, "t")
     if r_pair is None or t_pair is None:
         raise UnsupportedBranchError("coefficients are not affine in r, t")
     b_r, m_r = r_pair      # c_r = b_r + m_r * r

@@ -207,8 +207,7 @@ def cmd_derive(args) -> int:
 
 def cmd_cases(args) -> int:
     model = Model()
-    tol = args.tol if args.tol is not None else 1e-10
-    results = enumerate_cases(model, seed=args.seed, tol=tol)
+    results = enumerate_cases(model, seed=args.seed, tol=args.tol)
     if args.case:
         results = [c for c in results if c.case_id == args.case]
         if not results:
@@ -236,7 +235,6 @@ def cmd_cases(args) -> int:
 
 def cmd_verify(args) -> int:
     model = Model()
-    tol = args.tol if args.tol is not None else 1e-6
     body = {}
     failures = []
     if args.closure:
@@ -263,8 +261,8 @@ def cmd_verify(args) -> int:
         if not args.json:
             print(f"# case {args.case} material residuals: "
                   f"D {res['res_D']:.3e}, Gamma {res['res_Gamma']:.3e} "
-                  f"(tolerance {tol:g})")
-        if max(res["res_D"], res["res_Gamma"]) > tol:
+                  f"(tolerance {args.tol:g})")
+        if max(res["res_D"], res["res_Gamma"]) > args.tol:
             failures.append("material residual exceeds tolerance")
         if args.invariance:
             ic = lambda r: 1.0 + np.cos(
@@ -279,7 +277,10 @@ def cmd_verify(args) -> int:
                     print(f"  grid {lvl[0]}x{lvl[1]}: residual {res_l:.3e}")
                 print("  ratios: " +
                       ", ".join(f"{x:.2f}" for x in report.ratios))
-            if report.ratios and not (2.8 <= report.ratios[-1] <= 5.2):
+            if not report.ratios:
+                failures.append("invariance study yields no ratio "
+                                "(--refine must be at least 1)")
+            elif not (2.8 <= report.ratios[-1] <= 5.2):
                 failures.append(
                     f"invariance ratio {report.ratios[-1]:.2f} outside 4 +/- 30%")
     body["constant_materials"] = constant_material_constraints(model)
@@ -350,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the JSON report to stdout")
         p.add_argument("--config", default=None,
                        help="JSON config merged under explicit flags")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for the numeric checks")
 
     p = sub.add_parser("derive", help="derive and audit the determining equations")
     common(p)
@@ -362,10 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cases", help="enumerate the six material-family cases")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="relative tolerance of the numeric back-substitution")
     p.add_argument("--case", choices=sorted(CASE_CONSTRAINTS), default=None)
 
     p = sub.add_parser("verify", help="closure, material and invariance checks")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="tolerance of the material residuals")
     p.add_argument("--closure", action="store_true")
     p.add_argument("--case", choices=sorted(CASE_CONSTRAINTS), default=None)
     p.add_argument("--invariance", action="store_true")

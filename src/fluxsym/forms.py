@@ -85,10 +85,6 @@ class DifferentialForm:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def map_coefficients(self, fn) -> "DifferentialForm":
-        return DifferentialForm.build(
-            self.degree, [(key, fn(c)) for key, c in self.coefficients])
-
     def __add__(self, other):
         if isinstance(other, DifferentialForm):
             if other.is_zero():
@@ -142,12 +138,6 @@ def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
             f"wedge degree {degree} exceeds the {len(SLOTS)} available slots; "
             "returning the zero form", stacklevel=2)
         return zero_form(len(SLOTS))
-    if alpha.degree == 0:
-        return beta.map_coefficients(
-            lambda c, a=alpha: Mul((a.get(), c))) if not alpha.is_zero() else zero_form(degree)
-    if beta.degree == 0:
-        return alpha.map_coefficients(
-            lambda c, b=beta: Mul((c, b.get()))) if not beta.is_zero() else zero_form(degree)
     terms = []
     for key_a, coef_a in alpha.coefficients:
         for key_b, coef_b in beta.coefficients:
@@ -156,21 +146,12 @@ def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
 
 
 def exterior_d(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
-    """Exterior derivative.
+    """Exterior derivative, by Leibniz over the coefficients.
 
-    On a 0-form f the four base coordinates are treated as independent and
-    the material symbols contribute their jets on dr, dt (via the kernel's
-    differentiation); on higher forms, Leibniz over the coefficients.
-    Nilpotent: d(d(alpha)) = 0.
+    The four base coordinates are treated as independent and the material
+    symbols contribute their jets on dr, dt (via the kernel's
+    differentiation).  Nilpotent: d(d(alpha)) = 0.
     """
-    if alpha.degree == 0:
-        f = alpha.get()
-        terms = []
-        for name in BASE_SLOTS:
-            df = differentiate(f, name, table)
-            if df != ZERO:
-                terms.append(((name,), df))
-        return DifferentialForm.build(1, terms)
     terms = []
     for key, coef in alpha.coefficients:
         for name in BASE_SLOTS:
@@ -180,52 +161,21 @@ def exterior_d(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
     return DifferentialForm.build(alpha.degree + 1, terms)
 
 
-@dataclass(frozen=True)
-class SectionMap:
-    """Declarations "q depends on (r, t)" for the dependent slots.
-
-    Sectioning replaces each dependent differential by its expansion over
-    dr, dt with jet coefficients: dphi -> phi_r dr + phi_t dt, dw -> w_r dr +
-    w_t dt, dD -> D_r dr + D_t dt, dGamma -> Gamma_r dr + Gamma_t dt.
-    """
-    replacements: tuple  # ((slot name, 1-form), ...)
-
-    @staticmethod
-    def standard(model: Model) -> "SectionMap":
-        table = model.table
-        repl = []
-        for name in ("phi", "w", "D", "Gamma"):
-            one_form = DifferentialForm.build(1, [
-                (("r",), table.jet(name, 1, 0)),
-                (("t",), table.jet(name, 0, 1)),
-            ])
-            repl.append((name, one_form))
-        return SectionMap(tuple(repl))
-
-    def validate(self):
-        for name, one_form in self.replacements:
-            if name in ("t", "r"):
-                raise FormError("base coordinates cannot be dependent")
-            for key, _ in one_form.coefficients:
-                if any(SLOTS[i] not in ("t", "r") for i in key):
-                    raise FormError(
-                        f"dependency cycle: d{name} expands over a dependent slot")
-
-
-def section(alpha: DifferentialForm, smap: SectionMap) -> DifferentialForm:
-    """Restrict to the solution manifold: expand all dependent differentials
-    so the result lives on the dt, dr basis only."""
+def section(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
+    """Restrict to the solution manifold, where phi, w, D and Gamma depend
+    on (r, t): each dependent differential dq becomes q_r dr + q_t dt, so
+    the result lives on the dt, dr basis only."""
     if alpha.degree < 1:
         raise FormError("sectioning needs a form of degree >= 1")
-    smap.validate()
-    repl = {name: form for name, form in smap.replacements}
+    repl = {name: DifferentialForm.build(1, [(("r",), table.jet(name, 1, 0)),
+                                             (("t",), table.jet(name, 0, 1))])
+            for name in ("phi", "w", "D", "Gamma")}
     terms = []
     for key, coef in alpha.coefficients:
         term = scalar_form(coef)
         for i in key:
             name = SLOTS[i]
-            factor = repl.get(name, d_slot(name))
-            term = wedge(term, factor)
+            term = wedge(term, repl[name] if name in repl else d_slot(name))
         terms.extend(term.coefficients)
     return DifferentialForm.build(alpha.degree, terms)
 
@@ -299,17 +249,13 @@ def build_mu2(model: Model) -> DifferentialForm:
     ])
 
 
-def build_mu3(model: Model, expand: bool = False) -> DifferentialForm:
+def build_mu3(model: Model) -> DifferentialForm:
     """Gradient-closure 2-form D_r dr∧dt - dD∧dt.
 
-    By default dD is kept as a formal slot (the two-term display form);
-    expand=True sections it immediately, under which the form cancels to
-    zero identically.
+    dD is kept as a formal slot (the two-term display form); sectioning
+    cancels the form to zero identically.
     """
-    form = DifferentialForm.build(2, [
+    return DifferentialForm.build(2, [
         (("r", "t"), model.jet("D", 1, 0)),
         (("D", "t"), Rat(-1)),
     ])
-    if expand:
-        return section(form, SectionMap.standard(model))
-    return form

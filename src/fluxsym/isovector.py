@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 from . import published
 from .forms import (
-    DifferentialForm, SectionMap, build_mu1, build_mu2, build_mu3, d_slot,
-    exterior_d, scalar_form, section, wedge, SLOTS, _SLOT_INDEX,
+    DifferentialForm, build_mu1, build_mu2, build_mu3, d_slot, exterior_d,
+    scalar_form, section, wedge, SLOTS,
 )
 from .kernel import (
     Add, Expr, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
-    apply_derivation, as_expr, collect_by, clear_denominators, differentiate,
-    free_symbols, is_zero, linear_combination, normalize, poly_div_exact,
-    sign_normalize, strip_coordinates, substitute, to_text,
+    affine_coefficients, apply_derivation, as_expr, collect_by,
+    clear_denominators, differentiate, free_symbols, is_zero,
+    linear_combination, normalize, poly_div_exact, sign_normalize,
+    strip_coordinates, substitute, to_text,
 )
 from .model import Model
 
@@ -135,7 +136,6 @@ class MultiplierSolve:
     multipliers: tuple          # ((basis name, pivot label, Expr), ...)
     residuals: tuple            # ((basis label, Expr), ...)
     residual_form: DifferentialForm
-    lie_derivative: DifferentialForm
 
 
 def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSolve:
@@ -149,19 +149,19 @@ def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSol
     remainder = lie_mu
     multipliers = []
     for name, form, pivot in basis:
+        label = "∧".join(f"d{s}" for s in pivot)
         pivot_coef = form.get(*pivot)
         inv = poly_div_exact(ONE, pivot_coef)
         if inv is None:
             raise DerivationError(
-                f"unsolvable multiplier match for {name}: pivot "
-                f"{_basis_label(tuple(_SLOT_INDEX[s] for s in pivot))} "
+                f"unsolvable multiplier match for {name}: pivot {label} "
                 f"coefficient {to_text(pivot_coef)} is not a monomial")
         lam = normalize(Mul((remainder.get(*pivot), inv)))
         remainder = remainder - form.scale(lam)
-        multipliers.append((name, "∧".join(f"d{s}" for s in pivot), lam))
+        multipliers.append((name, label, lam))
     residuals = tuple((_basis_label(key), coef)
                       for key, coef in remainder.coefficients)
-    return MultiplierSolve(tuple(multipliers), residuals, remainder, lie_mu)
+    return MultiplierSolve(tuple(multipliers), residuals, remainder)
 
 
 def split_by_monomials(e: Expr, names=("phi", "w")) -> dict:
@@ -176,16 +176,10 @@ def split_by_monomials(e: Expr, names=("phi", "w")) -> dict:
 
 def solve_linear(e: Expr, name: str):
     """Solve c1*name + c0 = 0 for `name`; None if not linear or c1 not monomial."""
-    groups = collect_by(e, (name,))
-    c1 = groups.get(Sym(name))
-    if c1 is None:
+    pair = affine_coefficients(e, name)
+    if pair is None or pair[1] == ZERO:
         return None
-    c0 = ZERO
-    for k, v in groups.items():
-        if isinstance(k, Rat):
-            c0 = v
-        elif k != Sym(name):
-            return None
+    c0, c1 = pair
     inv = poly_div_exact(ONE, c1)
     if inv is None:
         return None
@@ -219,6 +213,7 @@ class DeterminingSystem:
     gamma_pde: Expr
     diffusion_second_order: Expr   # r-derivative of the reduced condition
     geometry_lock: Expr | None     # n*a1*D = 0 (None when geometry is planar)
+    flux_phi_t_coefficient: Expr   # dphi∧dt coefficient of chi(r*mu1)
     generator_final: dict
     assumptions: tuple
     notes: tuple
@@ -304,7 +299,8 @@ def extract_determining(model: Model, geometry_mode="symbolic",
     mu2 = build_mu2(model)
     basis = (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
 
-    solve1 = ideal_reduce(lie_form(gen, r_mu1, model), basis, model)
+    lie_r_mu1 = lie_form(gen, r_mu1, model)
+    solve1 = ideal_reduce(lie_r_mu1, basis, model)
     solve2 = ideal_reduce(lie_form(gen, mu2, model), basis, model)
 
     residual_equations = []
@@ -399,6 +395,7 @@ def extract_determining(model: Model, geometry_mode="symbolic",
         gamma_pde=gamma_pde,
         diffusion_second_order=diffusion_second_order,
         geometry_lock=geometry_lock,
+        flux_phi_t_coefficient=lie_r_mu1.get("phi", "t"),
         generator_final=generator_final,
         assumptions=("D != 0", "Gamma is not identically 0"),
         notes=(
@@ -529,10 +526,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
                      "not follow from the derived system"))
 
     # published expanded-relation coefficient vs the term-by-term rule
-    gen = Generator.standard(model)
-    geometry = model.geometry_index(system.geometry_mode)
-    engine_coef = lie_form(gen, build_mu1(model, geometry, r_multiplied=True),
-                           model).get("phi", "t")
+    engine_coef = system.flux_phi_t_coefficient
     printed_coef = published_expr(published.EXPANDED_FLUX_PHI_T_COEFFICIENT)
     delta = linear_combination(((1, printed_coef), (-1, engine_coef)))
     if delta == ZERO:
@@ -583,10 +577,8 @@ def closure_check(model: Model, override_gradient_action=None) -> ClosureResult:
     gen = Generator.standard(model, overrides=overrides)
     mu3 = build_mu3(model)
     lie_mu3 = lie_form(gen, mu3, model)
-    pivot_coef = mu3.get("t", "D")
-    inv = poly_div_exact(ONE, pivot_coef)
-    lam = normalize(Mul((lie_mu3.get("t", "D"), inv)))
-    remainder = lie_mu3 - mu3.scale(lam)
-    sectioned = section(remainder, SectionMap.standard(model))
+    solve = ideal_reduce(lie_mu3, (("mu3", mu3, ("t", "D")),), model)
+    lam = solve.multipliers[0][2]
+    sectioned = section(solve.residual_form, model.table)
     residual = linear_combination((1, coef) for _, coef in sectioned.coefficients)
     return ClosureResult(residual == ZERO, lam, sign_normalize(residual))

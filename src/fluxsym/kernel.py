@@ -372,9 +372,9 @@ def _merge_pairs(pairs):
     of equal bases.
 
     Returns (monomial, factor, expansions): `factor` is the rational value
-    of the constant bases whose exponent became an integer, and expansions
-    are (add_expr, k) factors whose exponent became a positive integer and
-    must be multiplied out.
+    of the integer part of each constant base's exponent (2^(3/2) is
+    2*2^(1/2)), and expansions are (add_expr, k) factors whose exponent
+    became a positive integer and must be multiplied out.
     """
     if len(pairs) == 1:
         acc = dict(pairs)
@@ -396,6 +396,10 @@ def _merge_pairs(pairs):
             if type(base) is Rat and base.value:
                 factor = _num(factor * _rat_pow(_num(base.value), x))
                 continue
+        elif type(x) is Fraction and type(base) is Rat and base.value:
+            whole = math.floor(x)
+            factor = _num(factor * _rat_pow(_num(base.value), whole))
+            x -= whole
         mono.append((base, x))
     if len(mono) > 1:
         mono.sort(key=_base_key)
@@ -677,6 +681,15 @@ def collect_by(e: Expr, split_names: tuple) -> dict:
         key = _rebuild({tuple(key_pairs): 1})
         _poly_add_term(groups.setdefault(key, {}), tuple(rest_pairs), coef)
     return {k: _rebuild(v) for k, v in groups.items() if v}
+
+
+def affine_coefficients(e: Expr, name: str):
+    """(c0, c1) with e == c0 + c1*name, neither containing `name`; None
+    when e is not affine in `name`."""
+    groups = collect_by(e, (name,))
+    if not set(groups) <= {ONE, Sym(name)}:
+        return None
+    return groups.get(ONE, ZERO), groups.get(Sym(name), ZERO)
 
 
 def poly_div_exact(p: Expr, q: Expr):
@@ -1037,10 +1050,11 @@ def _eval_exact(e: Expr, env: dict, fpolys: dict) -> Fraction:
 
 
 _FLOAT_ZERO_TOL = 1e-9
+_ZERO_TEST_TRIALS = 32
 
 
-def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
-            seed: int = 0, rng: random.Random | None = None) -> str:
+def is_zero(e: Expr, table: SymbolTable, seed: int = 0,
+            rng: random.Random | None = None) -> str:
     """'zero' iff the normal form is 0; otherwise randomized evaluation.
 
     Samples all symbols at random rationals (jets independently) and
@@ -1070,7 +1084,7 @@ def is_zero(e: Expr, table: SymbolTable, trials: int = 32,
     bases = sorted({f.rstrip("'") for f in funcs if f != "exp"})
     exact_possible = "exp" not in funcs
 
-    for _ in range(trials):
+    for _ in range(_ZERO_TEST_TRIALS):
         for attempt in range(5):
             env = {s: _sample_fraction(rng) for s in names}
             fpolys: dict = {}

@@ -28,6 +28,12 @@ class SolverError(Exception):
     pass
 
 
+_REFINEMENT_FACTOR = 2        # a refined grid has twice the cells per axis
+_RESIDUAL_MAX_SAMPLES = 256   # nodes per axis the material residual samples
+_MAX_CLIPPED_FRACTION = 0.2   # share of a transformed grid allowed outside
+_INTERIOR_MARGIN = 0.25       # share of the domain trimmed from each side
+
+
 # --------------------------------------------------------------------------
 # Expression compilation (vectorized numeric callables)
 # --------------------------------------------------------------------------
@@ -147,9 +153,9 @@ class GridSpec:
     def dt(self):
         return self.t1 / self.n_t
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.r0, self.r1, self.t1,
-                        self.n_r * factor, self.n_t * factor, self.geometry)
+    def refined(self) -> "GridSpec":
+        return GridSpec(self.r0, self.r1, self.t1, self.n_r * _REFINEMENT_FACTOR,
+                        self.n_t * _REFINEMENT_FACTOR, self.geometry)
 
 
 @dataclass(frozen=True)
@@ -343,17 +349,17 @@ def integral_weights(grid: GridSpec) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def material_residual(material: MaterialModel, params: TransformParams,
-                      grid: GridSpec, max_samples: int = 256) -> dict:
+                      grid: GridSpec) -> dict:
     """Max-norm residuals of the two first-order material conditions, with
     derivatives by central differences at half-grid steps.
 
     The grid fixes the difference steps; the max is sampled on at most
-    `max_samples` nodes per axis so very fine steps stay cheap."""
+    _RESIDUAL_MAX_SAMPLES nodes per axis so very fine steps stay cheap."""
     a = params.a
     r = grid.r_nodes[1:-1]
     t = grid.t_nodes[1:-1]
-    r = r[:: max(1, len(r) // max_samples)]
-    t = t[:: max(1, len(t) // max_samples)]
+    r = r[:: max(1, len(r) // _RESIDUAL_MAX_SAMPLES)]
+    t = t[:: max(1, len(t) // _RESIDUAL_MAX_SAMPLES)]
     rr, tt = np.meshgrid(r, t)
     hr = 0.5 * grid.dr
     ht = 0.5 * grid.dt
@@ -378,12 +384,11 @@ def material_residual(material: MaterialModel, params: TransformParams,
 # Finite transformations of computed fields
 # --------------------------------------------------------------------------
 
-def transform_field(f: Field, p: TransformParams,
-                    max_clip: float = 0.2) -> Field:
+def transform_field(f: Field, p: TransformParams) -> Field:
     """phi_new(r, t) = e^(eps a6) phi(inverse map of (r, t)) by bicubic
     interpolation on the source grid; points mapping outside the computed
     domain are masked and the clipped fraction is reported (error above
-    `max_clip`)."""
+    _MAX_CLIPPED_FRACTION)."""
     from scipy.interpolate import RectBivariateSpline
 
     grid = f.grid
@@ -394,10 +399,10 @@ def transform_field(f: Field, p: TransformParams,
     inside = (((t_src >= -1e-12) & (t_src <= grid.t1 + 1e-12))[:, None]
               & ((r_src >= grid.r0 - 1e-12) & (r_src <= grid.r1 + 1e-12))[None, :])
     clipped = 1.0 - float(np.count_nonzero(inside)) / inside.size
-    if clipped > max_clip:
+    if clipped > _MAX_CLIPPED_FRACTION:
         raise SolverError(
             f"{clipped:.1%} of the transformed grid falls outside the "
-            f"computed domain (threshold {max_clip:.0%})")
+            f"computed domain (threshold {_MAX_CLIPPED_FRACTION:.0%})")
     amp = math.exp(p.eps * p.a["a6"])
     phi_new = amp * spline(np.clip(t_src, 0.0, grid.t1),
                            np.clip(r_src, grid.r0, grid.r1), grid=True)
@@ -428,22 +433,22 @@ def discrete_residual(f: Field) -> np.ndarray:
     return res
 
 
-def max_interior_residual(f: Field, margin: float = 0.25) -> float:
+def max_interior_residual(f: Field) -> float:
     """Scaled max-norm discrete residual over the strict interior of the
     space-time domain.
 
-    A `margin` fraction of the domain is trimmed from every side so boundary
-    and startup layers do not mask the convergence behaviour.  The window is
-    defined by node values (not index counts), so refined grids measure the
-    same physical region.
+    An _INTERIOR_MARGIN fraction of the domain is trimmed from every side
+    so boundary and startup layers do not mask the convergence behaviour.
+    The window is defined by node values (not index counts), so refined
+    grids measure the same physical region.
     """
     grid = f.grid
     res = discrete_residual(f)
     t = grid.t_nodes
     r = grid.r_nodes
-    t_lo, t_hi = margin * grid.t1, (1 - margin) * grid.t1
-    r_lo = grid.r0 + margin * (grid.r1 - grid.r0)
-    r_hi = grid.r1 - margin * (grid.r1 - grid.r0)
+    t_lo, t_hi = _INTERIOR_MARGIN * grid.t1, (1 - _INTERIOR_MARGIN) * grid.t1
+    r_lo = grid.r0 + _INTERIOR_MARGIN * (grid.r1 - grid.r0)
+    r_hi = grid.r1 - _INTERIOR_MARGIN * (grid.r1 - grid.r0)
     tiny = 1e-12
     rows = (t >= t_lo - tiny) & (t <= t_hi + tiny)
     cols = (r >= r_lo - tiny) & (r <= r_hi + tiny)

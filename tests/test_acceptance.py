@@ -14,9 +14,7 @@ from fluxsym.characteristics import (
     diffusion_condition, enumerate_cases, gamma_condition,
 )
 from fluxsym.cli import main
-from fluxsym.forms import (
-    SectionMap, exterior_d, scalar_form, section, wedge,
-)
+from fluxsym.forms import exterior_d, scalar_form, section, wedge
 from fluxsym.isovector import (
     Generator, audit_against_published, closure_check, extract_determining,
     lie_form, lie_scalar,
@@ -169,7 +167,6 @@ def test_criterion_6_exterior_algebra_property_suite(model):
     table = model.table
     names = ("r", "t", "phi", "w", "D", "Gamma", "a1", "a2", "v")
     from test_forms import random_form
-    smap = SectionMap.standard(model)
     gen = Generator.standard(model)
     for _ in range(300):
         alpha = random_form(rng, 1, names)
@@ -181,8 +178,8 @@ def test_criterion_6_exterior_algebra_property_suite(model):
         f = scalar_form(random_expression(rng, names, depth=3))
         assert exterior_d(exterior_d(f, table), table).is_zero()
         # section homomorphism
-        assert section(wedge(alpha, beta), smap).coefficients == \
-            wedge(section(alpha, smap), section(beta, smap)).coefficients
+        assert section(wedge(alpha, beta), table).coefficients == \
+            wedge(section(alpha, table), section(beta, table)).coefficients
         # Lie-exterior commutation
         g = normalize(random_expression(rng, names, depth=2))
         lhs = lie_form(gen, exterior_d(scalar_form(g), table), model)

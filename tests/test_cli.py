@@ -102,6 +102,21 @@ def test_verify_invariance_report(tmp_path):
     assert 2.8 <= ratios[-1] <= 5.2
 
 
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_verify_invariance_without_a_ratio_fails(tmp_path, refine):
+    code, out = run(tmp_path, "verify", "--case", "D", "--invariance",
+                    "--refine", refine)
+    assert code == 2
+    assert json.loads(out.read_text())["invariance"]["ratios"] == []
+
+
+@pytest.mark.parametrize("command", ["derive", "simulate"])
+def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--tol", "5")
+    assert exc.value.code == 2
+
+
 def test_simulate_writes_csv_and_sidecar(tmp_path):
     csv = tmp_path / "field.csv"
     code, out = run(tmp_path, "simulate", "--D", "1/2", "--Gamma", "1/10",

@@ -300,6 +300,21 @@ def test_audit_expansion_delta_is_duplicated_term(model):
     assert "D_r*a1 + D_r*a2*r" in row.note
 
 
+def test_derive_and_audit_take_each_lie_derivative_once(model, monkeypatch):
+    from fluxsym import isovector
+    forms = []
+    real = isovector.lie_form
+
+    def recording(gen, alpha, model):
+        forms.append(alpha)
+        return real(gen, alpha, model)
+    monkeypatch.setattr(isovector, "lie_form", recording)
+    system = extract_determining(model, "symbolic")
+    audit_against_published(system, model)
+    assert forms == [build_mu1(model, model.n, r_multiplied=True),
+                     build_mu2(model)]
+
+
 # --- closure -----------------------------------------------------------------
 
 def test_closure_identically_satisfied(model):
@@ -307,6 +322,19 @@ def test_closure_identically_satisfied(model):
     assert result.identically_zero
     assert normalize(result.multiplier - Sym("a4")) == ZERO
     assert result.residual == ZERO
+
+
+def test_closure_reduces_through_ideal_reduce(model, monkeypatch):
+    from fluxsym import isovector
+    calls = []
+    real = isovector.ideal_reduce
+
+    def recording(lie_mu, basis, model):
+        calls.append(tuple(name for name, _, _ in basis))
+        return real(lie_mu, basis, model)
+    monkeypatch.setattr(isovector, "ideal_reduce", recording)
+    assert closure_check(model).identically_zero
+    assert calls == [("mu3",)]
 
 
 def test_closure_mutation_detects_gradient_action(model):

@@ -89,6 +89,18 @@ def test_constant_power_with_integer_exponent_joins_the_coefficient():
     assert normalize((1 + h) ** Rat(3)) == normalize(7 + 5 * h)
 
 
+def test_constant_power_keeps_an_exponent_below_one(model):
+    # the integer part of the exponent joins the coefficient, so a product
+    # has one normal form whatever order its exponents are added in
+    table = model.table
+    assert to_text(normalize(parse("2^(3/2)", table))) == "2*2^(1/2)"
+    assert normalize(parse("2^(-1/2)", table)) == normalize(
+        parse("1/2*2^(1/2)", table))
+    e = parse("2*2^(1/2) - 2^(3/2)", table)
+    assert normalize(e) == ZERO
+    assert is_zero(e, table) == ZeroVerdict.ZERO
+
+
 def test_sign_normalize_flips_leading_negative():
     a6, a2, a8 = syms("a6", "a2", "a8")
     assert sign_normalize(a6 - a2 - a8) == sign_normalize(a8 + a2 - a6)
