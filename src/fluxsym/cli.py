@@ -7,11 +7,12 @@ Subcommands:
     simulate  bare PDE solve with CSV export and a JSON metadata sidecar
 
 Every command honors --seed, --out and --json; a JSON config file can
-pre-populate any long option (explicit flags win).  Reports are
-byte-stable across runs for a fixed seed.
+pre-populate any long option of the running command (explicit flags win).
+Reports are byte-stable across runs for a fixed seed.
 
-Exit codes: 0 success; 2 derivation/verification failure; 3 audit rows
-outside {reproduced, implied} under --strict-audit.
+Exit codes: 0 success; 2 usage error, bad value or derivation/verification
+failure, with a one-line message on stderr; 3 audit rows outside
+{reproduced, implied} under --strict-audit.
 """
 
 from __future__ import annotations
@@ -31,24 +32,14 @@ from .isovector import (
     audit_against_published, closure_check, extract_determining,
     DerivationError,
 )
-from .kernel import to_text
+from .kernel import KernelError, to_text
 from .model import Model
 from .numerics import (
     GridSpec, MaterialModel, TransformParams, compile_numeric,
     DEFAULT_SAMPLED_FNS, export_csv, invariance_residual, material_residual,
     max_interior_residual, sampled_functions, solve_pde, SolverError,
 )
-from .parser import parse
-
-_UNSET = object()
-
-
-def _load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SystemExit("config file must hold a JSON object")
-    return data
+from .parser import ParseError, parse
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -58,69 +49,67 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-def _merge_config(args: argparse.Namespace, argv):
-    """Fill every option not given in `argv` from the --config file.
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The --config file read as defaults of the running `command`.
 
-    The config keys are the option destinations of the subcommands; other
-    keys are rejected.  Explicit flags are found by parsing `argv` again
-    with every default of the command replaced by a sentinel.  A value
-    passes the same `type` and `choices` checks as the flag it stands for.
+    The file holds a JSON object whose keys are option destinations of this
+    command.  A missing or unreadable file, a key the command lacks and a
+    value its flag would refuse are usage errors (exit 2).
     """
-    if args.config is None:
-        return args
-    data = _load_config(args.config)
-    probe = build_parser()
-    commands = _subcommands(probe)
-    keys = set().union(*(vars(probe.parse_args([c])) for c in commands))
-    unknown = set(data) - (keys - {"command", "config"})
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        command.error(f"--config {path}: {exc}")
+    if not isinstance(data, dict):
+        command.error("config file must hold a JSON object")
+    actions = {a.dest: a for a in command._actions
+               if a.dest not in ("help", "config")}
+    unknown = set(data) - set(actions)
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    command = commands[args.command]
-    actions = {a.dest: a for a in command._actions}
-    dests = set(vars(args)) - {"command"}
-    command.set_defaults(**dict.fromkeys(dests, _UNSET))
-    given = {k for k, v in vars(probe.parse_args(argv)).items()
-             if v is not _UNSET}
-    for key, value in data.items():
-        if key in dests and key not in given:
-            setattr(args, key, _config_value(command, actions[key], value))
-    return args
+        command.error(f"unknown config keys: {sorted(unknown)}")
+    return {key: _config_value(command, actions[key], value)
+            for key, value in data.items()}
 
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action,
                   value):
-    """A config value checked as argparse checks its flag; a usage error
-    (exit 2) otherwise.  Switches take a JSON boolean, options a string or
-    number, read as the text of the flag's argument."""
-    flag = action.option_strings[-1]
+    """A config value checked by argparse's own `type` and `choices` checks
+    of its flag; a usage error (exit 2) otherwise.  Switches take a JSON
+    boolean, options a string or number, read as the text of the flag's
+    argument."""
+    what = f"config {action.dest!r} for {action.option_strings[-1]}"
     if action.nargs == 0:
         if not isinstance(value, bool):
-            parser.error(f"config {action.dest!r} for {flag}: "
-                         f"expected true or false, got {value!r}")
+            parser.error(f"{what}: expected true or false, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        parser.error(f"config {action.dest!r} for {flag}: "
-                     f"expected a string or a number, got {value!r}")
-    value = str(value)
-    if action.type is not None:
-        try:
-            value = action.type(value)
-        except (TypeError, ValueError):
-            parser.error(f"config {action.dest!r} for {flag}: invalid "
-                         f"{action.type.__name__} value: {value!r}")
-    if action.choices is not None and value not in action.choices:
-        parser.error(f"config {action.dest!r} for {flag}: invalid choice: "
-                     f"{value!r} (choose from {', '.join(action.choices)})")
+        parser.error(f"{what}: expected a string or a number, got {value!r}")
+    try:
+        value = parser._get_value(action, str(value))
+        parser._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        parser.error(f"{what}: {exc.message}")
     return value
 
 
-def _geometry_mode(text):
-    if text == "symbolic":
-        return "symbolic"
+def _geometry(text):
+    """--n of derive: "symbolic" or an integer index; `choices` checks it."""
+    return int(text) if text.isdecimal() else text
+
+
+def _boundary(text):
+    """A --bc-left/--bc-right value: (the flag text, the solver's spec)."""
+    if text == "zero_gradient":
+        return text, ("zero_gradient",)
+    kind, _, value = text.partition(":")
     try:
-        return int(text)
+        if kind == "dirichlet":
+            return text, ("dirichlet", float(value))
     except ValueError:
-        raise SystemExit(f"--n must be symbolic, 0, 1 or 2 (got {text!r})")
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad boundary spec {text!r} (zero_gradient or dirichlet:<value>)")
 
 
 def _a_values(args) -> dict:
@@ -147,7 +136,7 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
     d_fn = compile_numeric(case.diffusion.expression, params=params, fns=fns)
     if a["a3"] == 0.0:
         if abs(a["a4"] - 2 * a["a2"]) > 1e-12:
-            raise SystemExit(
+            raise ValueError(
                 "a3 = 0 needs a4 = 2*a2 for the closed-form Gamma member")
         shift = a["a1"] / a["a2"] if a["a1"] else 0.0
         def g_fn(r, t):
@@ -168,12 +157,7 @@ def _emit(args, command: str, body: dict) -> None:
 
 def cmd_derive(args) -> int:
     model = Model()
-    mode = _geometry_mode(args.geometry)
-    try:
-        system = extract_determining(model, mode, seed=args.seed)
-    except DerivationError as exc:
-        print(f"derivation failed: {exc}", file=sys.stderr)
-        return 2
+    system = extract_determining(model, args.geometry, seed=args.seed)
     audit = audit_against_published(system, model, seed=args.seed)
     body = {
         "determining_system": reports.determining_system_payload(system),
@@ -181,7 +165,7 @@ def cmd_derive(args) -> int:
     }
     _emit(args, "derive", body)
     if not args.json:
-        print(f"# determining equations (geometry: {mode})")
+        print(f"# determining equations (geometry: {args.geometry})")
         for c in system.constraints:
             note = f"   [{c.assumption}]" if c.assumption else ""
             print(f"- {c.solved}{note}")
@@ -210,9 +194,6 @@ def cmd_cases(args) -> int:
     results = enumerate_cases(model, seed=args.seed, tol=args.tol)
     if args.case:
         results = [c for c in results if c.case_id == args.case]
-        if not results:
-            print(f"unknown case {args.case!r}", file=sys.stderr)
-            return 2
     body = {"cases": [reports.case_payload(c) for c in results]}
     _emit(args, "cases", body)
     failed = False
@@ -234,6 +215,8 @@ def cmd_cases(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.invariance and not args.case:
+        raise ValueError("--invariance needs --case")
     model = Model()
     body = {}
     failures = []
@@ -290,15 +273,6 @@ def cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
-def _parse_bc(text):
-    if text == "zero_gradient":
-        return ("zero_gradient",)
-    if text.startswith("dirichlet:"):
-        return ("dirichlet", float(text.split(":", 1)[1]))
-    raise SystemExit(f"bad boundary spec {text!r} "
-                     "(zero_gradient or dirichlet:<value>)")
-
-
 def cmd_simulate(args) -> int:
     model = Model()
     table = model.table
@@ -310,15 +284,11 @@ def cmd_simulate(args) -> int:
         v=args.speed,
     )
     grid = GridSpec(args.r0, args.r1, args.t1, args.nr, args.nt,
-                    geometry=int(args.geometry))
+                    geometry=args.geometry)
     ic_expr = parse(args.initial, table)
     ic_fn = compile_numeric(ic_expr, args=("r",), fns=DEFAULT_SAMPLED_FNS)
-    bc = (_parse_bc(args.bc_left), _parse_bc(args.bc_right))
-    try:
-        field = solve_pde(grid, material, ic_fn, bc)
-    except SolverError as exc:
-        print(f"simulate failed: {exc}", file=sys.stderr)
-        return 2
+    (left, left_spec), (right, right_spec) = args.bc_left, args.bc_right
+    field = solve_pde(grid, material, ic_fn, (left_spec, right_spec))
     csv_path = args.csv or "field.csv"
     export_csv(field, csv_path)
     body = {
@@ -326,7 +296,7 @@ def cmd_simulate(args) -> int:
                  "n_r": grid.n_r, "n_t": grid.n_t, "geometry": grid.geometry},
         "material": {"D": args.diffusion, "Gamma": args.gamma,
                      "v": args.speed},
-        "boundary": {"left": args.bc_left, "right": args.bc_right},
+        "boundary": {"left": left, "right": right},
         "csv": csv_path,
         "residual_norm": max_interior_residual(field),
     }
@@ -354,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive and audit the determining equations")
     common(p)
-    p.add_argument("--n", dest="geometry", default="symbolic",
+    p.add_argument("--n", dest="geometry", type=_geometry,
+                   choices=("symbolic", 0, 1, 2), default="symbolic",
                    help="geometry index: symbolic, 0, 1 or 2")
     p.add_argument("--strict-audit", action="store_true",
                    help="exit 3 when any audit row is not reproduced/implied")
@@ -389,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="solve the diffusion equation, export CSV")
     common(p)
-    p.add_argument("--n", dest="geometry", default="0",
-                   help="geometry index 0, 1 or 2")
+    p.add_argument("--n", dest="geometry", type=int, choices=(0, 1, 2),
+                   default=0, help="geometry index 0, 1 or 2")
     p.add_argument("--D", dest="diffusion", default="1/2",
                    help="diffusion coefficient D(r, t) in the kernel grammar")
     p.add_argument("--Gamma", dest="gamma", default="0",
@@ -398,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", dest="speed", type=float, default=1.0)
     p.add_argument("--initial", default="1 + r*0",
                    help="initial flux profile phi(r)")
-    p.add_argument("--bc-left", default="zero_gradient")
-    p.add_argument("--bc-right", default="zero_gradient")
+    p.add_argument("--bc-left", type=_boundary, default="zero_gradient")
+    p.add_argument("--bc-right", type=_boundary, default="zero_gradient")
     p.add_argument("--r0", type=float, default=0.0)
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--t1", type=float, default=1.0)
@@ -411,16 +382,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Argparse exits 2 on a usage error; a typed error
+    raised by the command is printed as one line and returns 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _merge_config(args, argv)
+    if args.config is not None:
+        command = _subcommands(parser)[args.command]
+        command.set_defaults(**_config_defaults(command, args.config))
+        args = parser.parse_args(argv)
     handlers = {
         "derive": cmd_derive,
         "cases": cmd_cases,
         "verify": cmd_verify,
         "simulate": cmd_simulate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ParseError, KernelError, SolverError, DerivationError,
+            ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

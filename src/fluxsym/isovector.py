@@ -314,17 +314,6 @@ def extract_determining(model: Model, geometry_mode="symbolic",
                 residual_equations.append(eq)
                 split_map[(source, basis_label, to_text(key))] = eq.expression
 
-    unknown = 0
-
-    def verdict(e):
-        nonlocal unknown
-        v = is_zero(e, table, seed=seed)
-        if v == ZeroVerdict.UNKNOWN:
-            unknown += 1
-            raise DerivationError(
-                f"unknown zero-verdict for residual {to_text(e)}")
-        return v
-
     # gradient-definition reduction: w-translation and the w-scaling link
     e_w_translation = split_map.get(("chi(mu2)", "dt∧dr", "1"), ZERO)
     e_w_link = split_map.get(("chi(mu2)", "dt∧dr", "w"), ZERO)
@@ -355,7 +344,12 @@ def extract_determining(model: Model, geometry_mode="symbolic",
 
     # the flux-translation residual is r*Gamma*a5: check and reduce
     a5_eq = sign_normalize(strip_coordinates(e_flux_translation))
-    if verdict(substitute(a5_eq, {"a5": ZERO}, table)) != ZeroVerdict.ZERO:
+    a5_rest = substitute(a5_eq, {"a5": ZERO}, table)
+    verdict = is_zero(a5_rest, table, seed=seed)
+    if verdict == ZeroVerdict.UNKNOWN:
+        raise DerivationError(
+            f"unknown zero-verdict for residual {to_text(a5_rest)}")
+    if verdict != ZeroVerdict.ZERO:
         raise DerivationError("flux-translation residual is not linear in a5")
     constraints = [
         Constraint("a5", Sym("a5"), "a5 = 0",
@@ -403,7 +397,6 @@ def extract_determining(model: Model, geometry_mode="symbolic",
             "multiplier without any w dependence; the w-split of the dt∧dr "
             "residual then forces it to vanish",
         ),
-        unknown_verdicts=unknown,
     )
     check_self_consistency(system, model, seed)
     return system

@@ -117,6 +117,38 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--n", "5"],
+    ["simulate", "--n", "7"],
+    ["simulate", "--nr", "0"],
+    ["verify", "--case", "D", "--nr", "2"],
+    ["simulate", "--bc-left", "foo"],
+    ["simulate", "--bc-left", "dirichlet:abc"],
+    ["simulate", "--D", "1/"],
+    ["simulate", "--D", "H(r)"],
+    ["simulate", "--D", "a1"],
+    ["simulate", "--r0", "2", "--r1", "1"],
+    ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
+    ["verify", "--case", "D", "--invariance", "--eps", "0.9"],
+    ["verify", "--invariance"],
+    ["derive", "--config", "missing.json"],
+    ["derive", "--config", "invalid.json"],
+], ids=" ".join)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    # argparse exits 2 itself; an error the command raises becomes a
+    # one-line message "<command>: ..." and exit code 2
+    (tmp_path / "invalid.json").write_text("{nope")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    try:
+        code = main(argv + ["--out", str(tmp_path / "r.json")])
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+    assert code == 2
+
+
 def test_simulate_writes_csv_and_sidecar(tmp_path):
     csv = tmp_path / "field.csv"
     code, out = run(tmp_path, "simulate", "--D", "1/2", "--Gamma", "1/10",
@@ -177,6 +209,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     config.write_text(json.dumps({"materials": "D"}))
     with pytest.raises(SystemExit):
         main(["cases", "--config", str(config)])
+    # a key of another command is unknown to this one
+    for command, key in (("derive", {"tol": 5}), ("cases", {"nr": 8})):
+        config.write_text(json.dumps(key))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config)])
+        assert exc.value.code == 2
 
 
 def test_config_values_are_checked_like_flags(tmp_path, capsys):
@@ -193,7 +231,9 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
                          (["simulate"], {"nr": 8.5}),
                          (["simulate"], {"nt": None}),
                          (["verify"], {"case": "Z"}),
-                         (["verify"], {"closure": "yes"})):
+                         (["verify"], {"closure": "yes"}),
+                         (["derive"], {"geometry": 5}),
+                         (["simulate"], {"bc_left": "foo"})):
         config.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             main(command + ["--config", str(config), "--out", str(out)])
