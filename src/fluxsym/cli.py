@@ -10,9 +10,9 @@ Every command honors --seed, --out and --json; a JSON config file can
 pre-populate any long option of the running command (explicit flags win).
 Reports are byte-stable across runs for a fixed seed.
 
-Exit codes: 0 success; 2 usage error, bad value or derivation/verification
-failure, with a one-line message on stderr; 3 audit rows outside
-{reproduced, implied} under --strict-audit.
+Exit codes: 0 success; 2 usage error, bad value, unwritable output path or
+derivation/verification failure, with a one-line message on stderr; 3 audit
+rows outside {reproduced, implied} under --strict-audit.
 """
 
 from __future__ import annotations
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Argparse exits 2 on a usage error; a typed error
-    raised by the command is printed as one line and returns 2."""
+    raised by the command, or an OSError such as an unwritable --out or
+    --csv path, is printed as one line and returns 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ParseError, KernelError, SolverError, DerivationError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

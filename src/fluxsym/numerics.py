@@ -171,6 +171,8 @@ class MaterialModel:
     decomposition: tuple | None = None   # (nu_bar(r,t), Sigma_f(r,t), Sigma_a(r,t))
 
     def validate(self, grid: GridSpec):
+        if not 0.0 < self.v < math.inf:
+            raise SolverError(f"v must be positive and finite, got {self.v!r}")
         rr, tt = grid.r_nodes[None, :], grid.t_nodes[:, None]
         d = self.D(rr, tt)
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
@@ -283,8 +285,13 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     ic: callable phi(r) or array of node values.  bc: (left, right), each
     ("dirichlet", value-or-callable) or ("zero_gradient",).  Dirichlet rows
     are pinned to the boundary value at the new time level.
+
+    The tridiagonal bands of every step are built and checked before the
+    loop; each step then forms its explicit side in place and hands the
+    system to LAPACK `gtsv`, which overwrites that step's bands with its
+    factors and the explicit side with the solution.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     if grid.r0 == 0.0 and grid.geometry > 0 and bc[0][0] != "zero_gradient":
         raise SolverError(
@@ -302,31 +309,46 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     # coefficients frozen at the half steps (k + 1/2) dt
     lower, upper, gamma = _stencil(grid, material, (np.arange(grid.n_t) + 0.5) * dt)
     c = 0.5 * material.v * dt
-    ab = np.zeros((3, m))
+    # (I - v dt/2 A) phi_new = (I + v dt/2 A) phi_old  (+ Dirichlet rows)
+    diag = -(lower + upper) + gamma
+    sub = -c * lower[:, 1:]
+    main = 1.0 - c * diag
+    sup = -c * upper[:, :-1]
+    left, right = (spec[0] == "dirichlet" for spec in bc)
+    if left:
+        main[:, 0] = 1.0
+        sup[:, 0] = 0.0
+    if right:
+        main[:, -1] = 1.0
+        sub[:, -1] = 0.0
+    finite = (np.isfinite(sub).all(axis=1) & np.isfinite(main).all(axis=1)
+              & np.isfinite(sup).all(axis=1))
+    if not finite.all():
+        raise SolverError(
+            f"non-finite coefficient at step {np.argmin(finite)}")
+    # the explicit side old + c*(diag*old + lower term + upper term) is
+    # summed in that order straight into out[k + 1]; each neighbour term is
+    # a full row holding 0.0 at the edge it lacks, so an edge node adds +0.0
+    # too and a -0.0 sum there turns +0.0, as in a zero-padded sum
+    from_lower = np.zeros(m)
+    from_upper = np.zeros(m)
     for k in range(grid.n_t):
-        # (I - v dt/2 A) phi_new = (I + v dt/2 A) phi_old  (+ Dirichlet rows)
-        diag = -(lower[k] + upper[k]) + gamma[k]
-        rhs = (out[k]
-               + c * (diag * out[k]
-                      + np.concatenate(([0.0], lower[k, 1:] * out[k][:-1]))
-                      + np.concatenate((upper[k, :-1] * out[k][1:], [0.0]))))
-        ab[0, 1:] = -c * upper[k, :-1]
-        ab[1] = 1.0 - c * diag
-        ab[2, :-1] = -c * lower[k, 1:]
+        old, new = out[k], out[k + 1]
+        np.multiply(diag[k], old, out=new)
+        np.multiply(lower[k, 1:], old[:-1], out=from_lower[1:])
+        new += from_lower
+        np.multiply(upper[k, :-1], old[1:], out=from_upper[:-1])
+        new += from_upper
+        new *= c
+        new += old
         t_new = (k + 1) * dt
-        if bc[0][0] == "dirichlet":
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
-            rhs[0] = _bc_value(bc[0], t_new)
-        if bc[1][0] == "dirichlet":
-            ab[1, -1] = 1.0
-            ab[2, -2] = 0.0
-            rhs[-1] = _bc_value(bc[1], t_new)
-        try:
-            out[k + 1] = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular step system at step {k}") from exc
-        if not np.all(np.isfinite(out[k + 1])):
+        if left:
+            new[0] = _bc_value(bc[0], t_new)
+        if right:
+            new[-1] = _bc_value(bc[1], t_new)
+        if dgtsv(sub[k], main[k], sup[k], new, 1, 1, 1, 1)[-1] > 0:
+            raise SolverError(f"singular step system at step {k}")
+        if not np.isfinite(new).all():
             raise SolverError(f"NaN detected at step {k + 1}")
     return Field(grid=grid, material=material, phi=out)
 

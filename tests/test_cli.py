@@ -128,6 +128,9 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["simulate", "--D", "H(r)"],
     ["simulate", "--D", "a1"],
     ["simulate", "--r0", "2", "--r1", "1"],
+    ["simulate", "--v", "-1"],
+    ["simulate", "--v", "0"],
+    ["simulate", "--v", "nan"],
     ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
     ["verify", "--case", "D", "--invariance", "--eps", "0.9"],
     ["verify", "--invariance"],
@@ -147,6 +150,25 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         err = capsys.readouterr().err
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
     assert code == 2
+
+
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
+    code = main(["cases", "--case", "A",
+                 "--out", str(tmp_path / "missing" / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cases: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
+    # t1 = 1 and nt = 8: the first half step is t = 1/16
+    code, _ = run(tmp_path, "simulate", "--Gamma", "1/(t-1/16)",
+                  "--nr", "8", "--nt", "8", "--csv", str(tmp_path / "f.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "simulate: non-finite coefficient at step 0\n"
 
 
 def test_simulate_writes_csv_and_sidecar(tmp_path):

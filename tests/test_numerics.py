@@ -169,6 +169,105 @@ def test_dirichlet_value_tracks_callable():
     assert field.phi[-1, -1] == pytest.approx(2.0, abs=1e-12)
 
 
+def _solve_step_by_step(grid, material, ic, bc):
+    """The trapezoidal march with one banded matrix assembled and solved by
+    scipy.linalg.solve_banded per step.  A Dirichlet value is a callable on
+    the left edge and a number on the right one."""
+    from scipy.linalg import solve_banded
+    r = grid.r_nodes
+    out = np.empty((grid.n_t + 1, r.size))
+    out[0] = ic(r)
+    dt = grid.dt
+    lower, upper, gamma = numerics._stencil(
+        grid, material, (np.arange(grid.n_t) + 0.5) * dt)
+    c = 0.5 * material.v * dt
+    ab = np.zeros((3, r.size))
+    for k in range(grid.n_t):
+        diag = -(lower[k] + upper[k]) + gamma[k]
+        rhs = (out[k]
+               + c * (diag * out[k]
+                      + np.concatenate(([0.0], lower[k, 1:] * out[k][:-1]))
+                      + np.concatenate((upper[k, :-1] * out[k][1:], [0.0]))))
+        ab[0, 1:] = -c * upper[k, :-1]
+        ab[1] = 1.0 - c * diag
+        ab[2, :-1] = -c * lower[k, 1:]
+        t_new = (k + 1) * dt
+        if bc[0][0] == "dirichlet":
+            ab[1, 0] = 1.0
+            ab[0, 1] = 0.0
+            rhs[0] = bc[0][1](t_new)
+        if bc[1][0] == "dirichlet":
+            ab[1, -1] = 1.0
+            ab[2, -2] = 0.0
+            rhs[-1] = bc[1][1]
+        out[k + 1] = solve_banded((1, 1), ab, rhs)
+    return out
+
+
+DIRICHLET_BOTH = (("dirichlet", lambda t: 1.0 + math.sin(3.0 * t)),
+                  ("dirichlet", 0.5))
+
+
+@pytest.mark.parametrize("geometry, r0, bc", [
+    (0, 0.0, ZERO_GRAD),
+    (1, 0.0, ZERO_GRAD),
+    (2, 0.0, ZERO_GRAD),
+    (0, 0.0, DIRICHLET_BOTH),
+    (1, 0.25, DIRICHLET_BOTH),
+    (2, 0.5, DIRICHLET_BOTH),
+    (2, 0.5, ZERO_GRAD),
+])
+def test_solver_matches_a_banded_solve_per_step(geometry, r0, bc):
+    grid = GridSpec(r0, 1.5, 0.75, 20, 24, geometry=geometry)
+    mat = MaterialModel(
+        D=lambda r, t: 0.3 + 0.2 * np.asarray(r) * np.asarray(t) + 0.1 * np.asarray(r) ** 2,
+        Gamma=lambda r, t: np.cos(np.asarray(r)) * np.exp(-np.asarray(t)) - 0.4,
+        v=1.5)
+    ic = lambda r: 1.0 + r * r
+    got = solve_pde(grid, mat, ic, bc).phi
+    want = _solve_step_by_step(grid, mat, ic, bc)
+    # bit for bit, signed zeros included
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_non_finite_coefficient_names_its_step():
+    # Gamma has a pole at the half step of step 3, (3 + 1/2) dt = 7/16
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+    mat = MaterialModel(D=constant(0.5),
+                        Gamma=lambda r, t: 1.0 / (np.asarray(t) - 7.0 / 16.0)
+                        * np.ones_like(np.asarray(r)))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(SolverError, match="non-finite coefficient at step 3$"):
+            solve_pde(grid, mat, lambda r: np.ones_like(r), ZERO_GRAD)
+
+
+def test_singular_step_system_is_a_solver_error():
+    # with c = v dt / 2 = 2^-34 and Gamma = 2^34 the diagonal is exactly 0,
+    # and D at the smallest subnormal makes the off-diagonals underflow to 0
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+    mat = MaterialModel(D=constant(5e-324), Gamma=constant(2.0 ** 34),
+                        v=2.0 ** -30)
+    with pytest.raises(SolverError, match="singular step system at step 0$"):
+        solve_pde(grid, mat, lambda r: np.ones_like(r), ZERO_GRAD)
+
+
+def test_nan_boundary_value_names_its_time_level():
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+    mat = MaterialModel(D=constant(0.5), Gamma=constant(0.0))
+    edge = lambda t: math.nan if t == 5 * grid.dt else 1.0
+    with pytest.raises(SolverError, match="NaN detected at step 5$"):
+        solve_pde(grid, mat, lambda r: np.ones_like(r),
+                  (("dirichlet", edge), ("zero_gradient",)))
+
+
+@pytest.mark.parametrize("v", [-1.0, 0.0, math.nan, math.inf])
+def test_material_speed_must_be_positive_and_finite(v):
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+    mat = MaterialModel(D=constant(0.5), Gamma=constant(0.0), v=v)
+    with pytest.raises(SolverError, match="v must be positive and finite"):
+        mat.validate(grid)
+
+
 # --- material residuals -------------------------------------------------------
 
 def test_material_residual_case_b_floor():
