@@ -262,20 +262,30 @@ CASE_COINCIDENCE = {"C": "B", "E": None, "F": "E"}
 
 def enumerate_cases(model: Model, verify: bool = True,
                     seed: int = 0, tol: float = 1e-10) -> list:
-    """The six admissible constraint combinations and their material families."""
+    """The six admissible constraint combinations and their material families.
+
+    The diffusion condition depends only on (a1 = 0, D_r = 0) and the Gamma
+    condition only on a1 = 0, so the twelve conditions of the six cases are
+    six distinct ones: each is solved and back-substituted once and its
+    result shared by the cases that have it."""
+    solved = {}
+
+    def solve(condition, symbol, *flags):
+        key = (condition, flags)
+        if key not in solved:
+            pde = condition(model, *flags)
+            sol = solve_characteristics(pde, model, symbol)
+            check = (back_substitute(sol, pde, model, seed=seed, tol=tol)
+                     if verify else None)
+            solved[key] = sol, check
+        return solved[key]
+
     results = []
     for case_id, constraints in CASE_CONSTRAINTS.items():
         a1_zero = "a1 = 0" in constraints
         gradient_free = "D_r = 0" in constraints
-        d_pde = diffusion_condition(model, a1_zero=a1_zero,
-                                    gradient_free=gradient_free)
-        g_pde = gamma_condition(model, a1_zero=a1_zero)
-        d_sol = solve_characteristics(d_pde, model, "G")
-        g_sol = solve_characteristics(g_pde, model, "F")
-        d_check = (back_substitute(d_sol, d_pde, model, seed=seed, tol=tol)
-                   if verify else None)
-        g_check = (back_substitute(g_sol, g_pde, model, seed=seed, tol=tol)
-                   if verify else None)
+        d_sol, d_check = solve(diffusion_condition, "G", a1_zero, gradient_free)
+        g_sol, g_check = solve(gamma_condition, "F", a1_zero)
         results.append(CaseResult(
             case_id=case_id,
             constraints=constraints,

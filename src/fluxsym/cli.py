@@ -104,12 +104,13 @@ def _boundary(text):
         return text, ("zero_gradient",)
     kind, _, value = text.partition(":")
     try:
-        if kind == "dirichlet":
+        if kind == "dirichlet" and math.isfinite(float(value)):
             return text, ("dirichlet", float(value))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"bad boundary spec {text!r} (zero_gradient or dirichlet:<value>)")
+        f"bad boundary spec {text!r} "
+        "(zero_gradient or dirichlet:<finite value>)")
 
 
 def _a_values(args) -> dict:

@@ -90,7 +90,10 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
 
     def compiled(*values):
         env = dict(zip(args, (np.asarray(v, dtype=float) for v in values)))
-        out = core(env)
+        # a pole or an overflow yields inf or nan without a warning; the
+        # callers' finiteness checks report it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = core(env)
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
@@ -231,47 +234,43 @@ class TransformParams:
 # PDE solve
 # --------------------------------------------------------------------------
 
-def _face_weights(grid: GridSpec, d_face_lo, d_face_hi):
-    """Conservative diffusion stencil weights (lo, hi) per node along the last
-    axis, including the half-cell boundary rows and the r = 0 regularity
-    limit.  lo[..., 0] and hi[..., -1] are 0."""
-    n = grid.geometry
-    r = grid.r_nodes
-    dr = grid.dr
-    r_lo = r - 0.5 * dr
-    r_hi = r + 0.5 * dr
-    lo = np.zeros_like(d_face_lo)
-    hi = np.zeros_like(d_face_hi)
-    interior = slice(1, -1)
-    rn = np.where(r[interior] > 0, r[interior] ** n, 1.0)
-    lo[..., interior] = (r_lo[interior] ** n) * d_face_lo[..., interior] / (rn * dr * dr)
-    hi[..., interior] = (r_hi[interior] ** n) * d_face_hi[..., interior] / (rn * dr * dr)
-    # half-cell boundary rows (used only under zero-gradient conditions)
-    if grid.r0 == 0.0 and n > 0:
-        # volume-integrated limit over [0, dr/2]
-        hi[..., 0] = 2.0 * (n + 1) * d_face_hi[..., 0] / (dr * dr)
-    else:
-        r0n = r[0] ** n if r[0] > 0 else 1.0
-        hi[..., 0] = (r_hi[0] ** n) * d_face_hi[..., 0] / (r0n * dr * (0.5 * dr))
-    rNn = r[-1] ** n if r[-1] > 0 else 1.0
-    lo[..., -1] = (r_lo[-1] ** n) * d_face_lo[..., -1] / (rNn * dr * (0.5 * dr))
-    return lo, hi
-
-
 def _stencil(grid: GridSpec, material: MaterialModel, times):
     """Stencil weights (lo, hi) and Gamma of the spatial operator
     (1/r^n) d/dr[r^n D phi_r] + Gamma phi, one row per entry of `times`.
 
     D and Gamma are evaluated once over the broadcast (times x r) grid and D
-    is averaged onto the cell faces (the edge faces take the node value)."""
-    r = grid.r_nodes[None, :]
+    is averaged onto the cell faces.  The weights are conservative, with the
+    half-cell boundary rows and the r = 0 regularity limit; lo[:, 0] and
+    hi[:, -1] are 0."""
+    n = grid.geometry
+    dr = grid.dr
+    r = grid.r_nodes
     t = np.asarray(times, dtype=float)[:, None]
-    shape = (t.shape[0], r.shape[1])
-    d = np.broadcast_to(material.D(r, t), shape)
+    shape = (t.shape[0], r.size)
+    d = np.broadcast_to(material.D(r[None, :], t), shape)
     d_face = 0.5 * (d[:, 1:] + d[:, :-1])
-    lo, hi = _face_weights(grid, np.concatenate((d[:, :1], d_face), axis=1),
-                           np.concatenate((d_face, d[:, -1:]), axis=1))
-    return lo, hi, np.broadcast_to(material.Gamma(r, t), shape)
+    r_lo = r - 0.5 * dr
+    r_hi = r + 0.5 * dr
+    lo = np.empty(shape)
+    hi = np.empty(shape)
+    # interior nodes: r_face^n D_face / (r^n dr^2), formed in place
+    scale = np.where(r[1:-1] > 0, r[1:-1] ** n, 1.0) * dr * dr
+    np.multiply(r_lo[1:-1] ** n, d_face[:, :-1], out=lo[:, 1:-1])
+    lo[:, 1:-1] /= scale
+    np.multiply(r_hi[1:-1] ** n, d_face[:, 1:], out=hi[:, 1:-1])
+    hi[:, 1:-1] /= scale
+    # half-cell boundary rows (used only under zero-gradient conditions)
+    if grid.r0 == 0.0 and n > 0:
+        # volume-integrated limit over [0, dr/2]
+        hi[:, 0] = 2.0 * (n + 1) * d_face[:, 0] / (dr * dr)
+    else:
+        r0n = r[0] ** n if r[0] > 0 else 1.0
+        hi[:, 0] = (r_hi[0] ** n) * d_face[:, 0] / (r0n * dr * (0.5 * dr))
+    rNn = r[-1] ** n if r[-1] > 0 else 1.0
+    lo[:, -1] = (r_lo[-1] ** n) * d_face[:, -1] / (rNn * dr * (0.5 * dr))
+    lo[:, 0] = 0.0
+    hi[:, -1] = 0.0
+    return lo, hi, np.broadcast_to(material.Gamma(r[None, :], t), shape)
 
 
 def _bc_value(spec, t: float) -> float:
@@ -376,29 +375,36 @@ def material_residual(material: MaterialModel, params: TransformParams,
     derivatives by central differences at half-grid steps.
 
     The grid fixes the difference steps; the max is sampled on at most
-    _RESIDUAL_MAX_SAMPLES nodes per axis so very fine steps stay cheap."""
+    _RESIDUAL_MAX_SAMPLES nodes per axis so very fine steps stay cheap.  The
+    materials are evaluated on broadcast (t x r) axes, so their t-only
+    factors cost one value per time.  A material or residual that is not
+    finite at the sampled points is a SolverError naming the material."""
     a = params.a
     r = grid.r_nodes[1:-1]
     t = grid.t_nodes[1:-1]
-    r = r[:: max(1, len(r) // _RESIDUAL_MAX_SAMPLES)]
-    t = t[:: max(1, len(t) // _RESIDUAL_MAX_SAMPLES)]
-    rr, tt = np.meshgrid(r, t)
+    r = r[:: max(1, len(r) // _RESIDUAL_MAX_SAMPLES)][None, :]
+    t = t[:: max(1, len(t) // _RESIDUAL_MAX_SAMPLES)][:, None]
     hr = 0.5 * grid.dr
     ht = 0.5 * grid.dt
 
-    def residual(f, weight):
-        f_r = (f(rr + hr, tt) - f(rr - hr, tt)) / (2 * hr)
-        f_t = (f(rr, tt + ht) - f(rr, tt - ht)) / (2 * ht)
-        base = f(rr, tt)
-        res = ((a["a1"] + a["a2"] * rr) * f_r
-               + (a["a3"] + a["a4"] * tt) * f_t
-               + weight * base)
+    def residual(name, f, weight):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f_r = (f(r + hr, t) - f(r - hr, t)) / (2 * hr)
+            f_t = (f(r, t + ht) - f(r, t - ht)) / (2 * ht)
+            base = f(r, t)
+            res = ((a["a1"] + a["a2"] * r) * f_r
+                   + (a["a3"] + a["a4"] * t) * f_t
+                   + weight * base)
+            worst = np.max(np.abs(res))
         scale = np.max(np.abs(base))
-        return float(np.max(np.abs(res)) / (scale if scale > 0 else 1.0))
+        if not (np.isfinite(scale) and np.isfinite(worst)):
+            raise SolverError(
+                f"{name} or its residual is not finite at the sampled points")
+        return float(worst / (scale if scale > 0 else 1.0))
 
     return {
-        "res_D": residual(material.D, -(2 * a["a2"] - a["a4"])),
-        "res_Gamma": residual(material.Gamma, a["a4"]),
+        "res_D": residual("D", material.D, -(2 * a["a2"] - a["a4"])),
+        "res_Gamma": residual("Gamma", material.Gamma, a["a4"]),
     }
 
 
@@ -434,28 +440,43 @@ def transform_field(f: Field, p: TransformParams) -> Field:
                                           "clipped_fraction": clipped})
 
 
-def discrete_residual(f: Field) -> np.ndarray:
+def _interior_stencil(grid: GridSpec, material: MaterialModel):
+    """The `_stencil` rows at the interior times of `grid`."""
+    return _stencil(grid, material, grid.t_nodes[1:-1])
+
+
+def discrete_residual(f: Field, stencil=None) -> np.ndarray:
     """Pointwise discrete PDE residual on interior nodes: centered time
-    difference minus conservative diffusion minus production."""
+    difference minus conservative diffusion minus production.
+
+    `stencil` is `_interior_stencil(f.grid, f.material)`, built here when
+    not given."""
     grid = f.grid
     phi = f.phi
-    lo, hi, gamma = _stencil(grid, f.material, grid.t_nodes[1:-1])
+    lo, hi, gamma = (_interior_stencil(grid, f.material)
+                     if stencil is None else stencil)
     mid = phi[1:-1, 1:-1]
-    diffusion = (hi[:, 1:-1] * (phi[1:-1, 2:] - mid)
-                 - lo[:, 1:-1] * (mid - phi[1:-1, :-2]))
+    # (phi_t - diffusion) - gamma*mid with diffusion = hi*(up - mid) -
+    # lo*(mid - down), each operation in place in that order
+    diffusion = phi[1:-1, 2:] - mid
+    diffusion *= hi[:, 1:-1]
+    diffusion -= lo[:, 1:-1] * (mid - phi[1:-1, :-2])
     res = np.full_like(phi, np.nan)
-    res[1:-1, 1:-1] = ((phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * grid.dt * f.material.v)
-                       - diffusion - gamma[:, 1:-1] * mid)
+    inner = res[1:-1, 1:-1]
+    np.subtract(phi[2:, 1:-1], phi[:-2, 1:-1], out=inner)
+    inner /= 2 * grid.dt * f.material.v
+    inner -= diffusion
+    inner -= gamma[:, 1:-1] * mid
     if f.valid is not None:
         # centered stencils touch the 8 neighbours: require them all valid
         ok = f.valid.copy()
         ok[1:-1, 1:-1] &= (f.valid[:-2, 1:-1] & f.valid[2:, 1:-1]
                            & f.valid[1:-1, :-2] & f.valid[1:-1, 2:])
-        res = np.where(ok, res, np.nan)
+        res[~ok] = np.nan
     return res
 
 
-def max_interior_residual(f: Field) -> float:
+def max_interior_residual(f: Field, stencil=None) -> float:
     """Scaled max-norm discrete residual over the strict interior of the
     space-time domain.
 
@@ -465,7 +486,7 @@ def max_interior_residual(f: Field) -> float:
     grids measure the same physical region.
     """
     grid = f.grid
-    res = discrete_residual(f)
+    res = discrete_residual(f, stencil=stencil)
     t = grid.t_nodes
     r = grid.r_nodes
     t_lo, t_hi = _INTERIOR_MARGIN * grid.t1, (1 - _INTERIOR_MARGIN) * grid.t1
@@ -496,21 +517,27 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
                         p: TransformParams, ic, bc,
                         refinements: int = 3) -> InvarianceReport:
     """Solve, transform, and measure the discrete residual of the transformed
-    field across joint mesh refinements, plus the eps -> eps/2 control."""
+    field across joint mesh refinements, plus the eps -> eps/2 control.
+
+    Each level's interior stencil is built once and shared by its base
+    field, its transformed field and (on the first grid) the eps/2 control."""
     levels, residuals, base_residuals = [], [], []
     clipped = 0.0
     f0 = solve_pde(grid, material, ic, bc)
-    g = grid
-    for _ in range(refinements):
-        f = f0 if g is grid else solve_pde(g, material, ic, bc)
+    stencil0 = _interior_stencil(grid, material)
+    g, f, stencil = grid, f0, stencil0
+    for level in range(refinements):
+        if level:
+            g = g.refined()
+            f = solve_pde(g, material, ic, bc)
+            stencil = _interior_stencil(g, material)
         tf = transform_field(f, p)
         levels.append((g.n_r, g.n_t))
-        residuals.append(max_interior_residual(tf))
-        base_residuals.append(max_interior_residual(f))
+        residuals.append(max_interior_residual(tf, stencil=stencil))
+        base_residuals.append(max_interior_residual(f, stencil=stencil))
         clipped = tf.transform["clipped_fraction"]
-        g = g.refined()
     half = TransformParams(p.eps / 2, p.a)
-    eps_half = max_interior_residual(transform_field(f0, half))
+    eps_half = max_interior_residual(transform_field(f0, half), stencil=stencil0)
     ratios = tuple(residuals[i] / residuals[i + 1]
                    for i in range(len(residuals) - 1))
     return InvarianceReport(

@@ -13,7 +13,7 @@ from fluxsym.characteristics import (
 )
 from fluxsym.kernel import (
     Mul, Rat, Sym, UndeclaredSymbolError, ZERO, ZeroVerdict, evaluate,
-    normalize, substitute,
+    normalize, substitute, to_text,
 )
 from fluxsym.parser import parse
 
@@ -52,6 +52,41 @@ def test_all_cases_back_substitute_symbolically(model):
     for c in cases:
         assert c.diffusion_check.verdict == "zero"
         assert c.gamma_check.verdict == "zero"
+
+
+def test_each_distinct_condition_is_solved_once(model, monkeypatch):
+    # B and C share their diffusion condition, E and F too, and the Gamma
+    # condition depends on a1 = 0 alone: six distinct conditions
+    reference = []
+    for case_id, constraints in CASE_CONSTRAINTS.items():
+        a1_zero = "a1 = 0" in constraints
+        row = []
+        for pde, symbol in (
+                (diffusion_condition(model, a1_zero=a1_zero,
+                                     gradient_free="D_r = 0" in constraints), "G"),
+                (gamma_condition(model, a1_zero=a1_zero), "F")):
+            sol = solve_characteristics(pde, model, symbol)
+            row.append((sol, back_substitute(sol, pde, model, seed=3)))
+        reference.append((case_id, row))
+    calls = {"solve_characteristics": 0, "back_substitute": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(characteristics, name),
+                    _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(characteristics, name, counted)
+    cases = enumerate_cases(model, seed=3)
+    assert calls == {"solve_characteristics": 6, "back_substitute": 6}
+    for case, (case_id, row) in zip(cases, reference, strict=True):
+        assert case.case_id == case_id
+        for (sol, check), got_sol, got_check in zip(
+                row, (case.diffusion, case.gamma),
+                (case.diffusion_check, case.gamma_check)):
+            assert to_text(got_sol.expression) == to_text(sol.expression)
+            assert got_sol == sol
+            assert got_check == check
+    enumerate_cases(model, verify=False)
+    assert calls == {"solve_characteristics": 12, "back_substitute": 6}
 
 
 def test_case_constraint_sets(model):

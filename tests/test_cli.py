@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fluxsym
 from fluxsym.cli import main
 
 
@@ -124,6 +129,8 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["verify", "--case", "D", "--nr", "2"],
     ["simulate", "--bc-left", "foo"],
     ["simulate", "--bc-left", "dirichlet:abc"],
+    ["simulate", "--bc-left", "dirichlet:nan"],
+    ["simulate", "--bc-right", "dirichlet:inf"],
     ["simulate", "--D", "1/"],
     ["simulate", "--D", "H(r)"],
     ["simulate", "--D", "a1"],
@@ -133,6 +140,7 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["simulate", "--v", "nan"],
     ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
     ["verify", "--case", "D", "--invariance", "--eps", "0.9"],
+    ["verify", "--case", "D", "--a3", "-0.5"],
     ["verify", "--invariance"],
     ["derive", "--config", "missing.json"],
     ["derive", "--config", "invalid.json"],
@@ -152,6 +160,16 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_dirichlet_value_is_a_usage_error_of_its_flag(tmp_path, capsys,
+                                                                 value):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "simulate", "--bc-right", f"dirichlet:{value}")
+    assert exc.value.code == 2
+    assert f"argument --bc-right: bad boundary spec 'dirichlet:{value}'" in (
+        capsys.readouterr().err)
+
+
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     code = main(["cases", "--case", "A",
                  "--out", str(tmp_path / "missing" / "r.json")])
@@ -161,7 +179,6 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
     # t1 = 1 and nt = 8: the first half step is t = 1/16
     code, _ = run(tmp_path, "simulate", "--Gamma", "1/(t-1/16)",
@@ -169,6 +186,21 @@ def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "simulate: non-finite coefficient at step 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--Gamma", "1/(t-1/16)", "--nr", "8", "--nt", "8"],
+     "simulate: non-finite coefficient at step 0"),
+    (["verify", "--case", "B", "--invariance", "--refine", "2"],
+     "verify: D must be positive and finite on the grid"),
+], ids=["simulate-gamma-pole", "verify-case-B-invariance"])
+def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
+    # in a fresh process, so that numpy's RuntimeWarnings would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "fluxsym.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == message + "\n"
 
 
 def test_simulate_writes_csv_and_sidecar(tmp_path):

@@ -293,6 +293,62 @@ def test_material_residual_constant_diffusion():
     assert res["res_D"] == pytest.approx(1.0, rel=1e-12)
 
 
+def _material_residual_on_a_meshgrid(material, params, grid):
+    """material_residual with the materials evaluated on full meshgrids."""
+    a = params.a
+    r = grid.r_nodes[1:-1]
+    t = grid.t_nodes[1:-1]
+    r = r[:: max(1, len(r) // 256)]
+    t = t[:: max(1, len(t) // 256)]
+    rr, tt = np.meshgrid(r, t)
+    hr, ht = 0.5 * grid.dr, 0.5 * grid.dt
+
+    def residual(f, weight):
+        f_r = (f(rr + hr, tt) - f(rr - hr, tt)) / (2 * hr)
+        f_t = (f(rr, tt + ht) - f(rr, tt - ht)) / (2 * ht)
+        base = f(rr, tt)
+        res = ((a["a1"] + a["a2"] * rr) * f_r
+               + (a["a3"] + a["a4"] * tt) * f_t
+               + weight * base)
+        scale = np.max(np.abs(base))
+        return float(np.max(np.abs(res)) / (scale if scale > 0 else 1.0))
+
+    return {"res_D": residual(material.D, -(2 * a["a2"] - a["a4"])),
+            "res_Gamma": residual(material.Gamma, a["a4"])}
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C", "D", "E", "F", "closed form"])
+def test_material_residual_on_broadcast_axes_matches_a_meshgrid(case):
+    # 600 x 520 cells: both axes are subsampled to at most 256 nodes
+    from fluxsym.cli import _case_materials
+    grid = GridSpec(0.5, 1.5, 1.0, 600, 520)
+    if case == "closed form":
+        a = dict(CASE_D_A)
+        material = case_d_material()
+    else:
+        a = {"a1": 0.3, "a2": 1.0, "a3": 0.5, "a4": 1.5, "a6": 0.1}
+        a["a8"] = a["a6"] - a["a2"]
+        material, _ = _case_materials(case, a, 0.7, Model())
+    params = TransformParams(0.02, a)
+    assert (material_residual(material, params, grid)
+            == _material_residual_on_a_meshgrid(material, params, grid))
+
+
+@pytest.mark.parametrize("name", ["D", "Gamma"])
+def test_material_residual_rejects_a_non_finite_material(name):
+    # 2t - 1/2 changes sign inside the domain: the power of a negative base
+    # is nan, and a nan residual must not read as a pass
+    def pole(r, t):
+        t = np.asarray(t, float)
+        return (2.0 * t - 0.5) ** -0.5 * np.ones(
+            np.broadcast_shapes(np.shape(r), t.shape))
+    materials = {"D": constant(0.5), "Gamma": constant(0.0), name: pole}
+    material = MaterialModel(D=materials["D"], Gamma=materials["Gamma"])
+    with pytest.raises(SolverError, match=f"^{name} "):
+        material_residual(material, TransformParams(0.02, CASE_D_A),
+                          GridSpec(0.5, 1.5, 1.0, 32, 32))
+
+
 # --- finite transformations ----------------------------------------------------
 
 def test_transform_constraints_enforced():
@@ -475,6 +531,55 @@ def test_invariance_solves_each_level_once(monkeypatch):
     field = solve_pde(grid, case_d_material(), ic, ZERO_GRAD)
     assert rep.eps_half_residual == max_interior_residual(
         transform_field(field, TransformParams(0.01, CASE_D_A)))
+
+
+def _invariance_by_fields(grid, material, p, ic, bc, refinements):
+    """invariance_residual with each residual building its own stencil."""
+    levels, residuals, base_residuals = [], [], []
+    clipped = 0.0
+    f0 = solve_pde(grid, material, ic, bc)
+    g = grid
+    for _ in range(refinements):
+        f = f0 if g is grid else solve_pde(g, material, ic, bc)
+        tf = transform_field(f, p)
+        levels.append((g.n_r, g.n_t))
+        residuals.append(max_interior_residual(tf))
+        base_residuals.append(max_interior_residual(f))
+        clipped = tf.transform["clipped_fraction"]
+        g = g.refined()
+    eps_half = max_interior_residual(
+        transform_field(f0, TransformParams(p.eps / 2, p.a)))
+    return numerics.InvarianceReport(
+        levels=tuple(levels), residuals=tuple(residuals),
+        ratios=tuple(residuals[i] / residuals[i + 1]
+                     for i in range(len(residuals) - 1)),
+        base_residuals=tuple(base_residuals), eps_half_residual=eps_half,
+        clipped_fraction=clipped)
+
+
+@pytest.mark.parametrize("refinements, stencils", [(0, (2, 2)), (1, (2, 4)),
+                                                   (4, (8, 13))])
+def test_invariance_shares_each_grids_stencil(monkeypatch, refinements, stencils):
+    # one stencil per solve and one per grid's residuals, against one per
+    # solve and one per residual
+    calls = []
+    stencil = numerics._stencil
+
+    def counted(*args):
+        calls.append(args[0])
+        return stencil(*args)
+
+    monkeypatch.setattr(numerics, "_stencil", counted)
+    grid = GridSpec(0.5, 1.5, 1.0, 12, 10)
+    ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
+    p = TransformParams(0.02, CASE_D_A)
+    shared = invariance_residual(grid, case_d_material(), p, ic, ZERO_GRAD,
+                                 refinements=refinements)
+    assert len(calls) == stencils[0]
+    del calls[:]
+    assert shared == _invariance_by_fields(grid, case_d_material(), p, ic,
+                                           ZERO_GRAD, refinements)
+    assert len(calls) == stencils[1]
 
 
 def test_invariance_case_d_refinement():
