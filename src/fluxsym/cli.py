@@ -98,6 +98,28 @@ def _geometry(text):
     return int(text) if text.isdecimal() else text
 
 
+def _finite(text):
+    """A float flag that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_finite(text):
+    """A float flag that must be positive and finite (a tolerance: NaN
+    would pass every comparison against it)."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}")
+    return value
+
+
 def _boundary(text):
     """A --bc-left/--bc-right value: (the flag text, the solver's spec)."""
     if text == "zero_gradient":
@@ -308,85 +330,111 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluxsym",
-        description="Translation/scaling symmetry analysis of the "
-                    "time-dependent monoenergetic neutron diffusion equation")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_arguments(p):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--json", action="store_true",
+                   help="print the JSON report to stdout")
+    p.add_argument("--config", default=None,
+                   help="JSON config merged under explicit flags")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--json", action="store_true",
-                       help="print the JSON report to stdout")
-        p.add_argument("--config", default=None,
-                       help="JSON config merged under explicit flags")
 
-    p = sub.add_parser("derive", help="derive and audit the determining equations")
-    common(p)
+def _derive_arguments(p):
     p.add_argument("--n", dest="geometry", type=_geometry,
                    choices=("symbolic", 0, 1, 2), default="symbolic",
                    help="geometry index: symbolic, 0, 1 or 2")
     p.add_argument("--strict-audit", action="store_true",
                    help="exit 3 when any audit row is not reproduced/implied")
 
-    p = sub.add_parser("cases", help="enumerate the six material-family cases")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-10,
+
+def _cases_arguments(p):
+    p.add_argument("--tol", type=_positive_finite, default=1e-10,
                    help="relative tolerance of the numeric back-substitution")
     p.add_argument("--case", choices=sorted(CASE_CONSTRAINTS), default=None)
 
-    p = sub.add_parser("verify", help="closure, material and invariance checks")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-6,
+
+def _verify_arguments(p):
+    p.add_argument("--tol", type=_positive_finite, default=1e-6,
                    help="tolerance of the material residuals")
     p.add_argument("--closure", action="store_true")
     p.add_argument("--case", choices=sorted(CASE_CONSTRAINTS), default=None)
     p.add_argument("--invariance", action="store_true")
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=1.0)
-    p.add_argument("--a3", type=float, default=0.0)
-    p.add_argument("--a4", type=float, default=2.0)
-    p.add_argument("--a6", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.02)
-    p.add_argument("--amplitude", type=float, default=0.5,
+    p.add_argument("--a1", type=_finite, default=0.0)
+    p.add_argument("--a2", type=_finite, default=1.0)
+    p.add_argument("--a3", type=_finite, default=0.0)
+    p.add_argument("--a4", type=_finite, default=2.0)
+    p.add_argument("--a6", type=_finite, default=0.0)
+    p.add_argument("--eps", type=_finite, default=0.02)
+    p.add_argument("--amplitude", type=_finite, default=0.5,
                    help="scale of the sampled arbitrary functions")
-    p.add_argument("--r0", type=float, default=0.5)
-    p.add_argument("--r1", type=float, default=1.5)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--r0", type=_finite, default=0.5)
+    p.add_argument("--r1", type=_finite, default=1.5)
+    p.add_argument("--t1", type=_finite, default=1.0)
     p.add_argument("--nr", type=int, default=40)
     p.add_argument("--nt", type=int, default=40)
     p.add_argument("--refine", type=int, default=3)
 
-    p = sub.add_parser("simulate", help="solve the diffusion equation, export CSV")
-    common(p)
+
+def _simulate_arguments(p):
     p.add_argument("--n", dest="geometry", type=int, choices=(0, 1, 2),
                    default=0, help="geometry index 0, 1 or 2")
     p.add_argument("--D", dest="diffusion", default="1/2",
                    help="diffusion coefficient D(r, t) in the kernel grammar")
     p.add_argument("--Gamma", dest="gamma", default="0",
                    help="production coefficient Gamma(r, t)")
-    p.add_argument("--v", dest="speed", type=float, default=1.0)
+    p.add_argument("--v", dest="speed", type=_finite, default=1.0)
     p.add_argument("--initial", default="1 + r*0",
                    help="initial flux profile phi(r)")
     p.add_argument("--bc-left", type=_boundary, default="zero_gradient")
     p.add_argument("--bc-right", type=_boundary, default="zero_gradient")
-    p.add_argument("--r0", type=float, default=0.0)
-    p.add_argument("--r1", type=float, default=1.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--r0", type=_finite, default=0.0)
+    p.add_argument("--r1", type=_finite, default=1.0)
+    p.add_argument("--t1", type=_finite, default=1.0)
     p.add_argument("--nr", type=int, default=32)
     p.add_argument("--nt", type=int, default=32)
     p.add_argument("--csv", default=None)
 
+
+# command -> (its help line, the function adding its own arguments)
+COMMANDS = {
+    "derive": ("derive and audit the determining equations", _derive_arguments),
+    "cases": ("enumerate the six material-family cases", _cases_arguments),
+    "verify": ("closure, material and invariance checks", _verify_arguments),
+    "simulate": ("solve the diffusion equation, export CSV", _simulate_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fluxsym parser.  Every command is listed, but only `command`
+    gets its arguments (every command when None): argparse builds a help
+    formatter for each argument it adds, which costs more than a short
+    command's own work."""
+    parser = argparse.ArgumentParser(
+        prog="fluxsym",
+        description="Translation/scaling symmetry analysis of the "
+                    "time-dependent monoenergetic neutron diffusion equation")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            _common_arguments(p)
+            add_arguments(p)
     return parser
+
+
+def _running_command(argv) -> str | None:
+    """The command named in `argv`: its first word that is not an option
+    (the top-level parser takes no option but --help)."""
+    return next((word for word in argv if not word.startswith("-")), None)
 
 
 def main(argv=None) -> int:
     """Run one command.  Argparse exits 2 on a usage error; a typed error
     raised by the command, or an OSError such as an unwritable --out or
     --csv path, is printed as one line and returns 2."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_running_command(argv))
     args = parser.parse_args(argv)
     if args.config is not None:
         command = _subcommands(parser)[args.command]

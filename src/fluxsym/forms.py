@@ -12,6 +12,7 @@ coefficients, zero coefficients pruned.  Forms are immutable values.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -172,11 +173,12 @@ def section(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
             for name in ("phi", "w", "D", "Gamma")}
     terms = []
     for key, coef in alpha.coefficients:
-        term = scalar_form(coef)
-        for i in key:
-            name = SLOTS[i]
-            term = wedge(term, repl[name] if name in repl else d_slot(name))
-        terms.extend(term.coefficients)
+        # the sectioned basis of the slot key, with unit coefficient, so
+        # that one wedge multiplies the coefficient in
+        basis = functools.reduce(wedge, [
+            repl[SLOTS[i]] if SLOTS[i] in repl else d_slot(SLOTS[i])
+            for i in key])
+        terms.extend(wedge(scalar_form(coef), basis).coefficients)
     return DifferentialForm.build(alpha.degree, terms)
 
 

@@ -11,15 +11,15 @@ ground truth; the published set is reference data graded by the audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import published
 from .forms import (
-    DifferentialForm, build_mu1, build_mu2, build_mu3, d_slot, exterior_d,
+    DifferentialForm, build_mu1, build_mu2, build_mu3, exterior_d,
     scalar_form, section, wedge, SLOTS,
 )
 from .kernel import (
-    Add, Expr, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
+    Add, Expr, MINUS_ONE, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
     affine_coefficients, apply_derivation, as_expr, collect_by,
     clear_denominators, differentiate, free_symbols, is_zero,
     linear_combination, normalize, poly_div_exact, sign_normalize,
@@ -111,14 +111,18 @@ def lie_form(gen: Generator, alpha: DifferentialForm, model: Model) -> Different
     terms = []
     for key, coef in alpha.coefficients:
         terms.append((key, lie_scalar(gen, coef, model)))
+        f = scalar_form(coef)
         for i, slot in enumerate(key):
             if slot not in d_chi:
                 chi_q = lie_scalar(gen, Sym(SLOTS[slot]), model)
                 d_chi[slot] = exterior_d(scalar_form(chi_q), table)
-            term = scalar_form(coef)
-            for j, other in enumerate(key):
-                term = wedge(term, d_chi[slot] if j == i else d_slot(SLOTS[other]))
-            terms.extend(term.coefficients)
+            # the basis form with slot i replaced by d(chi(q_i)): its
+            # coefficients are those of d(chi(q_i)), so one wedge
+            # multiplies the coefficient in
+            basis = DifferentialForm.build(alpha.degree, [
+                (key[:i] + k + key[i + 1:], c)
+                for k, c in d_chi[slot].coefficients])
+            terms.extend(wedge(f, basis).coefficients)
     return DifferentialForm.build(alpha.degree, terms)
 
 
@@ -157,7 +161,10 @@ def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSol
                 f"unsolvable multiplier match for {name}: pivot {label} "
                 f"coefficient {to_text(pivot_coef)} is not a monomial")
         lam = normalize(Mul((remainder.get(*pivot), inv)))
-        remainder = remainder - form.scale(lam)
+        # remainder - lam*form, each coefficient normalized once
+        remainder = DifferentialForm.build(remainder.degree, [
+            *remainder.coefficients,
+            *((key, Mul((MINUS_ONE, lam, c))) for key, c in form.coefficients)])
         multipliers.append((name, label, lam))
     residuals = tuple((_basis_label(key), coef)
                       for key, coef in remainder.coefficients)
@@ -217,6 +224,10 @@ class DeterminingSystem:
     generator_final: dict
     assumptions: tuple
     notes: tuple
+    # the geometry branches of an expression modulo this system (see
+    # `_branch_reducer`), built once per derivation and shared by the
+    # self-consistency check and the audit; not part of the system's value
+    branches: object = field(compare=False, repr=False)
     unknown_verdicts: int = 0
 
 
@@ -228,14 +239,19 @@ def eliminate_jets(e: Expr, relations, table: SymbolTable):
     """Subtract multiples of the relations to remove their leading jets from
     `e`.  relations: ((jet name, equation), ...); multipliers must divide
     exactly (they always do here: the residuals are jet-linear)."""
+    return _eliminate(e, tuple((jet, relation, _coefficient_of(relation, jet))
+                               for jet, relation in relations))
+
+
+def _eliminate(e: Expr, relations):
+    """`eliminate_jets` over ((jet name, equation, its jet coefficient), ...)."""
     out = normalize(as_expr(e))
     used = []
-    for jet, relation in relations:
+    for jet, relation, c_rel in relations:
         c_e = _coefficient_of(out, jet)
         if c_e == ZERO:
             used.append(ZERO)
             continue
-        c_rel = _coefficient_of(relation, jet)
         mult = poly_div_exact(c_e, c_rel)
         if mult is None:
             raise DerivationError(
@@ -255,30 +271,29 @@ def _reducer(diffusion_pde: Expr, gamma_pde: Expr, a8_solution: Expr,
              table: SymbolTable):
     """The map reducing an expression modulo the derived system: the
     material conditions eliminate the jets D_t, D_rt and Gamma_t, then the
-    link constraints are imposed."""
-    relations = (
-        ("D_t", diffusion_pde),
-        ("D_rt", sign_normalize(differentiate(diffusion_pde, "r", table))),
-        ("Gamma_t", gamma_pde),
-    )
+    link constraints are imposed.  The relations' jet coefficients are
+    taken here, once for every expression the map reduces."""
+    relations = tuple(
+        (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
+            ("D_t", diffusion_pde),
+            ("D_rt", sign_normalize(differentiate(diffusion_pde, "r", table))),
+            ("Gamma_t", gamma_pde)))
 
     def reduce(e: Expr) -> Expr:
-        reduced, _ = eliminate_jets(e, relations, table)
+        reduced, _ = _eliminate(e, relations)
         return _impose_links(reduced, a8_solution, table)
     return reduce
 
 
-def _branch_reducer(system: DeterminingSystem, table: SymbolTable):
+def _branch_reducer(reduce, geometry_lock: Expr | None, geometry_mode,
+                    table: SymbolTable):
     """The map from an expression to its geometry branches modulo the
-    derived system (n = 0 or a1 = 0 under the symbolic geometry lock, a1 = 0
-    under a literal one); the expression is implied iff every branch
-    vanishes."""
-    a8_equation = next(c.equation for c in system.constraints if c.name == "a8")
-    reduce = _reducer(system.diffusion_pde, system.gamma_pde,
-                      solve_linear(a8_equation, "a8"), table)
+    derived system, whose `_reducer` is `reduce` (n = 0 or a1 = 0 under the
+    symbolic geometry lock, a1 = 0 under a literal one); the expression is
+    implied iff every branch vanishes."""
     pins = []
-    if system.geometry_lock is not None:
-        pins = ([{"n": ZERO}, {"a1": ZERO}] if system.geometry_mode == "symbolic"
+    if geometry_lock is not None:
+        pins = ([{"n": ZERO}, {"a1": ZERO}] if geometry_mode == "symbolic"
                 else [{"a1": ZERO}])
 
     def branches(e: Expr) -> list:
@@ -397,6 +412,7 @@ def extract_determining(model: Model, geometry_mode="symbolic",
             "multiplier without any w dependence; the w-split of the dt∧dr "
             "residual then forces it to vanish",
         ),
+        branches=_branch_reducer(reduce, geometry_lock, geometry_mode, table),
     )
     check_self_consistency(system, model, seed)
     return system
@@ -407,9 +423,8 @@ def check_self_consistency(system: DeterminingSystem, model: Model,
     """Every residual must vanish once the constraint set and the material
     conditions are imposed (branching over the geometry lock)."""
     table = model.table
-    branches = _branch_reducer(system, table)
     for eq in system.residual_equations:
-        for b in branches(eq.expression):
+        for b in system.branches(eq.expression):
             v = is_zero(b, table, seed=seed)
             if v != ZeroVerdict.ZERO:
                 raise DerivationError(
@@ -463,6 +478,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
         e = parse(text, table)
         return substitute(e, literal, table) if literal else e
 
+    # the engine's equations and their consequences, each canonicalized once
     primary = {
         "w_translation": Sym("a7"),
         "w_scaling_link": next(c.equation for c in system.constraints
@@ -474,12 +490,13 @@ def audit_against_published(system: DeterminingSystem, model: Model,
     }
     if system.geometry_lock is not None:
         primary["geometry_translation_lock"] = system.geometry_lock
+    primary = {key: canon(e) for key, e in primary.items()}
+    second_order = canon(system.diffusion_second_order)
     consequences = {
-        "diffusion_second_order": system.diffusion_second_order,
-        "diffusion_second_order_reduced": system.diffusion_second_order,
+        "diffusion_second_order": second_order,
+        "diffusion_second_order_reduced": second_order,
     }
 
-    branches = _branch_reducer(system, table)
     unknown = 0
     rows = []
     for identifier, text in published.DETERMINING_EQUATIONS.items():
@@ -489,18 +506,19 @@ def audit_against_published(system: DeterminingSystem, model: Model,
                                  note="vacuous at this geometry index"))
             continue
         engine = primary.get(identifier)
-        if engine is not None and canon(engine) == printed:
-            rows.append(AuditRow(identifier, text, to_text(canon(engine)),
+        if engine is not None and engine == printed:
+            rows.append(AuditRow(identifier, text, to_text(engine),
                                  "reproduced"))
             continue
         conseq = consequences.get(identifier)
-        if conseq is not None and canon(conseq) == printed:
+        if conseq is not None and conseq == printed:
             rows.append(AuditRow(
-                identifier, text, to_text(canon(conseq)), "implied",
+                identifier, text, to_text(conseq), "implied",
                 note="r-derivative of the first-order diffusion condition "
                      "under the w-scaling link"))
             continue
-        verdicts = [is_zero(b, table, seed=seed) for b in branches(printed)]
+        verdicts = [is_zero(b, table, seed=seed)
+                    for b in system.branches(printed)]
         if any(v == ZeroVerdict.UNKNOWN for v in verdicts):
             unknown += 1
             rows.append(AuditRow(identifier, text, None, "discrepant",
@@ -509,7 +527,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
             rows.append(AuditRow(identifier, text, None, "implied",
                                  note="vanishes under the derived system"))
         elif engine is not None:
-            rows.append(AuditRow(identifier, text, to_text(canon(engine)),
+            rows.append(AuditRow(identifier, text, to_text(engine),
                                  "discrepant",
                                  note="conflicts with the derived equation"))
         else:

@@ -132,7 +132,8 @@ class GridSpec:
             raise ValueError("geometry index must be 0, 1 or 2")
         if self.n_r < 4 or self.n_t < 4:
             raise ValueError("need at least 4 cells in r and t")
-        if self.r0 < 0 or self.r1 <= self.r0 or self.t1 <= 0:
+        if (not all(map(math.isfinite, (self.r0, self.r1, self.t1)))
+                or self.r0 < 0 or self.r1 <= self.r0 or self.t1 <= 0):
             raise ValueError("bad domain bounds")
         # built once and shared by every caller, hence read-only
         for name, nodes in (("_r_nodes", np.linspace(self.r0, self.r1, self.n_r + 1)),
@@ -467,13 +468,22 @@ def discrete_residual(f: Field, stencil=None) -> np.ndarray:
     inner /= 2 * grid.dt * f.material.v
     inner -= diffusion
     inner -= gamma[:, 1:-1] * mid
-    if f.valid is not None:
-        # centered stencils touch the 8 neighbours: require them all valid
-        ok = f.valid.copy()
-        ok[1:-1, 1:-1] &= (f.valid[:-2, 1:-1] & f.valid[2:, 1:-1]
-                           & f.valid[1:-1, :-2] & f.valid[1:-1, 2:])
+    ok = _residual_mask(f)
+    if ok is not None:
         res[~ok] = np.nan
     return res
+
+
+def _residual_mask(f: Field):
+    """Where the discrete residual of an interpolated field is defined: the
+    valid nodes whose centered stencil (the 4 neighbours) is valid too.
+    None for a field without a `valid` mask."""
+    if f.valid is None:
+        return None
+    ok = f.valid.copy()
+    ok[1:-1, 1:-1] &= (f.valid[:-2, 1:-1] & f.valid[2:, 1:-1]
+                       & f.valid[1:-1, :-2] & f.valid[1:-1, 2:])
+    return ok
 
 
 def max_interior_residual(f: Field, stencil=None) -> float:
@@ -483,7 +493,9 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     An _INTERIOR_MARGIN fraction of the domain is trimmed from every side
     so boundary and startup layers do not mask the convergence behaviour.
     The window is defined by node values (not index counts), so refined
-    grids measure the same physical region.
+    grids measure the same physical region.  Only the nodes outside an
+    interpolated field's valid region are left out; any other non-finite
+    residual (a pole of the material on a node) is a SolverError.
     """
     grid = f.grid
     res = discrete_residual(f, stencil=stencil)
@@ -495,8 +507,16 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     tiny = 1e-12
     rows = (t >= t_lo - tiny) & (t <= t_hi + tiny)
     cols = (r >= r_lo - tiny) & (r <= r_hi + tiny)
-    vals = res[np.ix_(rows, cols)]
-    vals = vals[np.isfinite(vals)]
+    window = np.ix_(rows, cols)
+    vals = res[window]
+    ok = _residual_mask(f)
+    keep = np.ones(vals.shape, bool) if ok is None else ok[window]
+    bad = keep & ~np.isfinite(vals)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SolverError(f"non-finite discrete residual at "
+                          f"t = {t[rows][i]:g}, r = {r[cols][j]:g}")
+    vals = vals[keep]
     if vals.size == 0:
         raise SolverError("no interior points survive the overlap mask")
     scale = np.nanmax(np.abs(f.phi))

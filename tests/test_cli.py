@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fluxsym
-from fluxsym.cli import main
+from fluxsym.cli import COMMANDS, _subcommands, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -160,6 +160,38 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "B", "--a1", "0.5", "--a3", "1", "--tol", "nan"],
+    ["verify", "--tol", "0"],
+    ["verify", "--tol=-1e-6"],
+    ["verify", "--tol", "inf"],
+    ["cases", "--tol", "nan"],
+    ["cases", "--tol", "0"],
+    ["verify", "--eps", "nan"],
+    ["verify", "--amplitude", "inf"],
+    ["verify", "--a1", "nan"],
+    ["verify", "--a2", "inf"],
+    ["verify", "--a3=-inf"],
+    ["verify", "--a4", "nan"],
+    ["verify", "--a6", "nan"],
+    ["verify", "--r0", "nan"],
+    ["verify", "--r1", "inf"],
+    ["verify", "--t1", "nan"],
+    ["simulate", "--r0", "nan"],
+    ["simulate", "--r1", "nan"],
+    ["simulate", "--t1", "inf"],
+    ["simulate", "--v", "inf"],
+    ["simulate", "--v", "abc"],
+], ids=" ".join)
+def test_a_bad_number_is_a_usage_error_of_its_flag(tmp_path, capsys, argv):
+    # a NaN tolerance would pass every check (max(...) > nan is False)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    flag = argv[-1].partition("=")[0] if "=" in argv[-1] else argv[-2]
+    assert f"argument {flag}: expected a " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_dirichlet_value_is_a_usage_error_of_its_flag(tmp_path, capsys,
                                                                  value):
@@ -193,7 +225,12 @@ def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
      "simulate: non-finite coefficient at step 0"),
     (["verify", "--case", "B", "--invariance", "--refine", "2"],
      "verify: D must be positive and finite on the grid"),
-], ids=["simulate-gamma-pole", "verify-case-B-invariance"])
+    # a pole on a grid row, which the half-step solver never evaluates
+    (["simulate", "--Gamma", "1/(1000*t-500)", "--nr", "8", "--nt", "8",
+      "--json"],
+     "simulate: non-finite discrete residual at t = 0.5, r = 0.25"),
+], ids=["simulate-gamma-pole", "verify-case-B-invariance",
+        "simulate-gamma-pole-on-a-node"])
 def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
     # in a fresh process, so that numpy's RuntimeWarnings would reach stderr
     env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
@@ -286,6 +323,8 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
                          (["simulate"], {"nt": None}),
                          (["verify"], {"case": "Z"}),
                          (["verify"], {"closure": "yes"}),
+                         (["verify"], {"tol": float("nan")}),
+                         (["cases"], {"tol": 0}),
                          (["derive"], {"geometry": 5}),
                          (["simulate"], {"bc_left": "foo"})):
         config.write_text(json.dumps(bad))
@@ -306,3 +345,37 @@ def test_derive_seed_reaches_the_zero_tests(tmp_path, monkeypatch):
     monkeypatch.setattr(isovector, "is_zero", recording)
     assert main(["derive", "--seed", "7", "--out", str(tmp_path / "r.json")]) == 0
     assert seeds and set(seeds) == {7}
+
+
+def _full_parser_text(capsys, argv):
+    """(stdout, stderr, exit code) of the parser holding every command's
+    arguments, on `argv`."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["derive", "--help"], ["cases", "--help"],
+    ["verify", "--help"], ["simulate", "--help"], [], ["nosuch"],
+    ["derive", "--n", "5"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_the_running_command_parser_reads_as_the_full_one(monkeypatch, capsys,
+                                                           argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _full_parser_text(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (out, err, exc.value.code) == expected
+
+
+def test_only_the_running_command_gets_its_arguments():
+    parser = build_parser("derive")
+    options = {name: [a.dest for a in p._actions]
+               for name, p in _subcommands(parser).items()}
+    assert options.keys() == COMMANDS.keys()
+    assert "geometry" in options["derive"]
+    for name in ("cases", "verify", "simulate"):
+        assert options[name] == ["help"]

@@ -16,8 +16,9 @@ def form_of(degree, *terms):
     return DifferentialForm.build(degree, terms)
 
 
-def random_form(rng, degree, names=("r", "t", "phi", "w", "D")):
-    slots = list(BASE_SLOTS)
+def random_form(rng, degree, names=("r", "t", "phi", "w", "D"),
+                slots=BASE_SLOTS):
+    slots = list(slots)
     terms = []
     for _ in range(rng.randint(1, 3)):
         picked = tuple(rng.sample(slots, degree))
@@ -182,6 +183,35 @@ def test_section_is_wedge_homomorphism(model):
         lhs = section(wedge(alpha, beta), table)
         rhs = wedge(section(alpha, table), section(beta, table))
         assert lhs.coefficients == rhs.coefficients
+
+
+def _section_by_wedge_chain(alpha, table):
+    """Reference: section each term by wedging its coefficient with one
+    sectioned differential at a time."""
+    repl = {name: form_of(1, (("r",), table.jet(name, 1, 0)),
+                          (("t",), table.jet(name, 0, 1)))
+            for name in ("phi", "w", "D", "Gamma")}
+    terms = []
+    for key, coef in alpha.coefficients:
+        term = scalar_form(coef)
+        for i in key:
+            name = SLOTS[i]
+            term = wedge(term, repl[name] if name in repl else d_slot(name))
+        terms.extend(term.coefficients)
+    return DifferentialForm.build(alpha.degree, terms)
+
+
+def test_section_matches_the_wedge_chain(model):
+    table = model.table
+    rng = random.Random(41)
+    forms = [build_mu1(model, n, r_multiplied=rm)
+             for n in (model.n, 0, 1, 2) for rm in (False, True)]
+    forms += [build_mu2(model), build_mu3(model)]
+    forms += [random_form(rng, degree, slots=SLOTS)
+              for degree in (1, 2, 3) for _ in range(60)]
+    for alpha in forms:
+        assert (section(alpha, table).coefficients
+                == _section_by_wedge_chain(alpha, table).coefficients)
 
 
 def test_annul_rejects_unsectioned_form(model):

@@ -1,9 +1,12 @@
 import random
+import sys
 
 import pytest
 
+from fluxsym import isovector, published
 from fluxsym.forms import (
-    build_mu1, build_mu2, build_mu3, d_slot, exterior_d, scalar_form,
+    DifferentialForm, SLOTS, build_mu1, build_mu2, build_mu3, d_slot,
+    exterior_d, scalar_form, wedge,
 )
 from fluxsym.isovector import (
     DerivationError, Generator, audit_against_published, closure_check,
@@ -11,8 +14,8 @@ from fluxsym.isovector import (
     solve_linear, strip_coordinates,
 )
 from fluxsym.kernel import (
-    Mul, Rat, Sym, ZERO, ZeroVerdict, differentiate, is_zero, normalize,
-    sign_normalize, substitute, to_text,
+    Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, differentiate, is_zero, normalize,
+    poly_div_exact, sign_normalize, substitute, to_text,
 )
 from fluxsym.parser import parse
 
@@ -100,7 +103,79 @@ def test_lie_form_linear(model, gen):
         assert lhs.coefficients == rhs.coefficients
 
 
+def _lie_form_by_wedge_chain(gen, alpha, model):
+    """Reference: each replaced-slot term as a chain of wedges starting from
+    the coefficient."""
+    table = model.table
+    terms = []
+    for key, coef in alpha.coefficients:
+        terms.append((key, lie_scalar(gen, coef, model)))
+        for i, slot in enumerate(key):
+            chi_q = lie_scalar(gen, Sym(SLOTS[slot]), model)
+            d_chi = exterior_d(scalar_form(chi_q), table)
+            term = scalar_form(coef)
+            for j, other in enumerate(key):
+                term = wedge(term, d_chi if j == i else d_slot(SLOTS[other]))
+            terms.extend(term.coefficients)
+    return DifferentialForm.build(alpha.degree, terms)
+
+
+def _system_forms(model):
+    """mu1 and r*mu1 at every geometry index, mu2 and mu3."""
+    forms = [build_mu1(model, model.geometry_index(mode), r_multiplied=rm)
+             for mode in ("symbolic", 0, 1, 2) for rm in (False, True)]
+    return forms + [build_mu2(model), build_mu3(model)]
+
+
+def test_lie_form_matches_the_wedge_chain(model, gen):
+    from test_forms import random_form
+    rng = random.Random(47)
+    names = ("r", "t", "phi", "w", "D", "Gamma", "a1", "v")
+    forms = _system_forms(model) + [
+        random_form(rng, degree, names, slots=SLOTS)
+        for degree in (1, 2, 3) for _ in range(40)]
+    for alpha in forms:
+        assert (lie_form(gen, alpha, model).coefficients
+                == _lie_form_by_wedge_chain(gen, alpha, model).coefficients)
+
+
 # --- ideal reduction --------------------------------------------------------
+
+def _ideal_reduce_in_three_steps(lie_mu, basis):
+    """Reference: (multipliers, remainder) with each subtraction written as
+    remainder - form.scale(lam)."""
+    remainder = lie_mu
+    multipliers = []
+    for _, form, pivot in basis:
+        inv = poly_div_exact(ONE, form.get(*pivot))
+        lam = normalize(Mul((remainder.get(*pivot), inv)))
+        remainder = remainder - form.scale(lam)
+        multipliers.append(lam)
+    return multipliers, remainder
+
+
+def test_ideal_reduce_matches_the_three_step_subtraction(model, gen):
+    from test_forms import random_form
+    rng = random.Random(53)
+    mu3_basis = (("mu3", build_mu3(model), ("t", "D")),)
+    cases = []
+    for mode in ("symbolic", 0, 1, 2):
+        geometry = model.geometry_index(mode)
+        r_mu1 = build_mu1(model, geometry, r_multiplied=True)
+        basis = (("r*mu1", r_mu1, ("r", "phi")),
+                 ("mu2", build_mu2(model), ("t", "phi")))
+        cases += [(lie_form(gen, r_mu1, model), basis),
+                  (lie_form(gen, build_mu2(model), model), basis)]
+        cases += [(random_form(rng, 2), basis) for _ in range(20)]
+    cases.append((lie_form(gen, build_mu3(model), model), mu3_basis))
+    cases += [(random_form(rng, 2, slots=SLOTS), mu3_basis)
+              for _ in range(20)]
+    for lie_mu, basis in cases:
+        solve = ideal_reduce(lie_mu, basis, model)
+        multipliers, remainder = _ideal_reduce_in_three_steps(lie_mu, basis)
+        assert [lam for _, _, lam in solve.multipliers] == multipliers
+        assert solve.residual_form.coefficients == remainder.coefficients
+
 
 def test_ideal_reduce_mu2(model, gen):
     basis = standard_basis(model)
@@ -313,6 +388,83 @@ def test_derive_and_audit_take_each_lie_derivative_once(model, monkeypatch):
     audit_against_published(system, model)
     assert forms == [build_mu1(model, model.n, r_multiplied=True),
                      build_mu2(model)]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", 0, 1, 2])
+def test_the_shared_reducer_matches_a_fresh_one(model, mode):
+    # the branch map a derive builds once gives, for every residual equation
+    # and every printed audit row, the branches of one built from scratch
+    table = model.table
+    system = extract_determining(model, mode)
+    a8_equation = next(c.equation for c in system.constraints
+                       if c.name == "a8")
+    fresh = isovector._branch_reducer(
+        isovector._reducer(system.diffusion_pde, system.gamma_pde,
+                           solve_linear(a8_equation, "a8"), table),
+        system.geometry_lock, system.geometry_mode, table)
+    literal = ({} if mode == "symbolic"
+               else {"n": model.geometry_index(mode)})
+    printed = [sign_normalize(strip_coordinates(
+        substitute(parse(text, table), literal, table)))
+        for text in published.DETERMINING_EQUATIONS.values()]
+    expressions = [eq.expression for eq in system.residual_equations] + printed
+    for e in expressions:
+        assert system.branches(e) == fresh(e)
+
+
+def test_one_reducer_per_derive(model, monkeypatch):
+    built = []
+    real = isovector._reducer
+
+    def recording(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(isovector, "_reducer", recording)
+    system = extract_determining(model, "symbolic")
+    audit_against_published(system, model)
+    assert len(built) == 1
+
+
+def test_the_shared_reducer_is_not_part_of_the_system(model):
+    from fluxsym.reports import determining_system_payload
+    first = extract_determining(model, "symbolic")
+    second = extract_determining(model, "symbolic")
+    assert first.branches is not second.branches
+    assert first == second
+    assert "branches" not in repr(first)
+    assert determining_system_payload(first) == determining_system_payload(
+        second)
+
+
+def _count_calls(monkeypatch, module_name, function_name):
+    """Count the calls of a fluxsym function wherever a fluxsym module binds
+    it, as the benchmark's tracer does."""
+    original = getattr(sys.modules[module_name], function_name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "fluxsym" or name.startswith("fluxsym."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, function", [
+    (["derive", "--n", "symbolic"], "wedge"),
+    (["verify", "--closure"], "section"),
+])
+def test_the_forms_layer_stays_on_the_command_path(tmp_path, monkeypatch,
+                                                   argv, function):
+    # the benchmark's traced run fails when a heavy layer records no call;
+    # forms.wedge on derive and forms.section on verify --closure are two
+    from fluxsym.cli import main
+    calls = _count_calls(monkeypatch, "fluxsym.forms", function)
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert calls
 
 
 # --- closure -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,18 @@ def test_grid_validation():
         GridSpec(0.5, 0.25, 1.0, 8, 8)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1.0, 8, 8, geometry=3)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1.0, math.inf), (0.0, math.nan, 1.0), (math.nan, 1.0, 1.0),
+    (0.0, math.inf, 1.0), (0.0, 1.0, math.nan),
+])
+def test_grid_rejects_non_finite_bounds(bounds):
+    # checked before the nodes are built, so numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^bad domain bounds$"):
+            GridSpec(*bounds, 8, 8)
 
 
 def test_material_positivity_enforced():
@@ -591,6 +604,23 @@ def test_invariance_case_d_refinement():
     for ratio in rep.ratios:
         assert 2.8 <= ratio <= 5.2
     assert rep.clipped_fraction < 0.2
+
+
+def test_a_material_pole_on_a_node_is_not_dropped_from_the_residual():
+    # the solver takes Gamma at half steps only, so it never meets the pole
+    # at t = 1/2; the residual is non-finite on that row, which must not
+    # read as a small residual
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+
+    def gamma(r, t):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (1000.0 * np.asarray(t) - 500.0) * np.ones_like(
+                np.asarray(r))
+    field = solve_pde(grid, MaterialModel(D=constant(0.5), Gamma=gamma),
+                      lambda r: np.ones_like(r), ZERO_GRAD)
+    with pytest.raises(SolverError, match="^non-finite discrete residual at "
+                                          "t = 0.5, r = 0.25$"):
+        max_interior_residual(field)
 
 
 def test_invariance_zero_parameter_equals_base_residual():
