@@ -310,11 +310,11 @@ def constant_material_constraints(model: Model) -> dict:
     table = m.table
     d_pde = diffusion_condition(m)
     g_pde = gamma_condition(m)
-    d_residual = normalize(substitute(
-        d_pde.residual(m.D, m), {"D_r": ZERO, "D_t": ZERO}, table))
-    g_residual = normalize(substitute(
-        g_pde.residual(m.Gamma, m), {"Gamma_r": ZERO, "Gamma_t": ZERO}, table))
-    g_zero = normalize(substitute(g_residual, {"Gamma": ZERO}, table))
+    d_residual = substitute(
+        d_pde.residual(m.D, m), {"D_r": ZERO, "D_t": ZERO}, table)
+    g_residual = substitute(
+        g_pde.residual(m.Gamma, m), {"Gamma_r": ZERO, "Gamma_t": ZERO}, table)
+    g_zero = substitute(g_residual, {"Gamma": ZERO}, table)
     return {
         "constant_D": {
             "residual": to_text(sign_normalize(d_residual)),

@@ -198,7 +198,7 @@ def cmd_derive(args) -> int:
         for row in audit.rows:
             print(f"- {row.identifier}: {row.status}" +
                   (f" ({row.note})" if row.note else ""))
-    if audit.unknown_verdicts or system.unknown_verdicts:
+    if audit.unknown_verdicts:
         print("unknown zero-verdicts present", file=sys.stderr)
         return 2
     if args.strict_audit:
@@ -312,6 +312,8 @@ def cmd_simulate(args) -> int:
     ic_fn = compile_numeric(ic_expr, args=("r",), fns=DEFAULT_SAMPLED_FNS)
     (left, left_spec), (right, right_spec) = args.bc_left, args.bc_right
     field = solve_pde(grid, material, ic_fn, (left_spec, right_spec))
+    # a field whose residual is not finite fails here, before any file
+    residual_norm = max_interior_residual(field)
     csv_path = args.csv or "field.csv"
     export_csv(field, csv_path)
     body = {
@@ -321,7 +323,7 @@ def cmd_simulate(args) -> int:
                      "v": args.speed},
         "boundary": {"left": left, "right": right},
         "csv": csv_path,
-        "residual_norm": max_interior_residual(field),
+        "residual_norm": residual_norm,
     }
     _emit(args, "simulate", body)
     if not args.json:
@@ -395,12 +397,16 @@ def _simulate_arguments(p):
     p.add_argument("--csv", default=None)
 
 
-# command -> (its help line, the function adding its own arguments)
+# command -> (its help line, the function adding its own arguments, its handler)
 COMMANDS = {
-    "derive": ("derive and audit the determining equations", _derive_arguments),
-    "cases": ("enumerate the six material-family cases", _cases_arguments),
-    "verify": ("closure, material and invariance checks", _verify_arguments),
-    "simulate": ("solve the diffusion equation, export CSV", _simulate_arguments),
+    "derive": ("derive and audit the determining equations", _derive_arguments,
+               cmd_derive),
+    "cases": ("enumerate the six material-family cases", _cases_arguments,
+              cmd_cases),
+    "verify": ("closure, material and invariance checks", _verify_arguments,
+               cmd_verify),
+    "simulate": ("solve the diffusion equation, export CSV", _simulate_arguments,
+                 cmd_simulate),
 }
 
 
@@ -414,7 +420,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Translation/scaling symmetry analysis of the "
                     "time-dependent monoenergetic neutron diffusion equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in COMMANDS.items():
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         if command is None or command == name:
             _common_arguments(p)
@@ -440,14 +446,8 @@ def main(argv=None) -> int:
         command = _subcommands(parser)[args.command]
         command.set_defaults(**_config_defaults(command, args.config))
         args = parser.parse_args(argv)
-    handlers = {
-        "derive": cmd_derive,
-        "cases": cmd_cases,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (ParseError, KernelError, SolverError, DerivationError,
             ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .forms import (
 from .kernel import (
     Add, Expr, MINUS_ONE, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
     affine_coefficients, apply_derivation, as_expr, collect_by,
-    clear_denominators, differentiate, free_symbols, is_zero,
+    differentiate, free_symbols, is_zero,
     linear_combination, normalize, poly_div_exact, sign_normalize,
     strip_coordinates, substitute, to_text,
 )
@@ -57,7 +57,7 @@ class Generator:
         zero_map = {name: ZERO for name in pinned}
         def coef(c0, c1, coord):
             e = Add((Sym(c0), Mul((Sym(c1), coord))))
-            return normalize(substitute(e, zero_map, model.table)) if zero_map else normalize(e)
+            return substitute(e, zero_map, model.table) if zero_map else normalize(e)
         return Generator(
             xi_t=coef("a3", "a4", model.t),
             xi_r=coef("a1", "a2", model.r),
@@ -80,27 +80,16 @@ def lie_scalar(gen: Generator, f, model: Model) -> Expr:
 
 
 def _lie_symbol(s: Sym, gen: Generator, model: Model) -> Expr:
+    """chi(s): an override, a coordinate's coefficient, or else the jet
+    rule of `differentiate` along r and t."""
     for name, value in gen.overrides:
         if name == s.name:
             return as_expr(value)
-    table = model.table
-    info = table.info(s.name)
-    if info.kind == "coordinate":
+    if model.table.info(s.name).kind == "coordinate":
         return gen.coordinate_coefficient(s.name)
-    if info.kind == "arbitrary-function" and info.depends:
-        terms = [Mul((gen.coordinate_coefficient(q),
-                      table.jet(s.name, int(q == "r"), int(q == "t"))))
-                 for q in info.depends]
-        return Add(tuple(terms))
-    if info.kind == "jet":
-        base_info = table.info(info.base)
-        depends = base_info.depends or ("r", "t")
-        d_r, d_t = info.order
-        terms = [Mul((gen.coordinate_coefficient(q),
-                      table.jet(info.base, d_r + int(q == "r"), d_t + int(q == "t"))))
-                 for q in depends]
-        return Add(tuple(terms))
-    return ZERO
+    terms = tuple(Mul((gen.coordinate_coefficient(q), d)) for q in ("r", "t")
+                  if (d := differentiate(s, q, model.table)) != ZERO)
+    return Add(terms) if terms else ZERO
 
 
 def lie_form(gen: Generator, alpha: DifferentialForm, model: Model) -> DifferentialForm:
@@ -142,7 +131,7 @@ class MultiplierSolve:
     residual_form: DifferentialForm
 
 
-def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSolve:
+def ideal_reduce(lie_mu: DifferentialForm, basis) -> MultiplierSolve:
     """Match `lie_mu` against the ideal basis.
 
     basis: ((name, form, pivot slot names), ...).  Each pivot coefficient
@@ -169,12 +158,6 @@ def ideal_reduce(lie_mu: DifferentialForm, basis, model: Model) -> MultiplierSol
     residuals = tuple((_basis_label(key), coef)
                       for key, coef in remainder.coefficients)
     return MultiplierSolve(tuple(multipliers), residuals, remainder)
-
-
-def split_by_monomials(e: Expr, names=("phi", "w")) -> dict:
-    """Coefficients of the monomials in the independent coordinates; each
-    must vanish separately for the identity to hold on the manifold."""
-    return collect_by(e, tuple(names))
 
 
 # --------------------------------------------------------------------------
@@ -228,14 +211,13 @@ class DeterminingSystem:
     # `_branch_reducer`), built once per derivation and shared by the
     # self-consistency check and the audit; not part of the system's value
     branches: object = field(compare=False, repr=False)
-    unknown_verdicts: int = 0
 
 
 def _coefficient_of(e: Expr, jet_name: str) -> Expr:
     return collect_by(e, (jet_name,)).get(Sym(jet_name), ZERO)
 
 
-def eliminate_jets(e: Expr, relations, table: SymbolTable):
+def eliminate_jets(e: Expr, relations):
     """Subtract multiples of the relations to remove their leading jets from
     `e`.  relations: ((jet name, equation), ...); multipliers must divide
     exactly (they always do here: the residuals are jet-linear)."""
@@ -315,14 +297,16 @@ def extract_determining(model: Model, geometry_mode="symbolic",
     basis = (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
 
     lie_r_mu1 = lie_form(gen, r_mu1, model)
-    solve1 = ideal_reduce(lie_r_mu1, basis, model)
-    solve2 = ideal_reduce(lie_form(gen, mu2, model), basis, model)
+    solve1 = ideal_reduce(lie_r_mu1, basis)
+    solve2 = ideal_reduce(lie_form(gen, mu2, model), basis)
 
+    # each coefficient of a monomial in the independent coordinates phi, w
+    # must vanish separately for the identity to hold on the manifold
     residual_equations = []
     split_map: dict = {}
     for source, solve in (("chi(r*mu1)", solve1), ("chi(mu2)", solve2)):
         for basis_label, expr in solve.residuals:
-            for key, coef in sorted(split_by_monomials(expr).items(),
+            for key, coef in sorted(collect_by(expr, ("phi", "w")).items(),
                                     key=lambda kv: to_text(kv[0])):
                 eq = ResidualEquation(source, basis_label, to_text(key),
                                       sign_normalize(coef))
@@ -352,13 +336,13 @@ def extract_determining(model: Model, geometry_mode="symbolic",
     # second residual of the flux balance: reduced modulo the material
     # conditions and the links, the leftover is the geometry/translation lock
     reduce = _reducer(diffusion_pde, gamma_pde, a8_solution, table)
-    leftover = strip_coordinates(clear_denominators(reduce(e_lambda2)))
+    leftover = strip_coordinates(reduce(e_lambda2))
     if free_symbols(leftover) & {"D_r", "D_t", "D_rr", "D_rt"}:
         raise DerivationError(
             f"unexpected jets in the reduced flux residual: {to_text(leftover)}")
 
     # the flux-translation residual is r*Gamma*a5: check and reduce
-    a5_eq = sign_normalize(strip_coordinates(e_flux_translation))
+    a5_eq = strip_coordinates(e_flux_translation)
     a5_rest = substitute(a5_eq, {"a5": ZERO}, table)
     verdict = is_zero(a5_rest, table, seed=seed)
     if verdict == ZeroVerdict.UNKNOWN:
@@ -436,9 +420,6 @@ def check_self_consistency(system: DeterminingSystem, model: Model,
 # Audit against the published set
 # --------------------------------------------------------------------------
 
-AUDIT_STATUSES = ("reproduced", "implied", "not-derivable", "discrepant")
-
-
 @dataclass(frozen=True)
 class AuditRow:
     identifier: str
@@ -471,9 +452,6 @@ def audit_against_published(system: DeterminingSystem, model: Model,
     if system.geometry_mode != "symbolic":
         literal = {"n": model.geometry_index(system.geometry_mode)}
 
-    def canon(e):
-        return sign_normalize(strip_coordinates(e))
-
     def published_expr(text):
         e = parse(text, table)
         return substitute(e, literal, table) if literal else e
@@ -490,8 +468,8 @@ def audit_against_published(system: DeterminingSystem, model: Model,
     }
     if system.geometry_lock is not None:
         primary["geometry_translation_lock"] = system.geometry_lock
-    primary = {key: canon(e) for key, e in primary.items()}
-    second_order = canon(system.diffusion_second_order)
+    primary = {key: strip_coordinates(e) for key, e in primary.items()}
+    second_order = strip_coordinates(system.diffusion_second_order)
     consequences = {
         "diffusion_second_order": second_order,
         "diffusion_second_order_reduced": second_order,
@@ -500,7 +478,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
     unknown = 0
     rows = []
     for identifier, text in published.DETERMINING_EQUATIONS.items():
-        printed = canon(published_expr(text))
+        printed = strip_coordinates(published_expr(text))
         if printed == ZERO:
             rows.append(AuditRow(identifier, text, "0", "implied",
                                  note="vacuous at this geometry index"))
@@ -559,7 +537,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
             "the stored flux-balance 2-form carries the production term "
             "with the sign that annuls to the governing equation",
         ),
-        unknown_verdicts=unknown + system.unknown_verdicts,
+        unknown_verdicts=unknown,
     )
 
 
@@ -588,7 +566,7 @@ def closure_check(model: Model, override_gradient_action=None) -> ClosureResult:
     gen = Generator.standard(model, overrides=overrides)
     mu3 = build_mu3(model)
     lie_mu3 = lie_form(gen, mu3, model)
-    solve = ideal_reduce(lie_mu3, (("mu3", mu3, ("t", "D")),), model)
+    solve = ideal_reduce(lie_mu3, (("mu3", mu3, ("t", "D")),))
     lam = solve.multipliers[0][2]
     sectioned = section(solve.residual_form, model.table)
     residual = linear_combination((1, coef) for _, coef in sectioned.coefficients)

@@ -170,10 +170,6 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
 
-def rat(p, q=1) -> Rat:
-    return Rat(Fraction(p, q))
-
-
 # --------------------------------------------------------------------------
 # Symbol table
 # --------------------------------------------------------------------------
@@ -632,10 +628,6 @@ def linear_combination(terms) -> Expr:
     return _rebuild(acc)
 
 
-def equal(a: Expr, b: Expr) -> bool:
-    return linear_combination(((1, a), (-1, b))) == ZERO
-
-
 def sign_normalize(e: Expr) -> Expr:
     """Flip the overall sign so the leading monomial's coefficient is positive."""
     return _rebuild(_lead_positive(_to_poly(as_expr(e))))
@@ -716,44 +708,25 @@ def poly_div_exact(p: Expr, q: Expr):
     return None
 
 
-def clear_denominators(e: Expr) -> Expr:
-    """Multiply by the minimal symbol monomial making all symbol powers
-    nonnegative (r**-1 terms become polynomial)."""
-    p = _to_poly(as_expr(e))
-    mins: dict = {}
-    for mono in p:
-        for base, x in mono:
-            if type(base) is Sym and type(x) is int and x < 0:
-                mins[base] = min(mins.get(base, 0), x)
-    if not mins:
-        return _rebuild(p)
-    return _rebuild(_divide_by_powers(p, mins))
-
-
 def strip_coordinates(e: Expr) -> Expr:
     """Remove common powers of the base coordinates r, t (an identity in the
-    coordinates is unaffected) and integerize: divide by r^i t^j, with i and
-    j the least integer powers over all monomials (0 where one lacks r or t)."""
+    coordinates is unaffected) and integerize, leading coefficient positive:
+    divide by r^i t^j, with i and j the least integer powers over all
+    monomials (0 where one lacks r or t)."""
     p = _to_poly(as_expr(e))
     if not p:
         return ZERO
     powers = [{b.name: x for b, x in mono
                if type(b) is Sym and b.name in ("r", "t") and type(x) is int}
               for mono in p]
-    common = {}
+    divisor = []        # a monomial: r sorts before t
     for name in ("r", "t"):
         low = min(pw.get(name, 0) for pw in powers)
         if low:
-            common[Sym(name)] = low
-    if common:
-        p = _divide_by_powers(p, common)
+            divisor.append((Sym(name), -low))
+    if divisor:
+        p = _poly_mul(p, {tuple(divisor): 1})
     return _integerize(p)
-
-
-def _divide_by_powers(p: dict, powers: dict) -> dict:
-    """p divided by the monomial prod(base**v) over powers {Sym base: v}."""
-    factor = tuple(sorted(((b, -v) for b, v in powers.items()), key=_base_key))
-    return _poly_mul(p, {factor: 1})
 
 
 def _integerize(p: dict) -> Expr:
@@ -928,8 +901,7 @@ def _subst(e: Expr, named: dict) -> Expr:
 _FD_STEP = 1e-6
 
 
-def evaluate(e: Expr, point: dict, fns: dict | None = None,
-             table: SymbolTable | None = None) -> float:
+def evaluate(e: Expr, point: dict, fns: dict | None = None) -> float:
     """Double-precision value of `e` with all free symbols bound.
 
     `point` maps symbol names (or Syms) to numbers; `fns` maps function
@@ -1002,8 +974,8 @@ def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_poly(rng: random.Random, degree=3):
-    return [_sample_fraction(rng) for _ in range(degree + 1)]
+def _sample_poly(rng: random.Random):
+    return [_sample_fraction(rng) for _ in range(4)]
 
 
 def _poly_eval(coeffs, x: Fraction) -> Fraction:

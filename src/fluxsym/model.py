@@ -53,7 +53,6 @@ class Model:
         self.C = Sym("C")
         for i in range(1, 9):
             setattr(self, f"a{i}", Sym(f"a{i}"))
-        self.epsilon = Sym("epsilon")
 
     def jet(self, base: str, d_r: int, d_t: int) -> Sym:
         return self.table.jet(base, d_r, d_t)

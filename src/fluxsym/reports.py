@@ -12,10 +12,7 @@ import hashlib
 import json
 import math
 
-from .characteristics import CaseResult
-from .isovector import AuditReport, ClosureResult, DeterminingSystem
 from .kernel import to_text
-from .numerics import InvarianceReport
 
 SCHEMA_VERSION = "1"
 
@@ -28,7 +25,7 @@ def equation_payload(e) -> dict:
     }
 
 
-def determining_system_payload(system: DeterminingSystem) -> dict:
+def determining_system_payload(system) -> dict:
     return {
         "geometry_mode": str(system.geometry_mode),
         "constraints": [
@@ -67,11 +64,12 @@ def determining_system_payload(system: DeterminingSystem) -> dict:
         ],
         "assumptions": list(system.assumptions),
         "notes": list(system.notes),
-        "unknown_verdicts": system.unknown_verdicts,
+        # extract_determining raises on an unknown zero-verdict
+        "unknown_verdicts": 0,
     }
 
 
-def audit_payload(report: AuditReport) -> dict:
+def audit_payload(report) -> dict:
     return {
         "rows": [
             {
@@ -90,7 +88,7 @@ def audit_payload(report: AuditReport) -> dict:
     }
 
 
-def closure_payload(result: ClosureResult) -> dict:
+def closure_payload(result) -> dict:
     return {
         "identically_zero": result.identically_zero,
         "multiplier": equation_payload(result.multiplier),
@@ -98,7 +96,7 @@ def closure_payload(result: ClosureResult) -> dict:
     }
 
 
-def case_payload(case: CaseResult) -> dict:
+def case_payload(case) -> dict:
     def solution(sol, check):
         return {
             "expression": equation_payload(sol.expression),
@@ -123,7 +121,7 @@ def case_payload(case: CaseResult) -> dict:
     }
 
 
-def invariance_payload(report: InvarianceReport) -> dict:
+def invariance_payload(report) -> dict:
     return {
         "levels": [list(level) for level in report.levels],
         "residuals": list(report.residuals),

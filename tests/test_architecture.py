@@ -35,3 +35,18 @@ def test_the_cli_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_only_the_cli_and_numerics_load_numpy():
+    # numpy serves the solver and the sampled functions: no symbolic module
+    # and not reports imports it (importing any module imports the package)
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if path.stem not in ("__init__", "cli", "numerics"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('fluxsym.' + name)\n"
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

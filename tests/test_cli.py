@@ -252,6 +252,15 @@ def test_simulate_writes_csv_and_sidecar(tmp_path):
     assert sidecar["grid"]["n_r"] == 8
 
 
+def test_a_failing_simulate_writes_no_csv(tmp_path):
+    # the residual of the solved field is checked before any file is written
+    csv = tmp_path / "pole.csv"
+    code, out = run(tmp_path, "simulate", "--Gamma", "1/(1000*t-500)",
+                    "--nr", "8", "--nt", "8", "--csv", str(csv))
+    assert code == 2
+    assert not csv.exists() and not out.exists()
+
+
 def test_reports_are_byte_stable(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

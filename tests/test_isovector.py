@@ -14,10 +14,13 @@ from fluxsym.isovector import (
     solve_linear, strip_coordinates,
 )
 from fluxsym.kernel import (
-    Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, differentiate, is_zero, normalize,
-    poly_div_exact, sign_normalize, substitute, to_text,
+    Add, Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, apply_derivation, collect_by,
+    differentiate, is_zero, normalize, poly_div_exact, sign_normalize,
+    substitute, to_text,
 )
+from fluxsym.model import standard_table
 from fluxsym.parser import parse
+from fluxsym.reports import determining_system_payload
 
 from conftest import random_expression
 
@@ -53,6 +56,45 @@ def test_lie_scalar_jet_propagation(model, gen):
     expected = ((Sym("a1") + Sym("a2") * model.r) * Sym("D_rr")
                 + (Sym("a3") + Sym("a4") * model.t) * Sym("D_rt"))
     assert normalize(got - expected) == ZERO
+
+
+def _chi_by_its_own_jet_rule(s, gen, model):
+    """The generator's action on a symbol with the jet rule written out
+    here, independently of `differentiate`: a coordinate goes to its
+    coefficient, a material function and each of its jets to
+    xi_r * (one more r) + xi_t * (one more t), anything else to 0."""
+    table = model.table
+    info = table.info(s.name)
+    if info.kind == "coordinate":
+        return gen.coordinate_coefficient(s.name)
+    if info.kind == "arbitrary-function" and info.depends:
+        base, (d_r, d_t), depends = s.name, (0, 0), info.depends
+    elif info.kind == "jet":
+        base, (d_r, d_t) = info.base, info.order
+        depends = table.info(base).depends or ("r", "t")
+    else:
+        return ZERO
+    return Add(tuple(
+        Mul((gen.coordinate_coefficient(q),
+             table.jet(base, d_r + int(q == "r"), d_t + int(q == "t"))))
+        for q in depends))
+
+
+def test_lie_scalar_is_the_jet_rule_along_the_generator(model):
+    table = model.table
+    table.jet("D", 2, 1)                 # a jet beyond the standard ones
+    rng = random.Random(29)
+    for gen in (Generator.standard(model),
+                Generator.standard(model, pinned=("a1", "a4"))):
+        def reference(e):
+            return apply_derivation(
+                e, lambda s: _chi_by_its_own_jet_rule(s, gen, model), table)
+        for name in standard_table().names() + ["D_rrt"]:
+            assert lie_scalar(gen, Sym(name), model) == reference(Sym(name)), name
+        names = tuple(standard_table().names())
+        for _ in range(200):
+            e = random_expression(rng, names, depth=3, funcs=("G", "F"))
+            assert lie_scalar(gen, e, model) == reference(e), e
 
 
 def test_lie_form_of_basis_differential(model, gen):
@@ -171,7 +213,7 @@ def test_ideal_reduce_matches_the_three_step_subtraction(model, gen):
     cases += [(random_form(rng, 2, slots=SLOTS), mu3_basis)
               for _ in range(20)]
     for lie_mu, basis in cases:
-        solve = ideal_reduce(lie_mu, basis, model)
+        solve = ideal_reduce(lie_mu, basis)
         multipliers, remainder = _ideal_reduce_in_three_steps(lie_mu, basis)
         assert [lam for _, _, lam in solve.multipliers] == multipliers
         assert solve.residual_form.coefficients == remainder.coefficients
@@ -179,16 +221,15 @@ def test_ideal_reduce_matches_the_three_step_subtraction(model, gen):
 
 def test_ideal_reduce_mu2(model, gen):
     basis = standard_basis(model)
-    solve = ideal_reduce(lie_form(gen, build_mu2(model), model), basis, model)
+    solve = ideal_reduce(lie_form(gen, build_mu2(model), model), basis)
     mults = dict((name, lam) for name, _, lam in solve.multipliers)
     assert mults["r*mu1"] == ZERO
     # convention chi(mu) = sum(lambda * basis) + residual
     assert normalize(mults["mu2"] - (Sym("a6") + Sym("a4"))) == ZERO
     split = {}
     for label, expr in solve.residuals:
-        from fluxsym.isovector import split_by_monomials
         split.update({(label, to_text(k)): v
-                      for k, v in split_by_monomials(expr).items()})
+                      for k, v in collect_by(expr, ("phi", "w")).items()})
     assert normalize(split[("dt∧dr", "1")] - Sym("a7")) == ZERO
     assert sign_normalize(split[("dt∧dr", "w")]) == sign_normalize(
         normalize(Sym("a8") + Sym("a2") - Sym("a6")))
@@ -201,7 +242,7 @@ def test_ideal_reduce_r_mu1_multiplier(model, gen):
     lie = lie_form(gen, basis[0][1], model)
     pivot_ratio = normalize(
         lie.get("phi", "r") * Mul((model.v, model.r ** Rat(-1))))
-    solve = ideal_reduce(lie, basis, model)
+    solve = ideal_reduce(lie, basis)
     lam1 = dict((name, lam) for name, _, lam in solve.multipliers)["r*mu1"]
     assert normalize(lam1 - pivot_ratio) == ZERO
     expected = parse("a1/r + 2*a2 + a6", model.table)
@@ -211,7 +252,7 @@ def test_ideal_reduce_r_mu1_multiplier(model, gen):
 def test_ideal_reduce_reconstruction_identity(model, gen):
     basis = standard_basis(model)
     lie = lie_form(gen, basis[0][1], model)
-    solve = ideal_reduce(lie, basis, model)
+    solve = ideal_reduce(lie, basis)
     rebuilt = solve.residual_form
     for (name, form, _), (_, _, lam) in zip(basis,
                                             [(None, None, l) for _, _, l
@@ -225,16 +266,15 @@ def test_ideal_reduce_unsolvable_pivot(model, gen):
     mixed = build_mu2(model) + build_mu1(model, model.n, r_multiplied=True)
     with pytest.raises(DerivationError) as err:
         ideal_reduce(lie_form(gen, mixed, model),
-                     (("mixed", mixed, ("t", "r")),), model)
+                     (("mixed", mixed, ("t", "r")),))
     assert "pivot" in str(err.value)
 
 
 def test_residual_split_gives_gamma_condition(model, gen):
     basis = standard_basis(model)
-    solve = ideal_reduce(lie_form(gen, basis[0][1], model), basis, model)
-    from fluxsym.isovector import split_by_monomials
+    solve = ideal_reduce(lie_form(gen, basis[0][1], model), basis)
     tr = dict(solve.residuals)["dt∧dr"]
-    groups = split_by_monomials(tr)
+    groups = collect_by(tr, ("phi", "w"))
     gamma_part = strip_coordinates(groups[Sym("phi")])
     expected = parse(
         "(a1 + a2*r)*Gamma_r + (a3 + a4*t)*Gamma_t + a4*Gamma", model.table)
@@ -321,9 +361,9 @@ def test_self_consistency_residuals_annihilated(model):
     e_dw = next(eq.expression for eq in system.residual_equations
                 if eq.basis == "dt∧dw")
     relations = (("D_t", system.diffusion_pde),)
-    reduced, _ = eliminate_jets(e_dw, relations, table)
+    reduced, _ = eliminate_jets(e_dw, relations)
     assert is_zero(reduced, table) == ZeroVerdict.ZERO
-    assert system.unknown_verdicts == 0
+    assert determining_system_payload(system)["unknown_verdicts"] == 0
 
 
 def test_solve_linear_helper(model):
@@ -481,9 +521,9 @@ def test_closure_reduces_through_ideal_reduce(model, monkeypatch):
     calls = []
     real = isovector.ideal_reduce
 
-    def recording(lie_mu, basis, model):
+    def recording(lie_mu, basis):
         calls.append(tuple(name for name, _, _ in basis))
-        return real(lie_mu, basis, model)
+        return real(lie_mu, basis)
     monkeypatch.setattr(isovector, "ideal_reduce", recording)
     assert closure_check(model).identically_zero
     assert calls == [("mu3",)]
