@@ -161,6 +161,10 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
         if abs(a["a4"] - 2 * a["a2"]) > 1e-12:
             raise ValueError(
                 "a3 = 0 needs a4 = 2*a2 for the closed-form Gamma member")
+        if a["a1"] and not a["a2"]:
+            raise ValueError(
+                "a3 = 0 needs a2 != 0 when a1 != 0 for the closed-form "
+                "Gamma member")
         shift = a["a1"] / a["a2"] if a["a1"] else 0.0
         def g_fn(r, t):
             r = np.asarray(r, float) + shift

@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 from .kernel import (
-    Expr, Mul, Pow, Rat, Sym, SymbolTable, ZERO, as_expr, collect_by,
-    differentiate, linear_combination, normalize, sign_normalize, to_text,
+    Expr, Mul, Pow, Rat, SymbolTable, ZERO, as_expr, differentiate,
+    linear_combination, normalize, to_text,
 )
 from .model import Model
 
@@ -182,34 +182,6 @@ def section(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
     return DifferentialForm.build(alpha.degree, terms)
 
 
-def annul(alpha: DifferentialForm) -> Expr:
-    """The dt∧dr coefficient of a sectioned 2-form; setting it to zero
-    recovers the underlying equation.  The sign is normalized so that the
-    flux time-derivative term (any phi_t/w_t jet) carries a negative sign,
-    falling back to a positive leading monomial."""
-    if alpha.degree != 2:
-        raise FormError("annul expects a 2-form")
-    residual = None
-    for key, coef in alpha.coefficients:
-        if key == (_SLOT_INDEX["t"], _SLOT_INDEX["r"]):
-            residual = coef
-        else:
-            raise FormError(
-                f"residual component on d{SLOTS[key[0]]}∧d{SLOTS[key[1]]}; "
-                "section the form first")
-    if residual is None:
-        return ZERO
-    for jet in ("phi_t", "w_t"):
-        groups = collect_by(residual, (jet,))
-        linear = groups.get(Sym(jet))
-        if linear is not None:
-            lead = sign_normalize(linear)
-            if lead == normalize(linear):
-                residual = linear_combination(((-1, residual),))
-            return normalize(residual)
-    return sign_normalize(residual)
-
-
 # --------------------------------------------------------------------------
 # The model's exterior differential system
 # --------------------------------------------------------------------------
@@ -221,10 +193,10 @@ def build_mu1(model: Model, geometry, r_multiplied: bool = False) -> Differentia
     r_multiplied=True, returns r times the form (n D replacing n r^-1 D r),
     which keeps the coefficients regular at r = 0.
 
-    The production term is stored on dr∧dt so that section+annul recovers
-    the governing equation exactly (the published display carries it on
-    dt∧dr, which is inconsistent with its own sectioned expansion by exactly
-    this sign).
+    The production term is stored on dr∧dt so that the dt∧dr coefficient
+    of the sectioned form, set to zero, is the governing equation exactly
+    (the published display carries it on dt∧dr, which is inconsistent with
+    its own sectioned expansion by exactly this sign).
     """
     m = model
     geometry = as_expr(geometry)

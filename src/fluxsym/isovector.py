@@ -20,7 +20,7 @@ from .forms import (
 )
 from .kernel import (
     Add, Expr, MINUS_ONE, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
-    affine_coefficients, apply_derivation, as_expr, collect_by,
+    affine_coefficients, apply_derivation, collect_by,
     differentiate, free_symbols, is_zero,
     linear_combination, normalize, poly_div_exact, sign_normalize,
     strip_coordinates, substitute, to_text,
@@ -42,29 +42,21 @@ class Generator:
 
     Each coordinate coefficient is affine in its own coordinate with
     constant symbols only: (a1 + a2*r, a3 + a4*t, a5 + a6*phi, a7 + a8*w).
-    `pinned` lists constants forced to zero; `overrides` is a test hook
-    replacing the generator's action on individual symbols.
     """
     xi_t: Expr
     xi_r: Expr
     xi_phi: Expr
     xi_w: Expr
-    pinned: tuple = ()
-    overrides: tuple = ()   # ((symbol name, Expr), ...)
 
     @staticmethod
-    def standard(model: Model, pinned=(), overrides=()) -> "Generator":
-        zero_map = {name: ZERO for name in pinned}
+    def standard(model: Model) -> "Generator":
         def coef(c0, c1, coord):
-            e = Add((Sym(c0), Mul((Sym(c1), coord))))
-            return substitute(e, zero_map, model.table) if zero_map else normalize(e)
+            return normalize(Add((Sym(c0), Mul((Sym(c1), coord)))))
         return Generator(
             xi_t=coef("a3", "a4", model.t),
             xi_r=coef("a1", "a2", model.r),
             xi_phi=coef("a5", "a6", model.phi),
             xi_w=coef("a7", "a8", model.w),
-            pinned=tuple(pinned),
-            overrides=tuple(overrides),
         )
 
     def coordinate_coefficient(self, name: str) -> Expr:
@@ -80,11 +72,8 @@ def lie_scalar(gen: Generator, f, model: Model) -> Expr:
 
 
 def _lie_symbol(s: Sym, gen: Generator, model: Model) -> Expr:
-    """chi(s): an override, a coordinate's coefficient, or else the jet
-    rule of `differentiate` along r and t."""
-    for name, value in gen.overrides:
-        if name == s.name:
-            return as_expr(value)
+    """chi(s): a coordinate's coefficient, or else the jet rule of
+    `differentiate` along r and t."""
     if model.table.info(s.name).kind == "coordinate":
         return gen.coordinate_coefficient(s.name)
     terms = tuple(Mul((gen.coordinate_coefficient(q), d)) for q in ("r", "t")
@@ -217,22 +206,15 @@ def _coefficient_of(e: Expr, jet_name: str) -> Expr:
     return collect_by(e, (jet_name,)).get(Sym(jet_name), ZERO)
 
 
-def eliminate_jets(e: Expr, relations):
+def _eliminate(e: Expr, relations) -> Expr:
     """Subtract multiples of the relations to remove their leading jets from
-    `e`.  relations: ((jet name, equation), ...); multipliers must divide
-    exactly (they always do here: the residuals are jet-linear)."""
-    return _eliminate(e, tuple((jet, relation, _coefficient_of(relation, jet))
-                               for jet, relation in relations))
-
-
-def _eliminate(e: Expr, relations):
-    """`eliminate_jets` over ((jet name, equation, its jet coefficient), ...)."""
-    out = normalize(as_expr(e))
-    used = []
+    `e`.  relations: ((jet name, equation, its jet coefficient), ...);
+    multipliers must divide exactly (they always do here: the residuals are
+    jet-linear)."""
+    out = e
     for jet, relation, c_rel in relations:
         c_e = _coefficient_of(out, jet)
         if c_e == ZERO:
-            used.append(ZERO)
             continue
         mult = poly_div_exact(c_e, c_rel)
         if mult is None:
@@ -240,8 +222,7 @@ def _eliminate(e: Expr, relations):
                 f"jet elimination failed: coefficient of {jet} "
                 f"({to_text(c_e)}) is not a monomial multiple of {to_text(c_rel)}")
         out = linear_combination(((1, out), (-1, Mul((mult, relation)))))
-        used.append(mult)
-    return out, tuple(used)
+    return out
 
 
 def _impose_links(e: Expr, a8_solution: Expr, table: SymbolTable) -> Expr:
@@ -258,12 +239,11 @@ def _reducer(diffusion_pde: Expr, gamma_pde: Expr, a8_solution: Expr,
     relations = tuple(
         (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
             ("D_t", diffusion_pde),
-            ("D_rt", sign_normalize(differentiate(diffusion_pde, "r", table))),
+            ("D_rt", differentiate(diffusion_pde, "r", table)),
             ("Gamma_t", gamma_pde)))
 
     def reduce(e: Expr) -> Expr:
-        reduced, _ = _eliminate(e, relations)
-        return _impose_links(reduced, a8_solution, table)
+        return _impose_links(_eliminate(e, relations), a8_solution, table)
     return reduce
 
 
@@ -552,18 +532,14 @@ class ClosureResult:
     residual: Expr
 
 
-def closure_check(model: Model, override_gradient_action=None) -> ClosureResult:
+def closure_check(model: Model) -> ClosureResult:
     """Invariance of the gradient-closure 2-form.
 
     Reduces chi(mu_3) modulo mu_3 (multiplier matched on the dD∧dt slot),
     sections the remainder onto the (r, t) basis, and certifies it is
-    identically zero.  `override_gradient_action` mis-sets chi(D_r) for
-    mutation testing.
+    identically zero.
     """
-    overrides = ()
-    if override_gradient_action is not None:
-        overrides = (("D_r", as_expr(override_gradient_action)),)
-    gen = Generator.standard(model, overrides=overrides)
+    gen = Generator.standard(model)
     mu3 = build_mu3(model)
     lie_mu3 = lie_form(gen, mu3, model)
     solve = ideal_reduce(lie_mu3, (("mu3", mu3, ("t", "D")),))

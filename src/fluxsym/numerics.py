@@ -166,13 +166,11 @@ class GridSpec:
 class MaterialModel:
     """D(r,t), Gamma(r,t) and the neutron speed v.
 
-    D and Gamma are vectorized callables (see `compile_numeric`).  An optional (nu_bar, Sigma_f, Sigma_a) decomposition must
-    reproduce Gamma to 1e-12.
+    D and Gamma are vectorized callables (see `compile_numeric`).
     """
     D: object
     Gamma: object
     v: float = 1.0
-    decomposition: tuple | None = None   # (nu_bar(r,t), Sigma_f(r,t), Sigma_a(r,t))
 
     def validate(self, grid: GridSpec):
         if not 0.0 < self.v < math.inf:
@@ -181,13 +179,6 @@ class MaterialModel:
         d = self.D(rr, tt)
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             raise SolverError("D must be positive and finite on the grid")
-        if self.decomposition is not None:
-            nu, sf, sa = self.decomposition
-            delta = np.max(np.abs(self.Gamma(rr, tt) -
-                                  (nu(rr, tt) * sf(rr, tt) - sa(rr, tt))))
-            if delta > 1e-12:
-                raise SolverError(
-                    f"decomposition does not reproduce Gamma (max {delta:.2e})")
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,7 @@ class Field:
     material: MaterialModel
     phi: np.ndarray
     valid: np.ndarray | None = None   # mask for interpolated fields
-    transform: dict | None = None
+    clipped_fraction: float | None = None   # of a transformed field
 
     def __post_init__(self):
         expect = (self.grid.n_t + 1, self.grid.n_r + 1)
@@ -437,8 +428,7 @@ def transform_field(f: Field, p: TransformParams) -> Field:
                            np.clip(r_src, grid.r0, grid.r1), grid=True)
     phi_new = np.where(inside, phi_new, np.nan)
     return Field(grid=grid, material=f.material, phi=phi_new,
-                 valid=inside, transform={"eps": p.eps, "a": dict(p.a),
-                                          "clipped_fraction": clipped})
+                 valid=inside, clipped_fraction=clipped)
 
 
 def _interior_stencil(grid: GridSpec, material: MaterialModel):
@@ -555,7 +545,7 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
         levels.append((g.n_r, g.n_t))
         residuals.append(max_interior_residual(tf, stencil=stencil))
         base_residuals.append(max_interior_residual(f, stencil=stencil))
-        clipped = tf.transform["clipped_fraction"]
+        clipped = tf.clipped_fraction
     half = TransformParams(p.eps / 2, p.a)
     eps_half = max_interior_residual(transform_field(f0, half), stencil=stencil0)
     ratios = tuple(residuals[i] / residuals[i + 1]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fluxsym import isovector
 from fluxsym.characteristics import (
     diffusion_condition, enumerate_cases, gamma_condition,
 )
@@ -101,11 +102,16 @@ def test_criterion_3_audit_is_exhaustive_and_definite():
        "zero unknown verdicts")
 
 
-def test_criterion_4_closure_and_mutation():
+def test_criterion_4_closure_and_mutation(monkeypatch):
     model = Model()
     result = closure_check(model)
     assert result.identically_zero and result.residual == ZERO
-    mutated = closure_check(model, override_gradient_action=ZERO)
+    # the mutation: the generator's action on D_r mis-set to zero
+    real = isovector._lie_symbol
+    monkeypatch.setattr(
+        isovector, "_lie_symbol",
+        lambda s, gen, m: ZERO if s.name == "D_r" else real(s, gen, m))
+    mutated = closure_check(model)
     assert not mutated.identically_zero
     expected = normalize((Sym("a1") + Sym("a2") * model.r) * Sym("D_rr")
                          + (Sym("a3") + Sym("a4") * model.t) * Sym("D_rt"))

@@ -163,16 +163,31 @@ def test_mutated_exponent_fails_back_substitution(model):
     assert check.verdict == "nonzero"
 
 
-def test_published_table_typos_fail_back_substitution(model):
-    # the printed case-A Gamma argument (exponent +a2/a4) is not a solution;
-    # the derived form is
+# the printed summary-table entries that fail back-substitution; the
+# derived forms of the same conditions pass
+PRINTED_FAILURES = {("A", "Gamma"), ("B", "D"), ("C", "D"), ("D", "Gamma")}
+
+
+@pytest.mark.parametrize("case_id,material", [
+    (case_id, material) for case_id in published.TABLE_FORMS
+    for material in ("D", "Gamma")])
+def test_published_table_typos_fail_back_substitution(model, case_id,
+                                                      material):
     table = model.table
-    pde = gamma_condition(model)
-    printed = parse(published.TABLE_FORMS["A"]["Gamma"], table)
+    constraints = CASE_CONSTRAINTS[case_id]
+    a1_zero = "a1 = 0" in constraints
+    if material == "D":
+        pde = diffusion_condition(model, a1_zero, "D_r = 0" in constraints)
+        func = "G"
+    else:
+        pde = gamma_condition(model, a1_zero)
+        func = "F"
+    printed = parse(published.TABLE_FORMS[case_id][material], table)
     check = back_substitute(
-        MaterialSolution("Gamma", printed, None, "F", ()), pde, model)
-    assert check.verdict == "nonzero"
-    derived = solve_characteristics(pde, model)
+        MaterialSolution(material, printed, None, func, ()), pde, model)
+    failing = (case_id, material) in PRINTED_FAILURES
+    assert check.verdict == ("nonzero" if failing else "zero")
+    derived = solve_characteristics(pde, model, func)
     assert back_substitute(derived, pde, model).verdict == "zero"
 
 
@@ -200,6 +215,11 @@ def test_published_table_notes_recorded(model):
     assert any("exponent" in n for n in cases["A"].notes)
     assert any("missing t" in n for n in cases["B"].notes)
     assert cases["E"].notes == ()
+    # a case carries a note exactly when one of its printed entries fails
+    noted = {case_id for case_id, notes in published.TABLE_NOTES.items()
+             if notes}
+    assert noted == {case_id for case_id, _ in PRINTED_FAILURES} \
+        == {"A", "B", "C", "D"}
 
 
 def test_scaling_coherence_of_similarity_argument(model):

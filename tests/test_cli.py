@@ -139,6 +139,8 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["simulate", "--v", "0"],
     ["simulate", "--v", "nan"],
     ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
+    ["verify", "--case", "B", "--a1", "1", "--a2", "0", "--a3", "0",
+     "--a4", "0"],
     ["verify", "--case", "D", "--invariance", "--eps", "0.9"],
     ["verify", "--case", "D", "--a3", "-0.5"],
     ["verify", "--invariance"],

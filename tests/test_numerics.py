@@ -84,19 +84,6 @@ def test_material_positivity_enforced():
         solve_pde(grid, bad, lambda r: np.ones_like(r), ZERO_GRAD)
 
 
-def test_material_decomposition_checked():
-    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
-    good = MaterialModel(D=constant(1.0), Gamma=constant(0.5),
-                         decomposition=(constant(2.0), constant(0.5),
-                                        constant(0.5)))
-    good.validate(grid)
-    bad = MaterialModel(D=constant(1.0), Gamma=constant(0.5),
-                        decomposition=(constant(2.0), constant(0.5),
-                                       constant(0.25)))
-    with pytest.raises(SolverError):
-        bad.validate(grid)
-
-
 def test_curvilinear_origin_needs_regularity():
     grid = GridSpec(0.0, 1.0, 1.0, 8, 8, geometry=2)
     mat = MaterialModel(D=constant(1.0), Gamma=constant(0.0))
@@ -455,7 +442,7 @@ def test_transform_matches_pointwise_spline_evaluation():
         p = TransformParams(eps, a)
         out = transform_field(field, p)
         want, inside = _transform_by_points(field, p)
-        assert 0.0 < out.transform["clipped_fraction"] < 0.2
+        assert 0.0 < out.clipped_fraction < 0.2
         assert np.array_equal(out.valid, inside)
         np.testing.assert_array_equal(out.phi, want)
 
@@ -558,7 +545,7 @@ def _invariance_by_fields(grid, material, p, ic, bc, refinements):
         levels.append((g.n_r, g.n_t))
         residuals.append(max_interior_residual(tf))
         base_residuals.append(max_interior_residual(f))
-        clipped = tf.transform["clipped_fraction"]
+        clipped = tf.clipped_fraction
         g = g.refined()
     eps_half = max_interior_residual(
         transform_field(f0, TransformParams(p.eps / 2, p.a)))
