@@ -21,6 +21,7 @@ from .kernel import (
     normalize, sign_normalize, substitute, to_text,
 )
 from .model import Model
+from .numerics import sampled_functions
 
 
 class UnsupportedBranchError(Exception):
@@ -200,8 +201,8 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     Symbolic first: the chain rule runs through the arbitrary-function
     derivative symbol and the residual must normalize to zero.  If the
     normal form is inconclusive the verdict downgrades to a numeric check
-    at random points, with G and F sampled by DEFAULT_SAMPLED_FNS.  The
-    verdict is 'unknown' when fewer than half of the points evaluate.
+    at random points, with G and F sampled by `numerics.sampled_functions`.
+    The verdict is 'unknown' when fewer than half of the points evaluate.
     """
     residual = pde.residual(sol.expression, model)
     if residual == ZERO:
@@ -209,9 +210,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     verdict = is_zero(residual, model.table, seed=seed)
     if verdict == ZeroVerdict.NONZERO:
         return BackSubstitution("nonzero", False, float("inf"))
-    # imported here: loading numerics (and scipy) ahead of the symbolic
-    # modules made a cold `import fluxsym.cli` 0.1 s slower
-    from .numerics import DEFAULT_SAMPLED_FNS
+    fns = sampled_functions()
     rng = random.Random(seed)
     worst = 0.0
     evaluated = 0
@@ -219,8 +218,8 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
         point = {name: rng.uniform(0.25, 2.0) for name in
                  ("a1", "a2", "a3", "a4", "r", "t", "C")}
         try:
-            val = evaluate(residual, point, DEFAULT_SAMPLED_FNS)
-            scale = abs(evaluate(sol.expression, point, DEFAULT_SAMPLED_FNS)) + 1.0
+            val = evaluate(residual, point, fns)
+            scale = abs(evaluate(sol.expression, point, fns)) + 1.0
         except (EvaluationError, ZeroDivisionError, OverflowError):
             continue
         evaluated += 1

@@ -22,8 +22,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import reports
 from .characteristics import (
     CASE_CONSTRAINTS, constant_material_constraints, enumerate_cases,
@@ -35,9 +33,9 @@ from .isovector import (
 from .kernel import KernelError, to_text
 from .model import Model
 from .numerics import (
-    GridSpec, MaterialModel, TransformParams, compile_numeric,
-    DEFAULT_SAMPLED_FNS, export_csv, invariance_residual, material_residual,
-    max_interior_residual, sampled_functions, solve_pde, SolverError,
+    GridSpec, MaterialModel, TransformParams, compile_numeric, export_csv,
+    invariance_residual, material_residual, max_interior_residual,
+    sampled_functions, solve_pde, SolverError,
 )
 from .parser import ParseError, parse
 
@@ -143,9 +141,23 @@ def _a_values(args) -> dict:
     return a
 
 
+def _check_conditions(case, a: dict) -> None:
+    """A ValueError naming the first non-degeneracy condition of the case's
+    D or Gamma family ("a2 != 0", "a4 = 0", ...) that the constants `a`
+    violate: outside them the closed form does not solve its condition."""
+    for sol in (case.diffusion, case.gamma):
+        for condition in sol.conditions:
+            name, op, value = condition.split()
+            if (a[name] == float(value)) != (op == "="):
+                raise ValueError(
+                    f"case {case.case_id}: the {sol.func} family needs "
+                    f"{condition}, got {name} = {a[name]:g}")
+
+
 def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
     """Numeric material callables for one case instance with the sampled
-    functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).
+    functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).  Constants that
+    violate a condition of the case's families are a ValueError.
 
     When a3 = 0 the generic compiled form of Gamma is indeterminate at
     t = 0; for the F above with a4 = 2*a2 the family member has the closed
@@ -153,6 +165,7 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
     """
     cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
     case = cases[case_id]
+    _check_conditions(case, a)
     params = {k: v for k, v in a.items()}
     params["C"] = amplitude
     fns = sampled_functions(amplitude)
@@ -161,11 +174,9 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
         if abs(a["a4"] - 2 * a["a2"]) > 1e-12:
             raise ValueError(
                 "a3 = 0 needs a4 = 2*a2 for the closed-form Gamma member")
-        if a["a1"] and not a["a2"]:
-            raise ValueError(
-                "a3 = 0 needs a2 != 0 when a1 != 0 for the closed-form "
-                "Gamma member")
-        shift = a["a1"] / a["a2"] if a["a1"] else 0.0
+        import numpy as np
+
+        shift = a["a1"] / a["a2"]   # every Gamma family needs a2 != 0
         def g_fn(r, t):
             r = np.asarray(r, float) + shift
             t = np.asarray(t, float)
@@ -275,6 +286,8 @@ def cmd_verify(args) -> int:
         if max(res["res_D"], res["res_Gamma"]) > args.tol:
             failures.append("material residual exceeds tolerance")
         if args.invariance:
+            import numpy as np
+
             ic = lambda r: 1.0 + np.cos(
                 math.pi * (r - args.r0) / (args.r1 - args.r0))
             bc = (("zero_gradient",), ("zero_gradient",))
@@ -305,15 +318,16 @@ def cmd_simulate(args) -> int:
     table = model.table
     d_expr = parse(args.diffusion, table)
     g_expr = parse(args.gamma, table)
+    fns = sampled_functions()
     material = MaterialModel(
-        D=compile_numeric(d_expr, fns=DEFAULT_SAMPLED_FNS),
-        Gamma=compile_numeric(g_expr, fns=DEFAULT_SAMPLED_FNS),
+        D=compile_numeric(d_expr, fns=fns),
+        Gamma=compile_numeric(g_expr, fns=fns),
         v=args.speed,
     )
     grid = GridSpec(args.r0, args.r1, args.t1, args.nr, args.nt,
                     geometry=args.geometry)
     ic_expr = parse(args.initial, table)
-    ic_fn = compile_numeric(ic_expr, args=("r",), fns=DEFAULT_SAMPLED_FNS)
+    ic_fn = compile_numeric(ic_expr, args=("r",), fns=fns)
     (left, left_spec), (right, right_spec) = args.bc_left, args.bc_right
     field = solve_pde(grid, material, ic_fn, (left_spec, right_spec))
     # a field whose residual is not finite fails here, before any file

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .kernel import Add, Call, Mul, Pow, Rat, Sym, as_expr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SolverError(Exception):
@@ -44,6 +46,8 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
     params binds the remaining symbols to numbers; fns binds function
     symbols to vectorized callables (exp is built in).
     """
+    import numpy as np
+
     expr = as_expr(expr)
     params = {k: float(v) for k, v in (params or {}).items()}
     fns = dict(fns or {})
@@ -103,15 +107,14 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
 def sampled_functions(amplitude: float = 1.0) -> dict:
     """Vectorized samples of the arbitrary functions and their derivative
     symbols: G(x) = exp(-x^2) and F(x) = amplitude/(1 + x^2)."""
+    import numpy as np
+
     return {
         "G": lambda x: np.exp(-x * x),
         "G'": lambda x: -2 * x * np.exp(-x * x),
         "F": lambda x: amplitude / (1.0 + x * x),
         "F'": lambda x: -2 * amplitude * x / (1.0 + x * x) ** 2,
     }
-
-
-DEFAULT_SAMPLED_FNS = sampled_functions()
 
 
 # --------------------------------------------------------------------------
@@ -135,6 +138,8 @@ class GridSpec:
         if (not all(map(math.isfinite, (self.r0, self.r1, self.t1)))
                 or self.r0 < 0 or self.r1 <= self.r0 or self.t1 <= 0):
             raise ValueError("bad domain bounds")
+        import numpy as np
+
         # built once and shared by every caller, hence read-only
         for name, nodes in (("_r_nodes", np.linspace(self.r0, self.r1, self.n_r + 1)),
                             ("_t_nodes", np.linspace(0.0, self.t1, self.n_t + 1))):
@@ -175,10 +180,16 @@ class MaterialModel:
     def validate(self, grid: GridSpec):
         if not 0.0 < self.v < math.inf:
             raise SolverError(f"v must be positive and finite, got {self.v!r}")
-        rr, tt = grid.r_nodes[None, :], grid.t_nodes[:, None]
-        d = self.D(rr, tt)
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
-            raise SolverError("D must be positive and finite on the grid")
+        _check_diffusion(self.D(grid.r_nodes[None, :], grid.t_nodes[:, None]))
+
+
+def _check_diffusion(d):
+    """D values, wherever the solver or the material check evaluates them,
+    must be positive and finite."""
+    import numpy as np
+
+    if not np.all(np.isfinite(d)) or np.any(d <= 0):
+        raise SolverError("D must be positive and finite on the grid")
 
 
 @dataclass(frozen=True)
@@ -217,6 +228,8 @@ class TransformParams:
             raise ValueError("a8 must equal a6 - a2 (determining constraint)")
 
     def map_inverse(self, r, t):
+        import numpy as np
+
         a = self.a
         return (math.exp(-self.eps * a["a2"]) * (np.asarray(r) - self.eps * a["a1"]),
                 math.exp(-self.eps * a["a4"]) * (np.asarray(t) - self.eps * a["a3"]))
@@ -234,6 +247,8 @@ def _stencil(grid: GridSpec, material: MaterialModel, times):
     is averaged onto the cell faces.  The weights are conservative, with the
     half-cell boundary rows and the r = 0 regularity limit; lo[:, 0] and
     hi[:, -1] are 0."""
+    import numpy as np
+
     n = grid.geometry
     dr = grid.dr
     r = grid.r_nodes
@@ -282,6 +297,7 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     system to LAPACK `gtsv`, which overwrites that step's bands with its
     factors and the explicit side with the solution.
     """
+    import numpy as np
     from scipy.linalg.lapack import dgtsv
 
     if grid.r0 == 0.0 and grid.geometry > 0 and bc[0][0] != "zero_gradient":
@@ -346,6 +362,8 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
 
 def integral_weights(grid: GridSpec) -> np.ndarray:
     """Trapezoidal weights of the conserved integral of phi r^n dr."""
+    import numpy as np
+
     r = grid.r_nodes
     w = np.full_like(r, grid.dr)
     w[0] = w[-1] = 0.5 * grid.dr
@@ -370,7 +388,10 @@ def material_residual(material: MaterialModel, params: TransformParams,
     _RESIDUAL_MAX_SAMPLES nodes per axis so very fine steps stay cheap.  The
     materials are evaluated on broadcast (t x r) axes, so their t-only
     factors cost one value per time.  A material or residual that is not
-    finite at the sampled points is a SolverError naming the material."""
+    finite at the sampled points, or a D that is not positive there, is a
+    SolverError naming the material."""
+    import numpy as np
+
     a = params.a
     r = grid.r_nodes[1:-1]
     t = grid.t_nodes[1:-1]
@@ -392,6 +413,8 @@ def material_residual(material: MaterialModel, params: TransformParams,
         if not (np.isfinite(scale) and np.isfinite(worst)):
             raise SolverError(
                 f"{name} or its residual is not finite at the sampled points")
+        if name == "D":
+            _check_diffusion(base)
         return float(worst / (scale if scale > 0 else 1.0))
 
     return {
@@ -409,6 +432,7 @@ def transform_field(f: Field, p: TransformParams) -> Field:
     interpolation on the source grid; points mapping outside the computed
     domain are masked and the clipped fraction is reported (error above
     _MAX_CLIPPED_FRACTION)."""
+    import numpy as np
     from scipy.interpolate import RectBivariateSpline
 
     grid = f.grid
@@ -442,6 +466,8 @@ def discrete_residual(f: Field, stencil=None) -> np.ndarray:
 
     `stencil` is `_interior_stencil(f.grid, f.material)`, built here when
     not given."""
+    import numpy as np
+
     grid = f.grid
     phi = f.phi
     lo, hi, gamma = (_interior_stencil(grid, f.material)
@@ -487,6 +513,8 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     interpolated field's valid region are left out; any other non-finite
     residual (a pole of the material on a node) is a SolverError.
     """
+    import numpy as np
+
     grid = f.grid
     res = discrete_residual(f, stencil=stencil)
     t = grid.t_nodes

@@ -37,11 +37,12 @@ def test_the_cli_imports_without_scipy():
     assert out.strip() == "False"
 
 
-def test_only_the_cli_and_numerics_load_numpy():
-    # numpy serves the solver and the sampled functions: no symbolic module
-    # and not reports imports it (importing any module imports the package)
+def test_no_module_loads_numpy_at_import():
+    # numpy serves the solver and the sampled functions, and numerics and
+    # the cli import it inside the functions that use it: importing any
+    # module, the cli included, leaves it unloaded
     modules = sorted(path.stem for path in PACKAGE.glob("*.py")
-                     if path.stem not in ("__init__", "cli", "numerics"))
+                     if path.stem != "__init__")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import importlib, sys\n"
             f"for name in {modules!r}:\n"
@@ -50,3 +51,24 @@ def test_only_the_cli_and_numerics_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_the_symbolic_commands_run_without_numpy(tmp_path):
+    # derive, cases and verify --closure load neither numpy nor scipy; a
+    # verify --case in the same process does, so the command decides
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = str(tmp_path / "report.json")
+    code = ("import sys\n"
+            "from fluxsym.cli import main\n"
+            "def loaded():\n"
+            "    return ('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+            "for argv in (['derive', '--n', 'symbolic'], ['cases'],\n"
+            "             ['verify', '--closure'],\n"
+            "             ['verify', '--case', 'B', '--a2', '1', '--a3', '1',\n"
+            "              '--a4', '2', '--r0', '0', '--r1', '1']):\n"
+            f"    code = main(argv + ['--out', {out!r}])\n"
+            "    print(argv[0], code, *loaded(), file=sys.stderr)\n")
+    err = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert err.splitlines() == ["derive 0 False False", "cases 0 False False",
+                                "verify 0 False False", "verify 0 True False"]

@@ -242,6 +242,34 @@ def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
     assert done.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("case, argv, message", [
+    # a2 = 0 makes the similarity argument a1/a2 infinite: the compiled D
+    # and Gamma would be 0 at every node and both residuals would read 0.0
+    ("A", ["--a1", "1", "--a2", "0", "--a3", "1", "--a4", "1"],
+     "the D family needs a2 != 0, got a2 = 0"),
+    ("B", ["--a2", "-0", "--a3", "1", "--a4", "1"],
+     "the D family needs a2 != 0, got a2 = -0"),
+    ("D", ["--a3", "1", "--a4", "0"], "the D family needs a4 != 0, got a4 = 0"),
+    ("F", ["--a2", "0", "--a3", "1"],
+     "the Gamma family needs a2 != 0, got a2 = 0"),
+], ids=["A-a2", "B-negative-zero-a2", "D-a4", "F-a2"])
+def test_verify_refuses_a_degenerate_family_member(tmp_path, capsys, case, argv,
+                                                   message):
+    code, out = run(tmp_path, "verify", "--case", case, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"verify: case {case}: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_diffusion_that_vanishes_where_sampled(tmp_path,
+                                                                 capsys):
+    # the amplitude C of case D's constant D
+    code, _ = run(tmp_path, "verify", "--case", "D", "--amplitude", "0")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "verify: D must be positive and finite on the grid\n")
+
+
 def test_simulate_writes_csv_and_sidecar(tmp_path):
     csv = tmp_path / "field.csv"
     code, out = run(tmp_path, "simulate", "--D", "1/2", "--Gamma", "1/10",

@@ -10,10 +10,10 @@ from fluxsym import numerics
 from fluxsym.cli import main
 from fluxsym.model import Model
 from fluxsym.numerics import (
-    DEFAULT_SAMPLED_FNS, Field, GridSpec, MaterialModel, SolverError,
-    TransformParams, compile_numeric, discrete_residual, export_csv,
-    integral_weights, invariance_residual, material_residual,
-    max_interior_residual, solve_pde, transform_field,
+    Field, GridSpec, MaterialModel, SolverError, TransformParams,
+    compile_numeric, discrete_residual, export_csv, integral_weights,
+    invariance_residual, material_residual, max_interior_residual,
+    sampled_functions, solve_pde, transform_field,
 )
 from fluxsym.parser import parse
 
@@ -96,7 +96,7 @@ def test_compile_numeric_matches_evaluate():
     model = Model()
     expr = parse("(a3 + a4*t)^(-1) * F(r*(a3 + a4*t)^(-a2/a4))", model.table)
     fn = compile_numeric(expr, params={"a2": 1, "a3": 1, "a4": 2},
-                         fns=DEFAULT_SAMPLED_FNS)
+                         fns=sampled_functions())
     from fluxsym.kernel import evaluate
     got = fn(np.array([0.5, 1.0]), np.array([0.25, 0.5]))
     for r, t, val in zip((0.5, 1.0), (0.25, 0.5), got):
@@ -347,6 +347,19 @@ def test_material_residual_rejects_a_non_finite_material(name):
     with pytest.raises(SolverError, match=f"^{name} "):
         material_residual(material, TransformParams(0.02, CASE_D_A),
                           GridSpec(0.5, 1.5, 1.0, 32, 32))
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_material_residual_refuses_a_diffusion_that_is_not_positive(value):
+    # the material check asks of D what the solver's validate asks
+    material = MaterialModel(D=constant(value), Gamma=constant(0.0))
+    grid = GridSpec(0.5, 1.5, 1.0, 32, 32)
+    with pytest.raises(SolverError,
+                       match="^D must be positive and finite on the grid$"):
+        material_residual(material, TransformParams(0.02, CASE_D_A), grid)
+    with pytest.raises(SolverError,
+                       match="^D must be positive and finite on the grid$"):
+        material.validate(grid)
 
 
 # --- finite transformations ----------------------------------------------------
