@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import published
 from .kernel import (
-    Add, Call, EvaluationError, Expr, Mul, Pow, Rat, UndeclaredSymbolError,
+    Add, Call, EvaluationError, Expr, Mul, ONE, Rat, UndeclaredSymbolError,
     ZERO, ZeroVerdict, affine_coefficients, differentiate, evaluate, is_zero,
     normalize, sign_normalize, substitute, to_text,
 )
@@ -88,21 +88,29 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
                           function_symbol: str | None = None) -> MaterialSolution:
     """General solution of the quasi-linear condition.
 
-    Generic branch (a2 != 0, a4 != 0):
-        f = (a3 + a4 t)^((s-k)/a4) * H[(r + a1/a2) (a3 + a4 t)^(-a2/a4)]
-    with the a1 term dropped when c_r = a2 r and the whole argument dropped
-    (arbitrary constant) when c_r = 0.  Degenerate a4 = 0 / a2 = 0 branches
-    return exponential forms and are labeled as extensions.  An undeclared
+    Along a characteristic dr/c_r = dt/c_t the condition reads
+    df = (s-k) f dt/c_t.  With the time factor E(k) = exp(k * integral dt/c_t),
+    that is (a3 + a4 t)^(k/a4), or exp(k t/a3) when a4 = 0, every family is
+    E(s-k) times an arbitrary function H of an invariant xi of the
+    characteristics, or times a constant C when c_r = 0:
+
+        f = E(s-k) * H(xi)      (f = C * E(s-k) when c_r = 0)
+        xi = (r + a1/a2) * E(-a2)            a2 != 0
+        xi = r - a1 t/a3                     a2 = 0, a4 = 0
+        xi = exp(a4 r/a1) * E(-a4)           a2 = 0, a4 != 0
+
+    (the last is 1/((a3 + a4 t) exp(-a4 r/a1)): the normal form does not
+    cancel a3 + a4 t against its powers).  The generic branch has a2 != 0
+    and a4 != 0 (`gradient-free` when c_r = 0); a vanishing a2 or a4 is an
+    `extension` that needs a1 != 0 or a3 != 0.  An undeclared
     `function_symbol` raises UndeclaredSymbolError.
     """
     m = model
-    table = m.table
     if function_symbol is None:
         function_symbol = "G" if pde.func == "D" else "F"
-    if not table.is_declared(function_symbol):
+    if not m.table.is_declared(function_symbol):
         raise UndeclaredSymbolError(
             f"symbol {function_symbol!r} is not declared")
-    H = function_symbol
 
     r_pair = affine_coefficients(pde.c_r, "r")
     t_pair = affine_coefficients(pde.c_t, "t")
@@ -110,75 +118,34 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
         raise UnsupportedBranchError("coefficients are not affine in r, t")
     b_r, m_r = r_pair      # c_r = b_r + m_r * r
     b_t, m_t = t_pair      # c_t = b_t + m_t * t
-    growth = normalize(Add((pde.s, Mul((Rat(-1), pde.k)))))   # s - k
+    if pde.c_t == ZERO:
+        raise UnsupportedBranchError("vanishing pivot: c_t = 0")
+    growth = pde.s - pde.k
 
-    def power_of_time(exponent):
-        return Pow(Add((b_t, Mul((m_t, m.t)))), exponent)
-
-    if pde.c_r == ZERO:
-        # no r-advection: f depends on t only
+    def time_factor(k):
+        if normalize(k) == ZERO:
+            return ONE
         if m_t != ZERO:
-            expo = normalize(Mul((growth, Pow(m_t, Rat(-1)))))
-            expr = normalize(Mul((m.C, power_of_time(expo))))
-            return MaterialSolution(pde.func, expr, None, "C",
-                                    ("a4 != 0",), branch="gradient-free")
-        if b_t != ZERO:
-            expr = normalize(Mul((m.C, Call("exp", (
-                normalize(Mul((growth, m.t, Pow(b_t, Rat(-1))))),)))))
-            return MaterialSolution(pde.func, expr, None, "C",
-                                    ("a4 = 0", "a3 != 0"), branch="extension")
-        raise UnsupportedBranchError(
-            "vanishing pivot: c_t = 0 with no r-advection")
+            return pde.c_t ** (k / m_t)
+        return Call("exp", (k * m.t / b_t,))
 
-    if m_r != ZERO and m_t != ZERO:
-        shift = (ZERO if b_r == ZERO
-                 else normalize(Mul((b_r, Pow(m_r, Rat(-1))))))
-        xi = normalize(Mul((
-            Add((m.r, shift)),
-            power_of_time(normalize(Mul((Rat(-1), m_r, Pow(m_t, Rat(-1)))))),
-        )))
-        expo = normalize(Mul((growth, Pow(m_t, Rat(-1)))))
-        expr = normalize(Mul((power_of_time(expo), Call(H, (xi,)))))
-        conds = ("a2 != 0", "a4 != 0")
-        return MaterialSolution(pde.func, expr, xi, H, conds)
-
-    if m_t == ZERO and b_t != ZERO:
-        # a4 = 0: exponential in t along the characteristics
-        if m_r != ZERO:
-            shift = (ZERO if b_r == ZERO
-                     else normalize(Mul((b_r, Pow(m_r, Rat(-1))))))
-            xi = normalize(Mul((
-                Add((m.r, shift)),
-                Call("exp", (normalize(Mul((Rat(-1), m_r, m.t,
-                                            Pow(b_t, Rat(-1))))),)),
-            )))
-        else:
-            if b_r == ZERO:
-                raise UnsupportedBranchError("vanishing pivot: c_r = c_t' = 0")
-            xi = normalize(Add((m.r, Mul((Rat(-1), b_r, m.t,
-                                          Pow(b_t, Rat(-1)))))))
-        expr = normalize(Mul((
-            Call("exp", (normalize(Mul((growth, m.t, Pow(b_t, Rat(-1))))),)),
-            Call(H, (xi,)))))
-        return MaterialSolution(pde.func, expr, xi, H,
-                                ("a4 = 0", "a3 != 0"), branch="extension")
-
-    if m_r == ZERO and b_r != ZERO and m_t != ZERO:
-        # a2 = 0 with a1 != 0: exponential in r
-        xi = normalize(Mul((
-            Add((b_t, Mul((m_t, m.t)))),
-            Call("exp", (normalize(Mul((Rat(-1), m_t, m.r,
-                                        Pow(b_r, Rat(-1))))),)),
-        )))
-        expr = normalize(Mul((
-            Call("exp", (normalize(Mul((growth, m.r, Pow(b_r, Rat(-1))))),)),
-            Call(H, (xi,)))))
-        return MaterialSolution(pde.func, expr, xi, H,
-                                ("a2 = 0", "a1 != 0", "a4 != 0"),
-                                branch="extension")
-
-    raise UnsupportedBranchError(
-        f"vanishing pivot: c_r = {to_text(pde.c_r)}, c_t = {to_text(pde.c_t)}")
+    a4_test = ("a4 != 0",) if m_t != ZERO else ("a4 = 0", "a3 != 0")
+    if pde.c_r == ZERO:
+        return MaterialSolution(
+            pde.func, normalize(m.C * time_factor(growth)), None, "C",
+            a4_test, "gradient-free" if m_t != ZERO else "extension")
+    a2_test = ("a2 != 0",) if m_r != ZERO else ("a2 = 0", "a1 != 0")
+    if m_r != ZERO:
+        xi = (m.r + b_r / m_r) * time_factor(-m_r)
+    elif m_t == ZERO:
+        xi = m.r - b_r * m.t / b_t
+    else:
+        xi = Call("exp", (m_t * m.r / b_r,)) * time_factor(-m_t)
+    xi = normalize(xi)
+    return MaterialSolution(
+        pde.func, normalize(time_factor(growth) * Call(function_symbol, (xi,))),
+        xi, function_symbol, a2_test + a4_test,
+        "generic" if m_r != ZERO and m_t != ZERO else "extension")
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +223,6 @@ CASE_CONSTRAINTS = {
     "F": ("n = 0", "a1 = 0", "D_r = 0"),
 }
 
-CASE_COINCIDENCE = {"C": "B", "E": None, "F": "E"}
-
 
 def enumerate_cases(model: Model, verify: bool = True,
                     seed: int = 0, tol: float = 1e-10) -> list:
@@ -266,8 +231,10 @@ def enumerate_cases(model: Model, verify: bool = True,
     The diffusion condition depends only on (a1 = 0, D_r = 0) and the Gamma
     condition only on a1 = 0, so the twelve conditions of the six cases are
     six distinct ones: each is solved and back-substituted once and its
-    result shared by the cases that have it."""
+    result shared by the cases that have it.  A case coincides with the
+    first case that has the same two flags, so the same two conditions."""
     solved = {}
+    first_with = {}
 
     def solve(condition, symbol, *flags):
         key = (condition, flags)
@@ -285,12 +252,13 @@ def enumerate_cases(model: Model, verify: bool = True,
         gradient_free = "D_r = 0" in constraints
         d_sol, d_check = solve(diffusion_condition, "G", a1_zero, gradient_free)
         g_sol, g_check = solve(gamma_condition, "F", a1_zero)
+        first = first_with.setdefault((a1_zero, gradient_free), case_id)
         results.append(CaseResult(
             case_id=case_id,
             constraints=constraints,
             diffusion=d_sol,
             gamma=g_sol,
-            coincides_with=CASE_COINCIDENCE.get(case_id),
+            coincides_with=None if first == case_id else first,
             notes=tuple(published.TABLE_NOTES[case_id]),
             diffusion_check=d_check,
             gamma_check=g_check,

@@ -26,6 +26,7 @@ from .kernel import (
     strip_coordinates, substitute, to_text,
 )
 from .model import Model
+from .parser import parse
 
 
 class DerivationError(Exception):
@@ -349,8 +350,8 @@ def extract_determining(model: Model, geometry_mode="symbolic",
             "geometry_lock", leftover, solved, assumption="D != 0"))
 
     generator_final = {
-        "r": to_text(normalize(gen.xi_r)),
-        "t": to_text(normalize(gen.xi_t)),
+        "r": to_text(gen.xi_r),
+        "t": to_text(gen.xi_t),
         "phi": to_text(_impose_links(gen.xi_phi, a8_solution, table)),
         "w": to_text(_impose_links(gen.xi_w, a8_solution, table)),
     }
@@ -426,7 +427,6 @@ class AuditReport:
 def audit_against_published(system: DeterminingSystem, model: Model,
                             seed: int = 0) -> AuditReport:
     """Grade every published determining equation against the derivation."""
-    from .parser import parse
     table = model.table
     literal = {}
     if system.geometry_mode != "symbolic":

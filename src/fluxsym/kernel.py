@@ -240,6 +240,16 @@ class SymbolTable:
             self.declare(name, "jet", base=base, order=(d_r, d_t))
         return Sym(name)
 
+    def jet_from_name(self, name: str) -> Sym | None:
+        """The jet a well-formed jet name of a declared base denotes (D_rrt),
+        declared on demand; None for any other name."""
+        base, _, suffix = name.rpartition("_")
+        d_r, d_t = suffix.count("r"), suffix.count("t")
+        if (not suffix or not self.is_declared(base)
+                or name != self.jet_name(base, d_r, d_t)):
+            return None
+        return self.jet(base, d_r, d_t)
+
     def derivative_function(self, func: str) -> str:
         """Name of the derivative symbol of a unary function (G -> G')."""
         info = self.info(func)

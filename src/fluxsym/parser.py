@@ -156,7 +156,9 @@ class _Parser:
 
     def _symbol(self, tok: _Token) -> Expr:
         name = tok.text
-        if not self.table.is_declared(name) and not self._register_jet(name):
+        # D_rrt style names resolve against a declared base function
+        if (not self.table.is_declared(name)
+                and self.table.jet_from_name(name) is None):
             if self.strict:
                 raise UndeclaredSymbolError(
                     f"undeclared symbol {name!r} (byte {tok.offset})")
@@ -166,20 +168,6 @@ class _Parser:
             raise ArityError(
                 f"function symbol {name!r} used without arguments (byte {tok.offset})")
         return Sym(name)
-
-    def _register_jet(self, name: str) -> bool:
-        # D_rrt style names resolve against a declared base function
-        if "_" not in name:
-            return False
-        base, _, suffix = name.rpartition("_")
-        if not base or not suffix or set(suffix) - {"r", "t"}:
-            return False
-        if suffix != "r" * suffix.count("r") + "t" * suffix.count("t"):
-            return False
-        if not self.table.is_declared(base):
-            return False
-        self.table.jet(base, suffix.count("r"), suffix.count("t"))
-        return True
 
     def _call(self, tok: _Token, args: tuple) -> Expr:
         name = tok.text

@@ -12,7 +12,7 @@ from fluxsym.characteristics import (
     solve_characteristics,
 )
 from fluxsym.kernel import (
-    Mul, Rat, Sym, UndeclaredSymbolError, ZERO, ZeroVerdict, evaluate,
+    Call, Mul, Rat, Sym, UndeclaredSymbolError, ZERO, ZeroVerdict, evaluate,
     normalize, substitute, to_text,
 )
 from fluxsym.parser import parse
@@ -275,6 +275,45 @@ def test_gradient_free_exponential_branch(model):
     sol = solve_characteristics(pde, model, "G")
     assert sol.branch == "extension"
     assert pde.residual(sol.expression, model) == ZERO
+
+
+# each c_r and c_t and the conditions its family needs
+R_CONDITIONS = {
+    "0": (),
+    "a1": ("a2 = 0", "a1 != 0"),
+    "a2*r": ("a2 != 0",),
+    "a1 + a2*r": ("a2 != 0",),
+}
+T_CONDITIONS = {"a3": ("a4 = 0", "a3 != 0"), "a3 + a4*t": ("a4 != 0",)}
+
+
+@pytest.mark.parametrize("c_r", R_CONDITIONS)
+@pytest.mark.parametrize("c_t", T_CONDITIONS)
+@pytest.mark.parametrize("k,s", [("a4", "2*a2"), ("a4", "a4")],
+                         ids=["growth", "zero-growth"])
+def test_every_branch_solves_its_condition(model, c_r, c_t, k, s):
+    table = model.table
+    pde = QuasiLinearPDE("D", *(parse(text, table) for text in (c_r, c_t, k, s)))
+    sol = solve_characteristics(pde, model, "G")
+    check = back_substitute(sol, pde, model)
+    assert check.verdict == "zero" and check.symbolic_zero
+    conditions = R_CONDITIONS[c_r] + T_CONDITIONS[c_t]
+    assert sol.conditions == conditions
+    if "a2 = 0" in conditions or "a4 = 0" in conditions:
+        assert sol.branch == "extension"
+    else:
+        assert sol.branch == ("gradient-free" if c_r == "0" else "generic")
+    if k == s:
+        # no growth: no time factor, not even exp(0)
+        assert sol.expression == (
+            model.C if c_r == "0" else normalize(Call("G", (sol.xi,))))
+
+
+@pytest.mark.parametrize("c_r", R_CONDITIONS)
+def test_a_vanishing_time_coefficient_raises(model, c_r):
+    pde = QuasiLinearPDE("D", parse(c_r, model.table), ZERO, Sym("a4"), ZERO)
+    with pytest.raises(UnsupportedBranchError, match="pivot"):
+        solve_characteristics(pde, model, "G")
 
 
 def test_fully_degenerate_raises(model):

@@ -73,6 +73,14 @@ def test_cases_json_to_stdout(tmp_path, capsys):
     assert data["schema_version"] == "1"
 
 
+def test_cases_report_matches_the_golden_file(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "cases.json"
+    code, out = run(tmp_path, "cases", "--json", "--seed", "0")
+    assert code == 0
+    assert out.read_bytes() == golden.read_bytes()
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_verify_closure(tmp_path):
     code, out = run(tmp_path, "verify", "--closure")
     assert code == 0
