@@ -12,7 +12,7 @@ back-substitution and can be re-verified numerically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import published
 from .kernel import (
@@ -28,8 +28,7 @@ class UnsupportedBranchError(Exception):
     """The coefficient degeneracy is outside the implemented solution families."""
 
 
-@dataclass(frozen=True)
-class QuasiLinearPDE:
+class QuasiLinearPDE(NamedTuple):
     """c_r f_r + c_t f_t + k f = s f for the function symbol `func`."""
     func: str
     c_r: Expr
@@ -74,8 +73,7 @@ def gamma_condition(model: Model, a1_zero=False) -> QuasiLinearPDE:
     )
 
 
-@dataclass(frozen=True)
-class MaterialSolution:
+class MaterialSolution(NamedTuple):
     func: str                  # the constrained function symbol (D or Gamma)
     expression: Expr
     xi: Expr | None            # similarity argument, None for space-free forms
@@ -152,8 +150,7 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
 # Verification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BackSubstitution:
+class BackSubstitution(NamedTuple):
     verdict: str               # "zero" | "numeric-only" | "nonzero" | "unknown"
     symbolic_zero: bool
     max_residual: float = 0.0
@@ -202,8 +199,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
 # Case enumeration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     constraints: tuple          # subset of ("n = 0", "a1 = 0", "D_r = 0")
     diffusion: MaterialSolution

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import (
     Expr, Mul, Pow, Rat, SymbolTable, ZERO, as_expr, differentiate,
@@ -48,8 +48,7 @@ def _sort_with_sign(indices):
     return tuple(idx), sign
 
 
-@dataclass(frozen=True)
-class DifferentialForm:
+class DifferentialForm(NamedTuple):
     degree: int
     coefficients: tuple  # ((slot index tuple, Expr), ...) sorted
 

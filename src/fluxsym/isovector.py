@@ -11,7 +11,7 @@ ground truth; the published set is reference data graded by the audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import published
 from .forms import (
@@ -37,8 +37,7 @@ class DerivationError(Exception):
 # Generator
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """Coefficients of the restricted translation/scaling vector field.
 
     Each coordinate coefficient is affine in its own coordinate with
@@ -113,8 +112,7 @@ def _basis_label(key) -> str:
     return "∧".join(f"d{SLOTS[i]}" for i in key)
 
 
-@dataclass(frozen=True)
-class MultiplierSolve:
+class MultiplierSolve(NamedTuple):
     """Multipliers and residual slot coefficients of one ideal reduction."""
     multipliers: tuple          # ((basis name, pivot label, Expr), ...)
     residuals: tuple            # ((basis label, Expr), ...)
@@ -166,24 +164,21 @@ def solve_linear(e: Expr, name: str):
     return normalize(Mul((Rat(-1), c0, inv)))
 
 
-@dataclass(frozen=True)
-class ResidualEquation:
+class ResidualEquation(NamedTuple):
     source: str        # which Lie derivative it came from
     basis: str         # basis 2-form slot
     monomial: str      # phi/w monomial of the split ("1" when unsplit)
     expression: Expr   # = 0
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     equation: Expr             # = 0
     solved: str                # human-readable solved form
     assumption: str | None = None
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class _SystemValue(NamedTuple):
     geometry_mode: object
     residual_equations: tuple
     multipliers: dict
@@ -197,10 +192,17 @@ class DeterminingSystem:
     generator_final: dict
     assumptions: tuple
     notes: tuple
-    # the geometry branches of an expression modulo this system (see
-    # `_branch_reducer`), built once per derivation and shared by the
-    # self-consistency check and the audit; not part of the system's value
-    branches: object = field(compare=False, repr=False)
+
+
+class DeterminingSystem(_SystemValue):
+    """The system's value, and `branches`: an expression's geometry branches
+    modulo the system (`_branch_reducer`), built once per derivation for the
+    self-consistency check and the audit, and left out of equality and repr."""
+
+    def __new__(cls, *fields, branches, **named):
+        system = super().__new__(cls, *fields, **named)
+        system.branches = branches
+        return system
 
 
 def _coefficient_of(e: Expr, jet_name: str) -> Expr:
@@ -401,8 +403,7 @@ def check_self_consistency(system: DeterminingSystem, model: Model,
 # Audit against the published set
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     identifier: str
     published_form: str
     engine_form: str | None
@@ -410,8 +411,7 @@ class AuditRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     rows: tuple
     assumptions: tuple
     notes: tuple
@@ -525,8 +525,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
 # Gradient-closure check
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     identically_zero: bool
     multiplier: Expr
     residual: Expr

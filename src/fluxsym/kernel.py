@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class KernelError(Exception):
@@ -54,7 +54,14 @@ class Expr:
     """Immutable expression tree node. Arithmetic operators build raw
     (unnormalized) trees; call normalize() at API boundaries."""
 
-    __slots__ = ()
+    # caches, unset until first use: the hash, the sort key (`_key`) and, on
+    # a compound normal form, the poly it was built from (`_rebuild`)
+    __slots__ = ("_hash", "_key", "_poly")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -96,62 +103,94 @@ class Expr:
 def _hash_once(node, fields) -> int:
     """The hash of an immutable node, computed on first use and kept on it:
     bases and monomials are dict keys, so a node is hashed many times."""
-    d = node.__dict__
-    h = d.get("_hash")
+    h = getattr(node, "_hash", None)
     if h is None:
-        h = d["_hash"] = hash(fields)
+        h = hash(fields)
+        object.__setattr__(node, "_hash", h)
     return h
 
 
-@dataclass(frozen=True, repr=False)
 class Rat(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value):
+        if type(value) is int:
+            value = Fraction(value)
+        elif not isinstance(value, Fraction):
+            raise TypeError(f"cannot interpret {value!r} as an expression")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        return type(other) is Rat and self.value == other.value
 
     def __hash__(self):
         return _hash_once(self, self.value)
 
 
-@dataclass(frozen=True, repr=False)
 class Sym(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return type(other) is Sym and self.name == other.name
 
     def __hash__(self):
         return hash(self.name)
 
 
-@dataclass(frozen=True, repr=False)
 class Add(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        return type(other) is Add and self.terms == other.terms
 
     def __hash__(self):
         return _hash_once(self, self.terms)
 
 
-@dataclass(frozen=True, repr=False)
 class Mul(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return type(other) is Mul and self.factors == other.factors
 
     def __hash__(self):
         return _hash_once(self, self.factors)
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        return (type(other) is Pow and self.base == other.base
+                and self.exponent == other.exponent)
 
     def __hash__(self):
         return _hash_once(self, (self.base, self.exponent))
 
 
-@dataclass(frozen=True, repr=False)
 class Call(Expr):
-    func: str
-    args: tuple
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        return (type(other) is Call and self.func == other.func
+                and self.args == other.args)
 
     def __hash__(self):
         return _hash_once(self, (self.func, self.args))
@@ -163,11 +202,7 @@ MINUS_ONE = Rat(Fraction(-1))
 
 
 def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rat(Fraction(x))
-    raise TypeError(f"cannot interpret {x!r} as an expression")
+    return x if isinstance(x, Expr) else Rat(x)
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +212,7 @@ def as_expr(x) -> Expr:
 KINDS = ("coordinate", "parameter", "jet", "arbitrary-function", "arbitrary-constant")
 
 
-@dataclass(frozen=True)
-class SymbolInfo:
+class SymbolInfo(NamedTuple):
     name: str
     kind: str
     base: str | None = None          # jet: the differentiated function
@@ -303,10 +337,6 @@ def _exponent(e: Expr):
     return _num(e.value) if type(e) is Rat else e
 
 
-def _exponent_expr(x) -> Expr:
-    return x if isinstance(x, Expr) else Rat(x)
-
-
 def _key(e: Expr):
     """Deterministic total order on normalized expressions."""
     t = type(e)
@@ -314,7 +344,7 @@ def _key(e: Expr):
         return (0, e.value)
     if t is Sym:
         return (1, e.name)
-    k = e.__dict__.get("_key")
+    k = getattr(e, "_key", None)
     if k is None:
         if t is Call:
             k = (2, e.func, tuple(_key(a) for a in e.args))
@@ -326,7 +356,7 @@ def _key(e: Expr):
             k = (5, tuple(_key(f) for f in e.terms))
         else:
             raise TypeError(t)
-        e.__dict__["_key"] = k
+        object.__setattr__(e, "_key", k)
     return k
 
 
@@ -420,7 +450,7 @@ def _add_exponents(a, b):
     if a == 0:
         return b
     if isinstance(a, Expr) or isinstance(b, Expr):
-        return _exponent(normalize(Add((_exponent_expr(a), _exponent_expr(b)))))
+        return _exponent(normalize(Add((as_expr(a), as_expr(b)))))
     return _num(a + b)
 
 
@@ -432,7 +462,7 @@ def _mul_exponent(a, b):
     if a == 0 or b == 0:
         return 0
     if isinstance(a, Expr) or isinstance(b, Expr):
-        return _exponent(normalize(Mul((_exponent_expr(a), _exponent_expr(b)))))
+        return _exponent(normalize(Mul((as_expr(a), as_expr(b)))))
     return _num(a * b)
 
 
@@ -510,7 +540,7 @@ def _to_poly(e: Expr) -> dict:
     if t is Rat:
         return {(): _num(e.value)} if e.value else {}
     if t is Add or t is Mul or t is Pow:
-        own = e.__dict__.get("_poly")
+        own = getattr(e, "_poly", None)
         if own is not None:
             return dict(own)
     if t is Add:
@@ -523,7 +553,8 @@ def _to_poly(e: Expr) -> dict:
     if t is Pow:
         return _poly_product((e,))
     if t is Call:
-        return {((Call(e.func, tuple(normalize(a) for a in e.args)), 1),): 1}
+        args = tuple(normalize(a) for a in e.args)
+        return {((e if args == e.args else Call(e.func, args), 1),): 1}
     raise TypeError(t)
 
 
@@ -599,7 +630,7 @@ def _rebuild(p: dict) -> Expr:
         return ZERO
     terms = []
     for mono, coef in p.items():
-        factors = [b if x == 1 else Pow(b, _exponent_expr(x)) for b, x in mono]
+        factors = [b if x == 1 else Pow(b, as_expr(x)) for b, x in mono]
         if coef != 1 or not mono:
             factors.insert(0, Rat(coef))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
@@ -610,7 +641,7 @@ def _rebuild(p: dict) -> Expr:
     else:
         terms.sort(key=_key)
         e = Add(tuple(terms))
-    e.__dict__["_poly"] = dict(p)
+    object.__setattr__(e, "_poly", dict(p))
     return e
 
 
@@ -618,7 +649,7 @@ def normalize(e: Expr) -> Expr:
     """Canonical form: expanded, collected, deterministically ordered.
     Idempotent; structural equality of normal forms is the kernel's equality."""
     e = as_expr(e)
-    if "_poly" in getattr(e, "__dict__", ()):
+    if type(e) is Sym or type(e) is Rat or getattr(e, "_poly", None) is not None:
         return e
     return _rebuild(_to_poly(e))
 

@@ -58,9 +58,9 @@ class Model:
         return self.table.jet(base, d_r, d_t)
 
     def geometry_index(self, mode):
-        """Geometry index as an expression: 'symbolic' or a literal 0/1/2."""
+        """Geometry index as an expression: 'symbolic' or an int 0/1/2."""
         if mode == "symbolic":
             return self.n
-        if mode in (0, 1, 2):
+        if type(mode) is int and mode in (0, 1, 2):
             return Rat(mode)
         raise ValueError(f"geometry index must be symbolic or 0/1/2, got {mode!r}")

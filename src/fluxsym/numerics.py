@@ -17,8 +17,7 @@ O(epsilon) level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .kernel import Add, Call, Mul, Pow, Rat, Sym, as_expr
 
@@ -121,30 +120,36 @@ def sampled_functions(amplitude: float = 1.0) -> dict:
 # Grid, material, field
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GridSpec:
-    r0: float
-    r1: float
-    t1: float
-    n_r: int
-    n_t: int
-    geometry: int = 0
+    """A uniform grid on [r0, r1] x [0, t1], equal by its six numbers."""
+    __slots__ = ("r0", "r1", "t1", "n_r", "n_t", "geometry", "_r_nodes", "_t_nodes")
 
-    def __post_init__(self):
-        if self.geometry not in (0, 1, 2):
+    def __init__(self, r0: float, r1: float, t1: float, n_r: int, n_t: int,
+                 geometry: int = 0):
+        if geometry not in (0, 1, 2):
             raise ValueError("geometry index must be 0, 1 or 2")
-        if self.n_r < 4 or self.n_t < 4:
+        if n_r < 4 or n_t < 4:
             raise ValueError("need at least 4 cells in r and t")
-        if (not all(map(math.isfinite, (self.r0, self.r1, self.t1)))
-                or self.r0 < 0 or self.r1 <= self.r0 or self.t1 <= 0):
+        if (not all(map(math.isfinite, (r0, r1, t1)))
+                or r0 < 0 or r1 <= r0 or t1 <= 0):
             raise ValueError("bad domain bounds")
         import numpy as np
 
+        self.r0, self.r1, self.t1, self.n_r, self.n_t = r0, r1, t1, n_r, n_t
+        self.geometry = geometry
         # built once and shared by every caller, hence read-only
-        for name, nodes in (("_r_nodes", np.linspace(self.r0, self.r1, self.n_r + 1)),
-                            ("_t_nodes", np.linspace(0.0, self.t1, self.n_t + 1))):
-            nodes.flags.writeable = False
-            object.__setattr__(self, name, nodes)
+        self._r_nodes = np.linspace(r0, r1, n_r + 1)
+        self._t_nodes = np.linspace(0.0, t1, n_t + 1)
+        self._r_nodes.flags.writeable = self._t_nodes.flags.writeable = False
+
+    def _value(self):
+        return (self.r0, self.r1, self.t1, self.n_r, self.n_t, self.geometry)
+
+    def __eq__(self, other):
+        return type(other) is GridSpec and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     @property
     def r_nodes(self):
@@ -167,8 +172,7 @@ class GridSpec:
                         self.n_t * _REFINEMENT_FACTOR, self.geometry)
 
 
-@dataclass(frozen=True)
-class MaterialModel:
+class MaterialModel(NamedTuple):
     """D(r,t), Gamma(r,t) and the neutron speed v.
 
     D and Gamma are vectorized callables (see `compile_numeric`).
@@ -192,22 +196,20 @@ def _check_diffusion(d):
         raise SolverError("D must be positive and finite on the grid")
 
 
-@dataclass(frozen=True)
 class Field:
-    """phi on the (n_t+1) x (n_r+1) space-time grid (time-major)."""
-    grid: GridSpec
-    material: MaterialModel
-    phi: np.ndarray
-    valid: np.ndarray | None = None   # mask for interpolated fields
-    clipped_fraction: float | None = None   # of a transformed field
+    """phi on the (n_t+1) x (n_r+1) space-time grid (time-major); `valid`
+    masks an interpolated field, `clipped_fraction` that of a transformed one."""
+    __slots__ = ("grid", "material", "phi", "valid", "clipped_fraction")
 
-    def __post_init__(self):
-        expect = (self.grid.n_t + 1, self.grid.n_r + 1)
-        if self.phi.shape != expect:
-            raise SolverError(f"field shape {self.phi.shape} != grid {expect}")
+    def __init__(self, grid: GridSpec, material: MaterialModel, phi: np.ndarray,
+                 valid: np.ndarray | None = None, clipped_fraction: float | None = None):
+        expect = (grid.n_t + 1, grid.n_r + 1)
+        if phi.shape != expect:
+            raise SolverError(f"field shape {phi.shape} != grid {expect}")
+        self.grid, self.material, self.phi = grid, material, phi
+        self.valid, self.clipped_fraction = valid, clipped_fraction
 
 
-@dataclass(frozen=True)
 class TransformParams:
     """One finite element of the translation/scaling family.
 
@@ -216,16 +218,15 @@ class TransformParams:
     with the determining constraints a5 = a7 = 0, a8 = a6 - a2 enforced.
     The neutron speed is held fixed under the map.
     """
-    eps: float
-    a: dict
+    __slots__ = ("eps", "a")
 
-    def __post_init__(self):
-        a = {f"a{i}": float(self.a.get(f"a{i}", 0.0)) for i in range(1, 9)}
-        object.__setattr__(self, "a", a)
+    def __init__(self, eps: float, a: dict):
+        a = {f"a{i}": float(a.get(f"a{i}", 0.0)) for i in range(1, 9)}
         if abs(a["a5"]) > 1e-14 or abs(a["a7"]) > 1e-14:
             raise ValueError("a5 and a7 must vanish (determining constraints)")
         if abs(a["a8"] - (a["a6"] - a["a2"])) > 1e-12:
             raise ValueError("a8 must equal a6 - a2 (determining constraint)")
+        self.eps, self.a = eps, a
 
     def map_inverse(self, r, t):
         import numpy as np
@@ -541,8 +542,7 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     return float(np.max(np.abs(vals)) / (scale if scale > 0 else 1.0))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     levels: tuple            # (n_r, n_t) per refinement
     residuals: tuple         # transformed-field residual per level
     ratios: tuple            # residual[i] / residual[i+1]

@@ -16,8 +16,8 @@ be declared in the symbol table; otherwise new names register as parameters
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kernel import (
     Add, ArityError, Call, Expr, Mul, MINUS_ONE, Pow, Rat, Sym, SymbolTable,
@@ -31,8 +31,7 @@ class ParseError(Exception):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     offset: int

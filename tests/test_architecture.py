@@ -53,6 +53,22 @@ def test_no_module_loads_numpy_at_import():
     assert out.strip() == "False"
 
 
+def test_no_module_loads_dataclasses_at_import():
+    # records are NamedTuples and kernel nodes slotted classes, so importing
+    # any module, the cli included, leaves dataclasses (and the inspect it
+    # imports) unloaded: a cold command does not pay for either
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if path.stem != "__init__")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('fluxsym.' + name)\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False False"
+
+
 def test_the_symbolic_commands_run_without_numpy(tmp_path):
     # derive, cases and verify --closure load neither numpy nor scipy; a
     # verify --case in the same process does, so the command decides

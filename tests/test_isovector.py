@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -87,8 +86,8 @@ def test_lie_scalar_is_the_jet_rule_along_the_generator(model):
     rng = random.Random(29)
     standard = Generator.standard(model)
     # and a generator with a1 = a4 = 0
-    for gen in (standard, dataclasses.replace(
-            standard, xi_r=normalize(Sym("a2") * model.r), xi_t=Sym("a3"))):
+    for gen in (standard, standard._replace(
+            xi_r=normalize(Sym("a2") * model.r), xi_t=Sym("a3"))):
         def reference(e):
             return apply_derivation(
                 e, lambda s: _chi_by_its_own_jet_rule(s, gen, model), table)
@@ -312,6 +311,22 @@ def test_extract_curvilinear_pins_a1(model):
         lock = next(c for c in system.constraints
                     if c.name == "geometry_lock")
         assert lock.solved == "a1 = 0"
+
+
+@pytest.mark.parametrize("mode", [True, False, 1.0, 0.0, "1", 3, -1, None])
+def test_the_geometry_index_is_symbolic_or_an_int(model, mode):
+    # True == 1 and 1.0 == 1, but neither is an index: a derive from one
+    # reported it as the geometry mode
+    with pytest.raises(ValueError):
+        model.geometry_index(mode)
+    with pytest.raises(ValueError):
+        extract_determining(model, mode)
+
+
+def test_geometry_index_values(model):
+    assert model.geometry_index("symbolic") == model.n
+    assert ([model.geometry_index(i) for i in (0, 1, 2)]
+            == [Rat(0), Rat(1), Rat(2)])
 
 
 def test_material_conditions_match_published_text(model):

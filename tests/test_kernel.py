@@ -6,8 +6,8 @@ import pytest
 
 from fluxsym.kernel import (
     Add, Call, EvaluationError, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
-    differentiate, evaluate, is_zero, normalize, sign_normalize, substitute,
-    to_text, collect_by, poly_div_exact, strip_coordinates,
+    as_expr, differentiate, evaluate, is_zero, normalize, sign_normalize,
+    substitute, to_text, collect_by, poly_div_exact, strip_coordinates,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -54,6 +54,74 @@ def test_normalize_idempotent_on_random_expressions(model):
         assert normalize(n) == n
         # a normal form built afresh is read back, not passed through
         assert normalize(_copy(n)) == n
+
+
+# --- the node contract ---------------------------------------------------
+
+_FIELDS = {Rat: ("value",), Sym: ("name",), Add: ("terms",),
+           Mul: ("factors",), Pow: ("base", "exponent"), Call: ("func", "args")}
+
+
+def _nodes(count=300):
+    """A node of every type, then random expressions and their normal forms."""
+    x, y = Sym("x"), Sym("y")
+    nodes = [Rat(2), x, Add((x, y)), Mul((x, y)), Pow(x, Rat(3)),
+             Call("G", (x,))]
+    rng = random.Random(13)
+    names = ("r", "t", "a1", "a2", "phi", "D")
+    for _ in range(count):
+        e = random_expression(rng, names, depth=3, funcs=("G", "exp"))
+        nodes += [e, normalize(e)]
+    return nodes
+
+
+def test_nodes_are_immutable(model):
+    for node in _nodes(100):
+        before = hash(node)
+        for name in _FIELDS[type(node)] + ("_hash", "_key", "_poly"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, ZERO)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert hash(node) == before
+        assert node == _copy(node)
+
+
+def test_equal_trees_are_equal_and_hash_alike(model):
+    assert {type(node) for node in _nodes(0)} == set(_FIELDS)
+    for node in _nodes():
+        # the copy has none of the caches the original may have filled
+        copy = _copy(node)
+        assert copy is not node
+        assert copy == node and not copy != node
+        assert hash(copy) == hash(node)
+
+
+def test_nodes_of_different_types_are_unequal():
+    x, y = Sym("x"), Sym("y")
+    assert Add((x, y)) != Mul((x, y))
+    assert Rat(1) != Sym("1")
+    assert Pow(x, y) != Call("x", (y,))
+    nodes = _nodes(0)
+    for a in nodes:
+        assert [b for b in nodes if b == a] == [a]
+    assert Add((x, y)) != (x, y) and Rat(1) != 1
+
+
+def test_normalizing_a_normal_form_returns_it(model):
+    for node in _nodes():
+        n = normalize(node)
+        assert normalize(n) is n
+
+
+def test_rat_takes_what_as_expr_takes():
+    assert Rat(3) == Rat(Fraction(6, 2)) == as_expr(3)
+    assert type(Rat(3).value) is Fraction
+    for bad in (0.1, 1.0, True, False, "1", None, complex(1, 0)):
+        with pytest.raises(TypeError):
+            Rat(bad)
+        with pytest.raises(TypeError):
+            as_expr(bad)
 
 
 def test_normalize_commutative_and_distributive(model):
