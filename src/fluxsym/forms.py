@@ -31,6 +31,11 @@ class FormError(Exception):
     pass
 
 
+def basis_label(slots) -> str:
+    """The label of a basis form, "dt∧dr", from its slot indices or names."""
+    return "∧".join(f"d{SLOTS[s] if type(s) is int else s}" for s in slots)
+
+
 def _sort_with_sign(indices):
     """Insertion sort returning (sorted tuple, permutation sign); None for
     repeated slots."""
@@ -110,7 +115,7 @@ class DifferentialForm(NamedTuple):
             return "0"
         parts = []
         for key, coef in self.coefficients:
-            basis = "∧".join(f"d{SLOTS[i]}" for i in key)
+            basis = basis_label(key)
             parts.append(f"({to_text(coef)})·{basis}" if basis else to_text(coef))
         return " + ".join(parts)
 

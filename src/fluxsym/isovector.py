@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from . import published
 from .forms import (
-    DifferentialForm, build_mu1, build_mu2, build_mu3, exterior_d,
-    scalar_form, section, wedge, SLOTS,
+    DifferentialForm, basis_label, build_mu1, build_mu2, build_mu3,
+    exterior_d, scalar_form, section, wedge, SLOTS,
 )
 from .kernel import (
     Add, Expr, MINUS_ONE, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
@@ -108,10 +108,6 @@ def lie_form(gen: Generator, alpha: DifferentialForm, model: Model) -> Different
 # Ideal reduction
 # --------------------------------------------------------------------------
 
-def _basis_label(key) -> str:
-    return "∧".join(f"d{SLOTS[i]}" for i in key)
-
-
 class MultiplierSolve(NamedTuple):
     """Multipliers and residual slot coefficients of one ideal reduction."""
     multipliers: tuple          # ((basis name, pivot label, Expr), ...)
@@ -130,7 +126,7 @@ def ideal_reduce(lie_mu: DifferentialForm, basis) -> MultiplierSolve:
     remainder = lie_mu
     multipliers = []
     for name, form, pivot in basis:
-        label = "∧".join(f"d{s}" for s in pivot)
+        label = basis_label(pivot)
         pivot_coef = form.get(*pivot)
         inv = poly_div_exact(ONE, pivot_coef)
         if inv is None:
@@ -143,7 +139,7 @@ def ideal_reduce(lie_mu: DifferentialForm, basis) -> MultiplierSolve:
             *remainder.coefficients,
             *((key, Mul((MINUS_ONE, lam, c))) for key, c in form.coefficients)])
         multipliers.append((name, label, lam))
-    residuals = tuple((_basis_label(key), coef)
+    residuals = tuple((basis_label(key), coef)
                       for key, coef in remainder.coefficients)
     return MultiplierSolve(tuple(multipliers), residuals, remainder)
 

@@ -4,7 +4,7 @@ A small, purpose-built expression engine: immutable trees over rational
 constants, named symbols, sums, products, powers and function applications,
 with exact rational arithmetic, a canonical (idempotent) normal form,
 differentiation with jet-symbol bookkeeping, simultaneous substitution,
-randomized zero testing and double-precision evaluation.
+randomized zero testing and evaluation in exact, float or array arithmetic.
 
 The normal form is a collected "generalized Laurent polynomial": a sum of
 monomials, each a rational coefficient times powers of atomic bases.  Bases
@@ -936,67 +936,61 @@ def _subst(e: Expr, named: dict) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Numeric evaluation
+# Evaluation
 # --------------------------------------------------------------------------
 
-_FD_STEP = 1e-6
+def _float_power(b, x):
+    """b**x in floats; a pole or a complex value is an EvaluationError."""
+    if b == 0.0 and x < 0:
+        raise EvaluationError("division by zero (negative power of 0)")
+    if b < 0.0 and x != round(x):
+        raise EvaluationError(
+            f"non-integral power of a negative base: ({b})**{x}")
+    return b ** x
 
 
-def evaluate(e: Expr, point: dict, fns: dict | None = None) -> float:
-    """Double-precision value of `e` with all free symbols bound.
+def evaluate(e: Expr, point: dict, fns: dict | None = None, *,
+             value=float, power=_float_power):
+    """The value of `e` with all free symbols bound, in floats unless the
+    caller supplies another arithmetic.
 
     `point` maps symbol names (or Syms) to numbers; `fns` maps function
-    names to callables.  A derivative symbol G' without an explicit callable
-    falls back to a central finite difference of G (step 1e-6).
+    names to callables, exp defaulting to math.exp.  `value` turns a
+    number into a value of the arithmetic (each point value, rational
+    constant and function result passes through it) and `power(b, x)`
+    takes a power: `numerics.compile_numeric` passes numpy arrays and
+    np.power.  An unbound symbol or function is an EvaluationError.
     """
-    env = {(k.name if isinstance(k, Sym) else str(k)): float(v)
+    env = {(k.name if isinstance(k, Sym) else str(k)): value(v)
            for k, v in point.items()}
-    fns = dict(fns or {})
-    return _eval(as_expr(e), env, fns)
+    return _value(as_expr(e), env, {"exp": math.exp, **(fns or {})},
+                  value, power)
 
 
-def _eval(e: Expr, env: dict, fns: dict) -> float:
-    if isinstance(e, Rat):
-        return float(e.value)
-    if isinstance(e, Sym):
+def _value(e: Expr, env: dict, fns: dict, value, power):
+    """The value of `e` in the arithmetic of `value` and `power`: the one
+    tree walk that computes a value, whether exact, float or numpy."""
+    t = type(e)
+    if t is Rat:
+        return value(e.value)
+    if t is Sym:
         try:
             return env[e.name]
         except KeyError:
             raise EvaluationError(f"unbound symbol {e.name!r}") from None
-    if isinstance(e, Add):
-        return sum(_eval(t, env, fns) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, env, fns)
-        return out
-    if isinstance(e, Pow):
-        b = _eval(e.base, env, fns)
-        x = _eval(e.exponent, env, fns)
-        if b == 0.0 and x < 0:
-            raise EvaluationError("division by zero (negative power of 0)")
-        if b < 0.0 and x != round(x):
-            raise EvaluationError(
-                f"non-integral power of a negative base: ({b})**{x}")
-        return b ** x
-    if isinstance(e, Call):
-        args = [_eval(a, env, fns) for a in e.args]
-        fn = _resolve_fn(e.func, fns)
-        return float(fn(*args))
-    raise TypeError(type(e))
-
-
-def _resolve_fn(name: str, fns: dict):
-    if name in fns:
-        return fns[name]
-    if name == "exp":
-        return math.exp
-    if name.endswith("'"):
-        base = _resolve_fn(name[:-1], fns)
-        def fd(x, _f=base):
-            return (_f(x + _FD_STEP) - _f(x - _FD_STEP)) / (2 * _FD_STEP)
-        return fd
-    raise EvaluationError(f"no callable bound for function {name!r}")
+    if t is Add:
+        return sum(_value(a, env, fns, value, power) for a in e.terms)
+    if t is Mul:
+        return math.prod(_value(f, env, fns, value, power) for f in e.factors)
+    if t is Pow:
+        return power(_value(e.base, env, fns, value, power),
+                     _value(e.exponent, env, fns, value, power))
+    if t is Call:
+        fn = fns.get(e.func)
+        if fn is None:
+            raise EvaluationError(f"no callable bound for function {e.func!r}")
+        return value(fn(*[_value(a, env, fns, value, power) for a in e.args]))
+    raise TypeError(t)
 
 
 # --------------------------------------------------------------------------
@@ -1026,40 +1020,37 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_derivative(coeffs):
-    return [c * k for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
+def _poly_derivative(coeffs, k: int):
+    """The coefficients of the k-th derivative of a polynomial."""
+    for _ in range(k):
+        coeffs = [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
+    return coeffs
 
 
 class _Inexact(Exception):
     pass
 
 
-def _eval_exact(e: Expr, env: dict, fpolys: dict) -> Fraction:
-    if isinstance(e, Rat):
-        return e.value
-    if isinstance(e, Sym):
-        return env[e.name]
-    if isinstance(e, Add):
-        return sum((_eval_exact(t, env, fpolys) for t in e.terms), Fraction(0))
-    if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out *= _eval_exact(f, env, fpolys)
-        return out
-    if isinstance(e, Pow):
-        x = _eval_exact(e.exponent, env, fpolys)
-        if x.denominator != 1:
+def _exact_power(b: Fraction, x: Fraction) -> Fraction:
+    """b**x for an integer x (a pole raises ZeroDivisionError)."""
+    if x.denominator != 1:
+        raise _Inexact
+    return b ** int(x)
+
+
+def _sampled_function(coeffs, exact: bool):
+    """A sampled polynomial as a unary function: of a Fraction, exactly,
+    or of a float through a nearby rational.  Any other arity is inexact."""
+    def fn(*args):
+        if len(args) != 1:
             raise _Inexact
-        b = _eval_exact(e.base, env, fpolys)
-        if b == 0 and x < 0:
-            raise ZeroDivisionError
-        return b ** int(x)
-    if isinstance(e, Call):
-        if e.func == "exp" or len(e.args) != 1:
-            raise _Inexact
-        x = _eval_exact(e.args[0], env, fpolys)
-        return _poly_eval(fpolys[e.func], x)
-    raise TypeError(type(e))
+        x, = args
+        if exact:
+            return _poly_eval(coeffs, x)
+        if not math.isfinite(x):
+            raise OverflowError("non-finite argument")
+        return float(_poly_eval(coeffs, Fraction(x).limit_denominator(10**6)))
+    return fn
 
 
 _FLOAT_ZERO_TOL = 1e-9
@@ -1071,14 +1062,16 @@ def is_zero(e: Expr, table: SymbolTable, seed: int = 0,
     """'zero' iff the normal form is 0; otherwise randomized evaluation.
 
     Samples all symbols at random rationals (jets independently) and
-    arbitrary functions as random cubic polynomials with exact derivative
-    polynomials for their primed symbols.  Any nonzero evaluation gives
+    arbitrary functions as random cubic polynomials, a primed symbol G''
+    as the matching derivative of G's.  Any nonzero evaluation gives
     'nonzero'; all-zero without a structural zero is reported 'unknown',
-    never silently treated as zero.  With exp present the evaluation is in
-    floating point, and a value counts as nonzero only above
-    _FLOAT_ZERO_TOL times the largest term of the normal form; a sample
-    that overflows or gives a non-finite value is drawn again, and the
-    verdict is 'unknown' after five such failures in a row.
+    never silently treated as zero.  The evaluation is exact unless exp is
+    present; in floating point a value counts as nonzero only above
+    _FLOAT_ZERO_TOL times the largest term of the normal form.  A sample
+    that cannot be evaluated (a pole, an overflow, a non-finite value, a
+    non-integer power in exact arithmetic, a function of more than one
+    argument) is drawn again, and the verdict is 'unknown' after five
+    such failures in a row.
     """
     n = normalize(e)
     if n == ZERO:
@@ -1095,40 +1088,34 @@ def is_zero(e: Expr, table: SymbolTable, seed: int = 0,
         else:
             names.append(s)
     bases = sorted({f.rstrip("'") for f in funcs if f != "exp"})
-    exact_possible = "exp" not in funcs
+    exact = "exp" not in funcs
+    if exact:
+        value, power, tol = Fraction, _exact_power, 0
+    else:
+        value, power, tol = float, _float_power, _FLOAT_ZERO_TOL
+    terms = n.terms if type(n) is Add else (n,)
 
     for _ in range(_ZERO_TEST_TRIALS):
         for attempt in range(5):
             env = {s: _sample_fraction(rng) for s in names}
-            fpolys: dict = {}
-            for b in bases:
-                poly = _sample_poly(rng)
-                fpolys[b] = poly
-                d = poly
-                for k in range(1, 4):
-                    d = _poly_derivative(d)
-                    fpolys[b + "'" * k] = d
+            polys = {b: _sample_poly(rng) for b in bases}
+            fns = {f: _sampled_function(_poly_derivative(
+                       polys[f.rstrip("'")], f.count("'")), exact)
+                   for f in funcs if f != "exp"}
+            if not exact:
+                env = {s: abs(float(v)) + 0.5 for s, v in env.items()}
+                fns["exp"] = math.exp
             try:
-                if exact_possible:
-                    val = _eval_exact(n, env, fpolys)
-                    if val != 0:
-                        return ZeroVerdict.NONZERO
-                else:
-                    envf = {s: abs(float(v)) + 0.5 for s, v in env.items()}
-                    fns = {name: (lambda x, _p=p: float(_poly_eval(
-                        _p, Fraction(x).limit_denominator(10**6))))
-                        for name, p in fpolys.items()}
-                    # relative to the largest term, so rounding in a large
-                    # identity is not taken for a nonzero and a tiny
-                    # nonzero still is
-                    vals = [_eval(t, envf, fns)
-                            for t in (n.terms if isinstance(n, Add) else (n,))]
-                    total = sum(vals)
-                    if not math.isfinite(total):
-                        # an overflow that float arithmetic let through
-                        raise OverflowError("non-finite value")
-                    if abs(total) > _FLOAT_ZERO_TOL * max(map(abs, vals)):
-                        return ZeroVerdict.NONZERO
+                # relative to the largest term, so rounding in a large
+                # identity is not taken for a nonzero and a tiny nonzero
+                # still is; an exact sum never goes through a float
+                vals = [_value(t, env, fns, value, power) for t in terms]
+                total = sum(vals)
+                if not exact and not math.isfinite(total):
+                    # an overflow that float arithmetic let through
+                    raise OverflowError("non-finite value")
+                if abs(total) > tol * max(map(abs, vals)):
+                    return ZeroVerdict.NONZERO
                 break
             except (ZeroDivisionError, OverflowError, EvaluationError, _Inexact):
                 if attempt == 4:

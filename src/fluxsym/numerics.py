@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .kernel import Add, Call, Mul, Pow, Rat, Sym, as_expr
+from .kernel import as_expr, evaluate, free_symbols
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,60 +43,28 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
     """Compile a kernel expression into a numpy-vectorized callable of `args`.
 
     params binds the remaining symbols to numbers; fns binds function
-    symbols to vectorized callables (exp is built in).
+    symbols to vectorized callables (exp is built in).  The callable
+    evaluates the tree with `kernel.evaluate` on float arrays.
     """
     import numpy as np
 
     expr = as_expr(expr)
     params = {k: float(v) for k, v in (params or {}).items()}
-    fns = dict(fns or {})
+    fns = {**(fns or {}), "exp": np.exp}
+    unbound = sorted(free_symbols(expr).difference(args, params, fns))
+    if unbound:
+        raise SolverError(
+            f"unbound symbol {unbound[0]!r} in compiled expression")
 
-    def build(e):
-        if isinstance(e, Rat):
-            v = float(e.value)
-            return lambda env: v
-        if isinstance(e, Sym):
-            name = e.name
-            if name in params:
-                v = params[name]
-                return lambda env: v
-            if name in args:
-                return lambda env: env[name]
-            raise SolverError(f"unbound symbol {name!r} in compiled expression")
-        if isinstance(e, Add):
-            parts = [build(t) for t in e.terms]
-            return lambda env: sum(p(env) for p in parts)
-        if isinstance(e, Mul):
-            parts = [build(f) for f in e.factors]
-            def mul(env):
-                out = parts[0](env)
-                for p in parts[1:]:
-                    out = out * p(env)
-                return out
-            return mul
-        if isinstance(e, Pow):
-            base = build(e.base)
-            expo = build(e.exponent)
-            return lambda env: np.power(base(env), expo(env))
-        if isinstance(e, Call):
-            if e.func == "exp":
-                inner = build(e.args[0])
-                return lambda env: np.exp(inner(env))
-            if e.func not in fns:
-                raise SolverError(f"no callable bound for {e.func!r}")
-            fn = fns[e.func]
-            inner = [build(a) for a in e.args]
-            return lambda env: fn(*(p(env) for p in inner))
-        raise TypeError(type(e))
-
-    core = build(expr)
+    def array(v):
+        return np.asarray(v, dtype=float)
 
     def compiled(*values):
-        env = dict(zip(args, (np.asarray(v, dtype=float) for v in values)))
+        point = {**dict(zip(args, values)), **params}
         # a pole or an overflow yields inf or nan without a warning; the
         # callers' finiteness checks report it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = core(env)
+            out = evaluate(expr, point, fns, value=array, power=np.power)
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 

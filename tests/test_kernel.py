@@ -400,6 +400,28 @@ def test_is_zero_float_branch_rejects_non_finite_values(model):
     rng = _CountingRandom(0)
     assert is_zero(e, table, rng=rng) == ZeroVerdict.UNKNOWN
     assert rng.draws == 2 * 5
+    # nor is a sampled function of that nan: the cubic's four
+    # coefficients are drawn too
+    rng = _CountingRandom(0)
+    assert is_zero(Call("G", (e,)), table, rng=rng) == ZeroVerdict.UNKNOWN
+    assert rng.draws == (2 + 4) * 5
+
+
+def test_is_zero_samples_every_derivative_and_no_other_arity(model):
+    table = model.table
+    g4 = Call("G", (Sym("r"),))
+    for _ in range(4):
+        g4 = differentiate(g4, "r", table)
+    assert to_text(g4) == "G''''(r)"
+    # the fourth derivative of a sampled cubic is 0
+    assert is_zero(g4, table) == ZeroVerdict.UNKNOWN
+    assert is_zero(g4 + 1, table) == ZeroVerdict.NONZERO
+    # a function of two arguments is not sampled, in exact or in float
+    # arithmetic, so no sample evaluates
+    table.declare("H", "arbitrary-function", arity=2)
+    h = Call("H", (Sym("r"), Sym("t")))
+    assert is_zero(h, table) == ZeroVerdict.UNKNOWN
+    assert is_zero(Call("exp", (Sym("r"),)) + h, table) == ZeroVerdict.UNKNOWN
 
 
 # --- evaluation ---------------------------------------------------------
@@ -422,12 +444,6 @@ def test_evaluate_sampled_function(model):
     model.table.declare("xi", "parameter")
     val = evaluate(expr, {"xi": 0.0}, {"G": lambda x: math.exp(-x * x)})
     assert val == 1.0
-
-
-def test_evaluate_derivative_fallback_finite_difference(model):
-    expr = Call("G'", (Sym("r"),))
-    got = evaluate(expr, {"r": 0.3}, {"G": lambda x: x * x})
-    assert got == pytest.approx(0.6, abs=1e-8)
 
 
 def test_evaluate_matches_direct_arithmetic(model):

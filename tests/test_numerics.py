@@ -1,5 +1,7 @@
 import math
+import random
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from fluxsym import numerics
 from fluxsym.cli import main
+from fluxsym.kernel import Call, EvaluationError, Pow, Rat, Sym, evaluate
 from fluxsym.model import Model
 from fluxsym.numerics import (
     Field, GridSpec, MaterialModel, SolverError, TransformParams,
@@ -16,6 +19,8 @@ from fluxsym.numerics import (
     sampled_functions, solve_pde, transform_field,
 )
 from fluxsym.parser import parse
+
+from conftest import random_expression
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,12 +102,39 @@ def test_compile_numeric_matches_evaluate():
     expr = parse("(a3 + a4*t)^(-1) * F(r*(a3 + a4*t)^(-a2/a4))", model.table)
     fn = compile_numeric(expr, params={"a2": 1, "a3": 1, "a4": 2},
                          fns=sampled_functions())
-    from fluxsym.kernel import evaluate
     got = fn(np.array([0.5, 1.0]), np.array([0.25, 0.5]))
     for r, t, val in zip((0.5, 1.0), (0.25, 0.5), got):
         direct = evaluate(expr, {"a2": 1, "a3": 1, "a4": 2, "r": r, "t": t},
                           {"F": lambda x: 1 / (1 + x * x)})
         assert val == pytest.approx(direct, rel=1e-12)
+    # random trees with G and F, their reciprocals and their square roots:
+    # where the float evaluation fails (a pole, a negative base) the
+    # compiled value is not finite
+    rng = random.Random(31)
+    fns = sampled_functions()
+    r = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    failed = 0
+    for _ in range(300):
+        e = random_expression(rng, ("r", "a1"), depth=3, funcs=("G", "F"))
+        for tree in (e, Pow(e, Rat(-1)), Pow(e, Rat(Fraction(1, 2)))):
+            fn = compile_numeric(tree, args=("r",), params={"a1": 0.5}, fns=fns)
+            for x, val in zip(r, fn(r)):
+                try:
+                    want = evaluate(tree, {"r": x, "a1": 0.5}, fns)
+                except EvaluationError:
+                    failed += 1
+                    assert not math.isfinite(val)
+                else:
+                    assert val == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert failed
+
+
+def test_compile_numeric_rejects_an_unbound_name_when_compiling():
+    table = Model().table
+    with pytest.raises(SolverError, match="'a1'"):
+        compile_numeric(parse("a1*r", table))
+    with pytest.raises(SolverError, match="'H'"):
+        compile_numeric(Call("H", (Sym("r"),)), fns=sampled_functions())
 
 
 # --- solver ------------------------------------------------------------------
