@@ -1,6 +1,6 @@
 """Closed-form material families from the first-order determining conditions.
 
-Each condition is a quasi-linear PDE  c_r f_r + c_t f_t + k f = s f  with
+Each condition is a quasi-linear PDE  c_r f_r + c_t f_t = growth * f  with
 affine c_r, c_t.  The characteristic curves reduce it to an ODE; the
 general solution is a power of the time factor times an arbitrary function
 of the invariant combination of r and t.  Six constraint combinations
@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from . import published
 from .kernel import (
-    Add, Call, EvaluationError, Expr, Mul, ONE, Rat, UndeclaredSymbolError,
-    ZERO, ZeroVerdict, affine_coefficients, differentiate, evaluate, is_zero,
-    normalize, sign_normalize, substitute, to_text,
+    Add, Call, EvaluationError, Expr, Mul, ONE, Rat, ZERO, ZeroVerdict,
+    affine_coefficients, differentiate, evaluate, is_zero, normalize,
+    sign_normalize, substitute, to_text,
 )
 from .model import Model
 from .numerics import sampled_functions
@@ -29,12 +29,11 @@ class UnsupportedBranchError(Exception):
 
 
 class QuasiLinearPDE(NamedTuple):
-    """c_r f_r + c_t f_t + k f = s f for the function symbol `func`."""
+    """c_r f_r + c_t f_t = growth * f for the function symbol `func`."""
     func: str
     c_r: Expr
     c_t: Expr
-    k: Expr
-    s: Expr
+    growth: Expr
 
     def residual(self, f: Expr, model: Model) -> Expr:
         table = model.table
@@ -43,8 +42,7 @@ class QuasiLinearPDE(NamedTuple):
         return normalize(Add((
             Mul((self.c_r, f_r)),
             Mul((self.c_t, f_t)),
-            Mul((self.k, f)),
-            Mul((Rat(-1), self.s, f)),
+            Mul((Rat(-1), self.growth, f)),
         )))
 
 
@@ -56,8 +54,7 @@ def diffusion_condition(model: Model, a1_zero=False, gradient_free=False) -> Qua
     return QuasiLinearPDE(
         func="D", c_r=c_r,
         c_t=normalize(Add((m.a3, Mul((m.a4, m.t))))),
-        k=ZERO,
-        s=normalize(Add((Mul((Rat(2), m.a2)), Mul((Rat(-1), m.a4))))),
+        growth=normalize(Add((Mul((Rat(2), m.a2)), Mul((Rat(-1), m.a4))))),
     )
 
 
@@ -69,7 +66,7 @@ def gamma_condition(model: Model, a1_zero=False) -> QuasiLinearPDE:
     return QuasiLinearPDE(
         func="Gamma", c_r=c_r,
         c_t=normalize(Add((m.a3, Mul((m.a4, m.t))))),
-        k=m.a4, s=ZERO,
+        growth=normalize(Mul((Rat(-1), m.a4))),
     )
 
 
@@ -82,17 +79,17 @@ class MaterialSolution(NamedTuple):
     branch: str = "generic"    # "generic" | "gradient-free" | "extension"
 
 
-def solve_characteristics(pde: QuasiLinearPDE, model: Model,
-                          function_symbol: str | None = None) -> MaterialSolution:
+def solve_characteristics(pde: QuasiLinearPDE, model: Model) -> MaterialSolution:
     """General solution of the quasi-linear condition.
 
     Along a characteristic dr/c_r = dt/c_t the condition reads
-    df = (s-k) f dt/c_t.  With the time factor E(k) = exp(k * integral dt/c_t),
+    df = growth f dt/c_t.  With the time factor E(k) = exp(k integral dt/c_t),
     that is (a3 + a4 t)^(k/a4), or exp(k t/a3) when a4 = 0, every family is
-    E(s-k) times an arbitrary function H of an invariant xi of the
-    characteristics, or times a constant C when c_r = 0:
+    E(growth) times an arbitrary function H of an invariant xi of the
+    characteristics (H is G for D and F for Gamma), or times a constant C
+    when c_r = 0:
 
-        f = E(s-k) * H(xi)      (f = C * E(s-k) when c_r = 0)
+        f = E(growth) * H(xi)      (f = C * E(growth) when c_r = 0)
         xi = (r + a1/a2) * E(-a2)            a2 != 0
         xi = r - a1 t/a3                     a2 = 0, a4 = 0
         xi = exp(a4 r/a1) * E(-a4)           a2 = 0, a4 != 0
@@ -100,15 +97,10 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
     (the last is 1/((a3 + a4 t) exp(-a4 r/a1)): the normal form does not
     cancel a3 + a4 t against its powers).  The generic branch has a2 != 0
     and a4 != 0 (`gradient-free` when c_r = 0); a vanishing a2 or a4 is an
-    `extension` that needs a1 != 0 or a3 != 0.  An undeclared
-    `function_symbol` raises UndeclaredSymbolError.
+    `extension` that needs a1 != 0 or a3 != 0.
     """
     m = model
-    if function_symbol is None:
-        function_symbol = "G" if pde.func == "D" else "F"
-    if not m.table.is_declared(function_symbol):
-        raise UndeclaredSymbolError(
-            f"symbol {function_symbol!r} is not declared")
+    symbol = "G" if pde.func == "D" else "F"
 
     r_pair = affine_coefficients(pde.c_r, "r")
     t_pair = affine_coefficients(pde.c_t, "t")
@@ -118,7 +110,6 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
     b_t, m_t = t_pair      # c_t = b_t + m_t * t
     if pde.c_t == ZERO:
         raise UnsupportedBranchError("vanishing pivot: c_t = 0")
-    growth = pde.s - pde.k
 
     def time_factor(k):
         if normalize(k) == ZERO:
@@ -130,7 +121,7 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
     a4_test = ("a4 != 0",) if m_t != ZERO else ("a4 = 0", "a3 != 0")
     if pde.c_r == ZERO:
         return MaterialSolution(
-            pde.func, normalize(m.C * time_factor(growth)), None, "C",
+            pde.func, normalize(m.C * time_factor(pde.growth)), None, "C",
             a4_test, "gradient-free" if m_t != ZERO else "extension")
     a2_test = ("a2 != 0",) if m_r != ZERO else ("a2 = 0", "a1 != 0")
     if m_r != ZERO:
@@ -141,8 +132,8 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model,
         xi = Call("exp", (m_t * m.r / b_r,)) * time_factor(-m_t)
     xi = normalize(xi)
     return MaterialSolution(
-        pde.func, normalize(time_factor(growth) * Call(function_symbol, (xi,))),
-        xi, function_symbol, a2_test + a4_test,
+        pde.func, normalize(time_factor(pde.growth) * Call(symbol, (xi,))),
+        xi, symbol, a2_test + a4_test,
         "generic" if m_r != ZERO and m_t != ZERO else "extension")
 
 
@@ -232,11 +223,11 @@ def enumerate_cases(model: Model, verify: bool = True,
     solved = {}
     first_with = {}
 
-    def solve(condition, symbol, *flags):
+    def solve(condition, *flags):
         key = (condition, flags)
         if key not in solved:
             pde = condition(model, *flags)
-            sol = solve_characteristics(pde, model, symbol)
+            sol = solve_characteristics(pde, model)
             check = (back_substitute(sol, pde, model, seed=seed, tol=tol)
                      if verify else None)
             solved[key] = sol, check
@@ -246,8 +237,8 @@ def enumerate_cases(model: Model, verify: bool = True,
     for case_id, constraints in CASE_CONSTRAINTS.items():
         a1_zero = "a1 = 0" in constraints
         gradient_free = "D_r = 0" in constraints
-        d_sol, d_check = solve(diffusion_condition, "G", a1_zero, gradient_free)
-        g_sol, g_check = solve(gamma_condition, "F", a1_zero)
+        d_sol, d_check = solve(diffusion_condition, a1_zero, gradient_free)
+        g_sol, g_check = solve(gamma_condition, a1_zero)
         first = first_with.setdefault((a1_zero, gradient_free), case_id)
         results.append(CaseResult(
             case_id=case_id,

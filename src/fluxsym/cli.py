@@ -143,21 +143,24 @@ def _a_values(args) -> dict:
 
 def _check_conditions(case, a: dict) -> None:
     """A ValueError naming the first non-degeneracy condition of the case's
-    D or Gamma family ("a2 != 0", "a4 = 0", ...) that the constants `a`
-    violate: outside them the closed form does not solve its condition."""
-    for sol in (case.diffusion, case.gamma):
-        for condition in sol.conditions:
-            name, op, value = condition.split()
-            if (a[name] == float(value)) != (op == "="):
-                raise ValueError(
-                    f"case {case.case_id}: the {sol.func} family needs "
-                    f"{condition}, got {name} = {a[name]:g}")
+    D or Gamma family ("a2 != 0", "a4 = 0", ...), then the first constraint
+    of the case on a constant ("a1 = 0"), that the constants `a` violate:
+    outside them the closed form does not solve its condition."""
+    checks = [(f"the {sol.func} family", condition)
+              for sol in (case.diffusion, case.gamma)
+              for condition in sol.conditions]
+    checks += [("the case", constraint) for constraint in case.constraints]
+    for what, condition in checks:
+        name, op, value = condition.split()
+        if name in a and (a[name] == float(value)) != (op == "="):
+            raise ValueError(f"case {case.case_id}: {what} needs "
+                             f"{condition}, got {name} = {a[name]:g}")
 
 
 def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
     """Numeric material callables for one case instance with the sampled
     functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).  Constants that
-    violate a condition of the case's families are a ValueError.
+    violate a condition of the case or of its families are a ValueError.
 
     When a3 = 0 the generic compiled form of Gamma is indeterminate at
     t = 0; for the F above with a4 = 2*a2 the family member has the closed
@@ -184,7 +187,7 @@ def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
                 np.broadcast_shapes(r.shape, t.shape))
     else:
         g_fn = compile_numeric(case.gamma.expression, params=params, fns=fns)
-    return MaterialModel(D=d_fn, Gamma=g_fn, v=1.0), case
+    return MaterialModel(D=d_fn, Gamma=g_fn, v=1.0)
 
 
 def _emit(args, command: str, body: dict) -> None:
@@ -271,7 +274,7 @@ def cmd_verify(args) -> int:
         a = _a_values(args)
         grid = GridSpec(args.r0, args.r1, args.t1, args.nr, args.nt,
                         geometry=0)
-        material, _ = _case_materials(args.case, a, args.amplitude, model)
+        material = _case_materials(args.case, a, args.amplitude, model)
         params = TransformParams(args.eps, a)
         # the finite-difference floor of the material check needs a fine
         # step; decouple it from the (coarse) solver grid

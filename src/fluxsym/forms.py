@@ -13,7 +13,6 @@ coefficients, zero coefficients pruned.  Forms are immutable values.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import NamedTuple
 
 from .kernel import (
@@ -120,10 +119,6 @@ class DifferentialForm(NamedTuple):
         return " + ".join(parts)
 
 
-def zero_form(degree: int) -> DifferentialForm:
-    return DifferentialForm(degree, ())
-
-
 def scalar_form(e) -> DifferentialForm:
     c = normalize(as_expr(e))
     return DifferentialForm(0, ()) if c == ZERO else DifferentialForm(0, (((), c),))
@@ -135,19 +130,13 @@ def d_slot(name: str) -> DifferentialForm:
 
 
 def wedge(alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
-    """Bilinear graded-anticommutative product; degree overflow (which would
-    vanish anyway) is reported and clamps to the zero form."""
-    degree = alpha.degree + beta.degree
-    if degree > len(SLOTS):
-        warnings.warn(
-            f"wedge degree {degree} exceeds the {len(SLOTS)} available slots; "
-            "returning the zero form", stacklevel=2)
-        return zero_form(len(SLOTS))
+    """Bilinear graded-anticommutative product.  Past the six slots every
+    term repeats a slot, so the product is the zero form."""
     terms = []
     for key_a, coef_a in alpha.coefficients:
         for key_b, coef_b in beta.coefficients:
             terms.append((key_a + key_b, Mul((coef_a, coef_b))))
-    return DifferentialForm.build(degree, terms)
+    return DifferentialForm.build(alpha.degree + beta.degree, terms)
 
 
 def exterior_d(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:

@@ -174,33 +174,6 @@ class Constraint(NamedTuple):
     assumption: str | None = None
 
 
-class _SystemValue(NamedTuple):
-    geometry_mode: object
-    residual_equations: tuple
-    multipliers: dict
-    constraints: tuple
-    diffusion_pde: Expr            # first-order condition on D
-    diffusion_pde_reduced: Expr    # with the w-scaling link imposed
-    gamma_pde: Expr
-    diffusion_second_order: Expr   # r-derivative of the reduced condition
-    geometry_lock: Expr | None     # n*a1*D = 0 (None when geometry is planar)
-    flux_phi_t_coefficient: Expr   # dphi∧dt coefficient of chi(r*mu1)
-    generator_final: dict
-    assumptions: tuple
-    notes: tuple
-
-
-class DeterminingSystem(_SystemValue):
-    """The system's value, and `branches`: an expression's geometry branches
-    modulo the system (`_branch_reducer`), built once per derivation for the
-    self-consistency check and the audit, and left out of equality and repr."""
-
-    def __new__(cls, *fields, branches, **named):
-        system = super().__new__(cls, *fields, **named)
-        system.branches = branches
-        return system
-
-
 def _coefficient_of(e: Expr, jet_name: str) -> Expr:
     return collect_by(e, (jet_name,)).get(Sym(jet_name), ZERO)
 
@@ -224,43 +197,39 @@ def _eliminate(e: Expr, relations) -> Expr:
     return out
 
 
-def _impose_links(e: Expr, a8_solution: Expr, table: SymbolTable) -> Expr:
-    """e with the link constraints a5 = a7 = 0 and a8 = a8_solution imposed."""
-    return substitute(e, {"a5": ZERO, "a7": ZERO, "a8": a8_solution}, table)
+class Reduction(NamedTuple):
+    """Reduction modulo the derived system: the material conditions
+    eliminate the jets D_t, D_rt and Gamma_t, the link constraints are
+    imposed, and each geometry pin gives one branch (n = 0 or a1 = 0 under
+    the symbolic geometry lock, a1 = 0 under a literal one, none without a
+    lock)."""
+    relations: tuple    # ((jet name, relation, its jet coefficient), ...)
+    links: dict         # {"a5": 0, "a7": 0, "a8": a6 - a2}
+    pins: tuple         # ({name: 0}, ...)
+
+    def branches(self, e: Expr, table: SymbolTable) -> list:
+        """The geometry branches of `e` modulo the system; `e` is implied
+        iff every branch vanishes."""
+        reduced = substitute(_eliminate(e, self.relations), self.links, table)
+        return ([substitute(reduced, pin, table) for pin in self.pins]
+                or [reduced])
 
 
-def _reducer(diffusion_pde: Expr, gamma_pde: Expr, a8_solution: Expr,
-             table: SymbolTable):
-    """The map reducing an expression modulo the derived system: the
-    material conditions eliminate the jets D_t, D_rt and Gamma_t, then the
-    link constraints are imposed.  The relations' jet coefficients are
-    taken here, once for every expression the map reduces."""
-    relations = tuple(
-        (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
-            ("D_t", diffusion_pde),
-            ("D_rt", differentiate(diffusion_pde, "r", table)),
-            ("Gamma_t", gamma_pde)))
-
-    def reduce(e: Expr) -> Expr:
-        return _impose_links(_eliminate(e, relations), a8_solution, table)
-    return reduce
-
-
-def _branch_reducer(reduce, geometry_lock: Expr | None, geometry_mode,
-                    table: SymbolTable):
-    """The map from an expression to its geometry branches modulo the
-    derived system, whose `_reducer` is `reduce` (n = 0 or a1 = 0 under the
-    symbolic geometry lock, a1 = 0 under a literal one); the expression is
-    implied iff every branch vanishes."""
-    pins = []
-    if geometry_lock is not None:
-        pins = ([{"n": ZERO}, {"a1": ZERO}] if geometry_mode == "symbolic"
-                else [{"a1": ZERO}])
-
-    def branches(e: Expr) -> list:
-        reduced = reduce(e)
-        return [substitute(reduced, pin, table) for pin in pins] or [reduced]
-    return branches
+class DeterminingSystem(NamedTuple):
+    geometry_mode: object
+    residual_equations: tuple
+    multipliers: dict
+    constraints: tuple
+    diffusion_pde: Expr            # first-order condition on D
+    diffusion_pde_reduced: Expr    # with the w-scaling link imposed
+    gamma_pde: Expr
+    diffusion_second_order: Expr   # r-derivative of the reduced condition
+    geometry_lock: Expr | None     # n*a1*D = 0 (None when geometry is planar)
+    flux_phi_t_coefficient: Expr   # dphi∧dt coefficient of chi(r*mu1)
+    generator_final: dict
+    assumptions: tuple
+    notes: tuple
+    reduction: Reduction           # for the self-consistency check and audit
 
 
 def extract_determining(model: Model, geometry_mode="symbolic",
@@ -307,15 +276,21 @@ def extract_determining(model: Model, geometry_mode="symbolic",
     e_flux_translation = split_map.get(("chi(r*mu1)", "dt∧dr", "1"), ZERO)
     e_lambda2 = split_map.get(("chi(r*mu1)", "dt∧dr", "w"), ZERO)
 
+    links = {"a5": ZERO, "a7": ZERO, "a8": a8_solution}
     diffusion_pde_reduced = sign_normalize(
-        _impose_links(diffusion_pde, a8_solution, table))
+        substitute(diffusion_pde, links, table))
     diffusion_second_order = sign_normalize(
         differentiate(diffusion_pde_reduced, "r", table))
 
     # second residual of the flux balance: reduced modulo the material
     # conditions and the links, the leftover is the geometry/translation lock
-    reduce = _reducer(diffusion_pde, gamma_pde, a8_solution, table)
-    leftover = strip_coordinates(reduce(e_lambda2))
+    relations = tuple(
+        (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
+            ("D_t", diffusion_pde),
+            ("D_rt", differentiate(diffusion_pde, "r", table)),
+            ("Gamma_t", gamma_pde)))
+    leftover = strip_coordinates(
+        substitute(_eliminate(e_lambda2, relations), links, table))
     if free_symbols(leftover) & {"D_r", "D_t", "D_rr", "D_rt"}:
         raise DerivationError(
             f"unexpected jets in the reduced flux residual: {to_text(leftover)}")
@@ -337,21 +312,20 @@ def extract_determining(model: Model, geometry_mode="symbolic",
                    f"a8 = {to_text(a8_solution)}"),
     ]
 
-    geometry_lock = None
-    if leftover != ZERO:
-        geometry_lock = leftover
-        if geometry_mode == "symbolic":
-            solved = "n*a1 = 0"
-        else:
-            solved = "a1 = 0"
+    geometry_lock = None if leftover == ZERO else leftover
+    pins = ()
+    if geometry_lock is not None:
+        symbolic = geometry_mode == "symbolic"
+        pins = ({"n": ZERO}, {"a1": ZERO}) if symbolic else ({"a1": ZERO},)
         constraints.append(Constraint(
-            "geometry_lock", leftover, solved, assumption="D != 0"))
+            "geometry_lock", leftover, "n*a1 = 0" if symbolic else "a1 = 0",
+            assumption="D != 0"))
 
     generator_final = {
         "r": to_text(gen.xi_r),
         "t": to_text(gen.xi_t),
-        "phi": to_text(_impose_links(gen.xi_phi, a8_solution, table)),
-        "w": to_text(_impose_links(gen.xi_w, a8_solution, table)),
+        "phi": to_text(substitute(gen.xi_phi, links, table)),
+        "w": to_text(substitute(gen.xi_w, links, table)),
     }
 
     system = DeterminingSystem(
@@ -375,7 +349,7 @@ def extract_determining(model: Model, geometry_mode="symbolic",
             "multiplier without any w dependence; the w-split of the dt∧dr "
             "residual then forces it to vanish",
         ),
-        branches=_branch_reducer(reduce, geometry_lock, geometry_mode, table),
+        reduction=Reduction(relations, links, pins),
     )
     check_self_consistency(system, model, seed)
     return system
@@ -387,7 +361,7 @@ def check_self_consistency(system: DeterminingSystem, model: Model,
     conditions are imposed (branching over the geometry lock)."""
     table = model.table
     for eq in system.residual_equations:
-        for b in system.branches(eq.expression):
+        for b in system.reduction.branches(eq.expression, table):
             v = is_zero(b, table, seed=seed)
             if v != ZeroVerdict.ZERO:
                 raise DerivationError(
@@ -412,12 +386,6 @@ class AuditReport(NamedTuple):
     assumptions: tuple
     notes: tuple
     unknown_verdicts: int
-
-    def status_of(self, identifier: str) -> str:
-        for row in self.rows:
-            if row.identifier == identifier:
-                return row.status
-        raise KeyError(identifier)
 
 
 def audit_against_published(system: DeterminingSystem, model: Model,
@@ -472,7 +440,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
                      "under the w-scaling link"))
             continue
         verdicts = [is_zero(b, table, seed=seed)
-                    for b in system.branches(printed)]
+                    for b in system.reduction.branches(printed, table)]
         if any(v == ZeroVerdict.UNKNOWN for v in verdicts):
             unknown += 1
             rows.append(AuditRow(identifier, text, None, "discrepant",

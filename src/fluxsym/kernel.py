@@ -674,23 +674,26 @@ def sign_normalize(e: Expr) -> Expr:
     return _rebuild(_lead_positive(_to_poly(as_expr(e))))
 
 
-def free_symbols(e: Expr) -> set:
-    out: set = set()
+def subexpressions(e: Expr):
+    """Every node of the tree `e`, each occurrence once."""
     stack = [as_expr(e)]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Sym):
-            out.add(cur.name)
-        elif isinstance(cur, Add):
+        yield cur
+        if isinstance(cur, Add):
             stack.extend(cur.terms)
         elif isinstance(cur, Mul):
             stack.extend(cur.factors)
         elif isinstance(cur, Pow):
             stack.extend((cur.base, cur.exponent))
         elif isinstance(cur, Call):
-            out.add(cur.func)
             stack.extend(cur.args)
-    return out
+
+
+def free_symbols(e: Expr) -> set:
+    """The names of the symbols and functions in `e`."""
+    return {node.name if isinstance(node, Sym) else node.func
+            for node in subexpressions(e) if isinstance(node, (Sym, Call))}
 
 
 def collect_by(e: Expr, split_names: tuple) -> dict:

@@ -40,8 +40,8 @@ def standard_table() -> SymbolTable:
 class Model:
     """A symbol table plus handles for the symbols everything else uses."""
 
-    def __init__(self, table: SymbolTable | None = None):
-        self.table = table or standard_table()
+    def __init__(self):
+        self.table = standard_table()
         self.t = Sym("t")
         self.r = Sym("r")
         self.phi = Sym("phi")

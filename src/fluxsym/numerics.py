@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .kernel import as_expr, evaluate, free_symbols
+from .kernel import Rat, as_expr, evaluate, free_symbols, subexpressions
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,7 +44,8 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
 
     params binds the remaining symbols to numbers; fns binds function
     symbols to vectorized callables (exp is built in).  The callable
-    evaluates the tree with `kernel.evaluate` on float arrays.
+    evaluates the tree with `kernel.evaluate` on float arrays.  An unbound
+    name or a constant past the float range is a SolverError here.
     """
     import numpy as np
 
@@ -55,6 +56,16 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
     if unbound:
         raise SolverError(
             f"unbound symbol {unbound[0]!r} in compiled expression")
+    for node in subexpressions(expr):
+        if type(node) is Rat:
+            try:
+                float(node.value)
+            except OverflowError:
+                from decimal import Decimal
+
+                q = Decimal(node.value.numerator) / node.value.denominator
+                raise SolverError(f"constant {q.normalize():.6g} is outside "
+                                  "the float range") from None
 
     def array(v):
         return np.asarray(v, dtype=float)

@@ -9,9 +9,8 @@
     NUMBER     := digits with an optional fractional part (exact rational)
     NAME       := [A-Za-z_][A-Za-z0-9_]* "'"*   # jet symbols D_r, primes G'
 
-There is no implicit multiplication.  In strict mode every NAME must already
-be declared in the symbol table; otherwise new names register as parameters
-(or as arbitrary functions when applied).  Errors carry the byte offset.
+There is no implicit multiplication.  Every NAME must already be declared in
+the symbol table.  Errors carry the byte offset.
 """
 
 from __future__ import annotations
@@ -75,11 +74,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, table: SymbolTable, strict: bool):
+    def __init__(self, tokens, table: SymbolTable):
         self.tokens = tokens
         self.pos = 0
         self.table = table
-        self.strict = strict
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,10 +156,8 @@ class _Parser:
         # D_rrt style names resolve against a declared base function
         if (not self.table.is_declared(name)
                 and self.table.jet_from_name(name) is None):
-            if self.strict:
-                raise UndeclaredSymbolError(
-                    f"undeclared symbol {name!r} (byte {tok.offset})")
-            self.table.declare(name, "parameter")
+            raise UndeclaredSymbolError(
+                f"undeclared symbol {name!r} (byte {tok.offset})")
         info = self.table.info(name)
         if info.kind == "arbitrary-function" and (info.arity or 0) >= 1:
             raise ArityError(
@@ -175,10 +171,8 @@ class _Parser:
                 raise ArityError(f"exp takes one argument (byte {tok.offset})")
             return Call("exp", args)
         if not self.table.is_declared(name):
-            if self.strict:
-                raise UndeclaredSymbolError(
-                    f"undeclared function {name!r} (byte {tok.offset})")
-            self.table.declare(name, "arbitrary-function", arity=len(args))
+            raise UndeclaredSymbolError(
+                f"undeclared function {name!r} (byte {tok.offset})")
         info = self.table.info(name)
         if info.kind != "arbitrary-function" or not (info.arity or 0):
             raise ArityError(
@@ -190,9 +184,9 @@ class _Parser:
         return Call(name, args)
 
 
-def parse(text: str, table: SymbolTable, strict: bool = True) -> Expr:
+def parse(text: str, table: SymbolTable) -> Expr:
     """Parse `text` and return the canonicalized expression."""
-    parser = _Parser(_tokenize(text), table, strict)
+    parser = _Parser(_tokenize(text), table)
     node = parser.expression()
     end = parser.peek()
     if end.kind != "end":

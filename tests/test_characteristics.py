@@ -12,7 +12,7 @@ from fluxsym.characteristics import (
     solve_characteristics,
 )
 from fluxsym.kernel import (
-    Call, Mul, Rat, Sym, UndeclaredSymbolError, ZERO, ZeroVerdict, evaluate,
+    Call, Mul, Rat, Sym, ZERO, ZeroVerdict, evaluate,
     normalize, substitute, to_text,
 )
 from fluxsym.parser import parse
@@ -61,11 +61,11 @@ def test_each_distinct_condition_is_solved_once(model, monkeypatch):
     for case_id, constraints in CASE_CONSTRAINTS.items():
         a1_zero = "a1 = 0" in constraints
         row = []
-        for pde, symbol in (
-                (diffusion_condition(model, a1_zero=a1_zero,
-                                     gradient_free="D_r = 0" in constraints), "G"),
-                (gamma_condition(model, a1_zero=a1_zero), "F")):
-            sol = solve_characteristics(pde, model, symbol)
+        for pde in (
+                diffusion_condition(model, a1_zero=a1_zero,
+                                    gradient_free="D_r = 0" in constraints),
+                gamma_condition(model, a1_zero=a1_zero)):
+            sol = solve_characteristics(pde, model)
             row.append((sol, back_substitute(sol, pde, model, seed=3)))
         reference.append((case_id, row))
     calls = {"solve_characteristics": 0, "back_substitute": 0}
@@ -147,8 +147,7 @@ def test_generic_branch_on_random_rational_constants(model):
             func="D",
             c_r=substitute(pde.c_r, subs, table),
             c_t=substitute(pde.c_t, subs, table),
-            k=substitute(pde.k, subs, table),
-            s=substitute(pde.s, subs, table))
+            growth=substitute(pde.growth, subs, table))
         assert inst_pde.residual(inst, model) == ZERO
 
 
@@ -187,24 +186,27 @@ def test_published_table_typos_fail_back_substitution(model, case_id,
         MaterialSolution(material, printed, None, func, ()), pde, model)
     failing = (case_id, material) in PRINTED_FAILURES
     assert check.verdict == ("nonzero" if failing else "zero")
-    derived = solve_characteristics(pde, model, func)
+    derived = solve_characteristics(pde, model)
     assert back_substitute(derived, pde, model).verdict == "zero"
 
 
 def test_back_substitution_counts_evaluated_points(model, monkeypatch):
-    # force the numeric check with a wrong condition (s tripled); H has no
-    # sampled callable, so no point evaluates and the verdict stays unknown
+    # force the numeric check with a wrong condition (growth tripled); H has
+    # no sampled callable, so no point evaluates and the verdict stays unknown
     monkeypatch.setattr(characteristics, "is_zero",
                         lambda *args, **kwargs: ZeroVerdict.UNKNOWN)
-    model.table.declare("H", "arbitrary-function", arity=1)
+    table = model.table
+    table.declare("H", "arbitrary-function", arity=1)
     pde = diffusion_condition(model)
-    tripled = QuasiLinearPDE(pde.func, pde.c_r, pde.c_t, pde.k,
-                             normalize(Mul((Rat(3), pde.s))))
-    unbound = back_substitute(solve_characteristics(pde, model, "H"),
-                              tripled, model)
+    tripled = QuasiLinearPDE(pde.func, pde.c_r, pde.c_t,
+                             normalize(Mul((Rat(3), pde.growth))))
+    h_family = parse("(a3 + a4*t)^((2*a2 - a4)/a4)"
+                     " * H((r + a1/a2)*(a3 + a4*t)^(-a2/a4))", table)
+    unbound = back_substitute(
+        MaterialSolution("D", h_family, None, "H", ()), tripled, model)
     assert unbound.verdict == "unknown"
     assert unbound.evaluated == 0
-    sampled = back_substitute(solve_characteristics(pde, model, "G"),
+    sampled = back_substitute(solve_characteristics(pde, model),
                               tripled, model, points=200)
     assert sampled.verdict == "nonzero"
     assert sampled.evaluated == 200
@@ -245,9 +247,9 @@ def test_translation_only_time_branch(model):
     table = model.table
     m = model
     pde = QuasiLinearPDE("Gamma", c_r=normalize(m.a1 + m.a2 * m.r),
-                         c_t=m.a3, k=m.a4, s=ZERO)
-    pde = QuasiLinearPDE("Gamma", pde.c_r, Sym("a3"), ZERO, Sym("a2"))
-    sol = solve_characteristics(pde, model, "F")
+                         c_t=m.a3, growth=normalize(-m.a4))
+    pde = QuasiLinearPDE("Gamma", pde.c_r, Sym("a3"), Sym("a2"))
+    sol = solve_characteristics(pde, model)
     assert sol.branch == "extension"
     assert pde.residual(sol.expression, model) == ZERO
 
@@ -257,22 +259,22 @@ def test_translation_only_space_branch(model):
     m = model
     pde = QuasiLinearPDE("D", c_r=Sym("a1"),
                          c_t=normalize(m.a3 + m.a4 * m.t),
-                         k=ZERO, s=Sym("a4"))
-    sol = solve_characteristics(pde, model, "G")
+                         growth=Sym("a4"))
+    sol = solve_characteristics(pde, model)
     assert sol.branch == "extension"
     assert pde.residual(sol.expression, model) == ZERO
 
 
 def test_pure_translation_branch(model):
     m = model
-    pde = QuasiLinearPDE("D", c_r=Sym("a1"), c_t=Sym("a3"), k=ZERO, s=ZERO)
-    sol = solve_characteristics(pde, model, "G")
+    pde = QuasiLinearPDE("D", c_r=Sym("a1"), c_t=Sym("a3"), growth=ZERO)
+    sol = solve_characteristics(pde, model)
     assert pde.residual(sol.expression, model) == ZERO
 
 
 def test_gradient_free_exponential_branch(model):
-    pde = QuasiLinearPDE("D", c_r=ZERO, c_t=Sym("a3"), k=ZERO, s=Sym("a2"))
-    sol = solve_characteristics(pde, model, "G")
+    pde = QuasiLinearPDE("D", c_r=ZERO, c_t=Sym("a3"), growth=Sym("a2"))
+    sol = solve_characteristics(pde, model)
     assert sol.branch == "extension"
     assert pde.residual(sol.expression, model) == ZERO
 
@@ -289,12 +291,13 @@ T_CONDITIONS = {"a3": ("a4 = 0", "a3 != 0"), "a3 + a4*t": ("a4 != 0",)}
 
 @pytest.mark.parametrize("c_r", R_CONDITIONS)
 @pytest.mark.parametrize("c_t", T_CONDITIONS)
-@pytest.mark.parametrize("k,s", [("a4", "2*a2"), ("a4", "a4")],
+@pytest.mark.parametrize("growth", ["2*a2 - a4", "0"],
                          ids=["growth", "zero-growth"])
-def test_every_branch_solves_its_condition(model, c_r, c_t, k, s):
+def test_every_branch_solves_its_condition(model, c_r, c_t, growth):
     table = model.table
-    pde = QuasiLinearPDE("D", *(parse(text, table) for text in (c_r, c_t, k, s)))
-    sol = solve_characteristics(pde, model, "G")
+    pde = QuasiLinearPDE("D", *(parse(text, table)
+                                for text in (c_r, c_t, growth)))
+    sol = solve_characteristics(pde, model)
     check = back_substitute(sol, pde, model)
     assert check.verdict == "zero" and check.symbolic_zero
     conditions = R_CONDITIONS[c_r] + T_CONDITIONS[c_t]
@@ -303,7 +306,7 @@ def test_every_branch_solves_its_condition(model, c_r, c_t, k, s):
         assert sol.branch == "extension"
     else:
         assert sol.branch == ("gradient-free" if c_r == "0" else "generic")
-    if k == s:
+    if growth == "0":
         # no growth: no time factor, not even exp(0)
         assert sol.expression == (
             model.C if c_r == "0" else normalize(Call("G", (sol.xi,))))
@@ -311,24 +314,18 @@ def test_every_branch_solves_its_condition(model, c_r, c_t, k, s):
 
 @pytest.mark.parametrize("c_r", R_CONDITIONS)
 def test_a_vanishing_time_coefficient_raises(model, c_r):
-    pde = QuasiLinearPDE("D", parse(c_r, model.table), ZERO, Sym("a4"), ZERO)
+    table = model.table
+    pde = QuasiLinearPDE("D", parse(c_r, table), ZERO, parse("-a4", table))
     with pytest.raises(UnsupportedBranchError, match="pivot"):
-        solve_characteristics(pde, model, "G")
+        solve_characteristics(pde, model)
 
 
 def test_fully_degenerate_raises(model):
-    pde = QuasiLinearPDE("D", c_r=ZERO, c_t=ZERO, k=Sym("a4"), s=ZERO)
+    pde = QuasiLinearPDE("D", c_r=ZERO, c_t=ZERO,
+                         growth=parse("-a4", model.table))
     with pytest.raises(UnsupportedBranchError) as err:
         solve_characteristics(pde, model)
     assert "pivot" in str(err.value)
-
-
-def test_undeclared_function_symbol_is_rejected_at_the_call(model):
-    # also on the gradient-free branch, whose family never uses the symbol
-    for pde in (diffusion_condition(model),
-                diffusion_condition(model, gradient_free=True)):
-        with pytest.raises(UndeclaredSymbolError, match="'H'"):
-            solve_characteristics(pde, model, function_symbol="H")
 
 
 # --- degenerate material constraints -----------------------------------------

@@ -163,8 +163,9 @@ def test_a1_times_D_r_is_not_a_classical_condition(geometry):
         # the engine integerizes the lock (2*a1*D is reported as a1*D)
         ratio = sympy.cancel(reduced * R**2 / to_sympy(lock, model.table))
         assert ratio.is_number and ratio != 0
-    grade = audit_against_published(engine, model).status_of(
-        "diffusion_gradient_lock")
+    grade = next(row.status
+                 for row in audit_against_published(engine, model).rows
+                 if row.identifier == "diffusion_gradient_lock")
 
     if geometry in (1, 2):
         # D is not 0, so the lock forces a1 = 0 and with it a1*D_r = 0

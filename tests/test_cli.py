@@ -146,6 +146,10 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["simulate", "--v", "-1"],
     ["simulate", "--v", "0"],
     ["simulate", "--v", "nan"],
+    # a constant past the float range
+    ["simulate", "--D", "10^400"],
+    ["simulate", "--Gamma", "10^400"],
+    ["simulate", "--initial", "10^400"],
     ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
     ["verify", "--case", "B", "--a1", "1", "--a2", "0", "--a3", "0",
      "--a4", "0"],
@@ -260,7 +264,9 @@ def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
     ("D", ["--a3", "1", "--a4", "0"], "the D family needs a4 != 0, got a4 = 0"),
     ("F", ["--a2", "0", "--a3", "1"],
      "the Gamma family needs a2 != 0, got a2 = 0"),
-], ids=["A-a2", "B-negative-zero-a2", "D-a4", "F-a2"])
+    # B is solved under a1 = 0
+    ("B", ["--a1", "1", "--a3", "1"], "the case needs a1 = 0, got a1 = 1"),
+], ids=["A-a2", "B-negative-zero-a2", "D-a4", "F-a2", "B-a1"])
 def test_verify_refuses_a_degenerate_family_member(tmp_path, capsys, case, argv,
                                                    message):
     code, out = run(tmp_path, "verify", "--case", case, *argv)

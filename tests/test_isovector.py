@@ -9,9 +9,9 @@ from fluxsym.forms import (
     exterior_d, scalar_form, wedge,
 )
 from fluxsym.isovector import (
-    DerivationError, Generator, audit_against_published, closure_check,
-    _coefficient_of, _eliminate, extract_determining, ideal_reduce, lie_form,
-    lie_scalar, solve_linear, strip_coordinates,
+    DerivationError, Generator, Reduction, audit_against_published,
+    closure_check, _coefficient_of, _eliminate, extract_determining,
+    ideal_reduce, lie_form, lie_scalar, solve_linear, strip_coordinates,
 )
 from fluxsym.kernel import (
     Add, Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, apply_derivation, collect_by,
@@ -451,16 +451,24 @@ def test_derive_and_audit_take_each_lie_derivative_once(model, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["symbolic", 0, 1, 2])
 def test_the_shared_reducer_matches_a_fresh_one(model, mode):
-    # the branch map a derive builds once gives, for every residual equation
-    # and every printed audit row, the branches of one built from scratch
+    # the reduction a derive builds once gives, for every residual equation
+    # and every printed audit row, the branches of one built from the
+    # system's public fields
     table = model.table
     system = extract_determining(model, mode)
     a8_equation = next(c.equation for c in system.constraints
                        if c.name == "a8")
-    fresh = isovector._branch_reducer(
-        isovector._reducer(system.diffusion_pde, system.gamma_pde,
-                           solve_linear(a8_equation, "a8"), table),
-        system.geometry_lock, system.geometry_mode, table)
+    relations = tuple(
+        (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
+            ("D_t", system.diffusion_pde),
+            ("D_rt", differentiate(system.diffusion_pde, "r", table)),
+            ("Gamma_t", system.gamma_pde)))
+    links = {"a5": ZERO, "a7": ZERO, "a8": solve_linear(a8_equation, "a8")}
+    pins = ()
+    if system.geometry_lock is not None:
+        pins = ({"n": ZERO}, {"a1": ZERO}) if mode == "symbolic" else (
+            {"a1": ZERO},)
+    fresh = Reduction(relations, links, pins)
     literal = ({} if mode == "symbolic"
                else {"n": model.geometry_index(mode)})
     printed = [sign_normalize(strip_coordinates(
@@ -468,29 +476,31 @@ def test_the_shared_reducer_matches_a_fresh_one(model, mode):
         for text in published.DETERMINING_EQUATIONS.values()]
     expressions = [eq.expression for eq in system.residual_equations] + printed
     for e in expressions:
-        assert system.branches(e) == fresh(e)
+        assert system.reduction.branches(e, table) == fresh.branches(e, table)
 
 
 def test_one_reducer_per_derive(model, monkeypatch):
-    built = []
-    real = isovector._reducer
+    # a derive and its audit take each relation's jet coefficient once
+    taken = []
+    real = isovector._coefficient_of
 
-    def recording(*args):
-        built.append(args)
-        return real(*args)
-    monkeypatch.setattr(isovector, "_reducer", recording)
+    def recording(e, jet_name):
+        taken.append((e, jet_name))
+        return real(e, jet_name)
+    monkeypatch.setattr(isovector, "_coefficient_of", recording)
     system = extract_determining(model, "symbolic")
     audit_against_published(system, model)
-    assert len(built) == 1
+    for jet, relation, _ in system.reduction.relations:
+        assert sum(e is relation and name == jet for e, name in taken) == 1
 
 
-def test_the_shared_reducer_is_not_part_of_the_system(model):
+def test_two_derives_are_equal_reduction_included(model):
     from fluxsym.reports import determining_system_payload
     first = extract_determining(model, "symbolic")
     second = extract_determining(model, "symbolic")
-    assert first.branches is not second.branches
+    assert first.reduction is not second.reduction
+    assert first.reduction == second.reduction
     assert first == second
-    assert "branches" not in repr(first)
     assert determining_system_payload(first) == determining_system_payload(
         second)
 

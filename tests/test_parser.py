@@ -26,12 +26,6 @@ def test_parse_undeclared_strict_mode(model):
     assert "byte 0" in str(err.value)
 
 
-def test_parse_lenient_registers_parameter(model):
-    out = parse("a1 + brand_new", model.table, strict=False)
-    assert model.table.info("brand_new").kind == "parameter"
-    assert out == normalize(Sym("a1") + Sym("brand_new"))
-
-
 def test_parse_symbolic_exponent_round_trips(model):
     e = parse("(a3 + a4*t)^(2*a2/a4 - 1)", model.table)
     assert isinstance(e, Pow)
