@@ -20,7 +20,7 @@ from .forms import (
 )
 from .kernel import (
     Add, Expr, MINUS_ONE, Mul, ONE, Rat, Sym, SymbolTable, ZERO, ZeroVerdict,
-    affine_coefficients, apply_derivation, collect_by,
+    affine_coefficients, apply_derivation, coefficient, collect_by,
     differentiate, free_symbols, is_zero,
     linear_combination, normalize, poly_div_exact, sign_normalize,
     strip_coordinates, substitute, to_text,
@@ -175,7 +175,7 @@ class Constraint(NamedTuple):
 
 
 def _coefficient_of(e: Expr, jet_name: str) -> Expr:
-    return collect_by(e, (jet_name,)).get(Sym(jet_name), ZERO)
+    return coefficient(e, jet_name)
 
 
 def _eliminate(e: Expr, relations) -> Expr:

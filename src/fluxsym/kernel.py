@@ -17,6 +17,7 @@ powers assume positive bases (evaluation raises otherwise).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -308,12 +309,16 @@ class SymbolTable:
 #                 normalized non-constant Expr
 #
 # Bases are normalized atoms (Sym, Call, Rat for irrational constant powers,
-# or Add for opaque sum powers).  A poly a helper returns is a fresh dict
-# that its caller may update in place, unless the helper says otherwise.
+# or Add for opaque sum powers).
 #
-# A compound normal form keeps a private copy of the poly it was built from
-# (its `_poly` attribute), so reading it back is a dict copy and normalizing
-# it again returns it unchanged.  The copy lives and dies with its node.
+# A compound normal form keeps the poly it was built from (its `_poly`
+# attribute), so normalizing it again returns it unchanged.  The poly lives
+# and dies with its node, and no one updates it: `_to_poly` and
+# `_poly_int_pow(p, 1)` hand a poly out as it is, not a copy, so what they
+# return is read-only, and two nodes may share one poly.  Only the function
+# that made a dict (a literal, `_poly_mul`, `_poly_scale`, the accumulators
+# of `linear_combination` and `_split`) updates it in place, and only until
+# it returns it or gives it to `_rebuild`, which keeps it.
 
 def _num(q):
     """A rational as an int when it is integral, else as a Fraction."""
@@ -410,7 +415,8 @@ def _merge_pairs(pairs):
     Returns (monomial, factor, expansions): `factor` is the rational value
     of the integer part of each constant base's exponent (2^(3/2) is
     2*2^(1/2)), and expansions are (add_expr, k) factors whose exponent
-    became a positive integer and must be multiplied out.
+    became a positive integer, and _poly_product's _Sum pairs, that must be
+    multiplied out.
     """
     if len(pairs) == 1:
         acc = dict(pairs)
@@ -426,7 +432,7 @@ def _merge_pairs(pairs):
         if type(x) is int:
             if x == 0:
                 continue
-            if type(base) is Add and x > 0:
+            if (type(base) is Add or type(base) is _Sum) and x > 0:
                 expansions.append((base, x))
                 continue
             if type(base) is Rat and base.value:
@@ -506,15 +512,15 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 
 def _poly_int_pow(p: dict, k: int) -> dict:
-    result = {(): 1}
-    acc = p
-    while k:
+    """p**k for k >= 1; `p` itself, read-only, when k is 1."""
+    result = None
+    while True:
         if k & 1:
-            result = _poly_mul(result, acc)
+            result = p if result is None else _poly_mul(result, p)
         k >>= 1
-        if k:
-            acc = _poly_mul(acc, acc)
-    return result
+        if not k:
+            return result
+        p = _poly_mul(p, p)
 
 
 def _poly_content(p: dict):
@@ -534,6 +540,7 @@ def _lead_positive(p: dict) -> dict:
 
 
 def _to_poly(e: Expr) -> dict:
+    """The poly of `e`, read-only: a normal form's own `_poly`, not a copy."""
     t = type(e)
     if t is Sym:
         return {((e, 1),): 1}
@@ -542,7 +549,7 @@ def _to_poly(e: Expr) -> dict:
     if t is Add or t is Mul or t is Pow:
         own = getattr(e, "_poly", None)
         if own is not None:
-            return dict(own)
+            return own
     if t is Add:
         out: dict = {}
         for term in e.terms:
@@ -558,14 +565,25 @@ def _to_poly(e: Expr) -> dict:
     raise TypeError(t)
 
 
+class _Sum:
+    """A multi-term factor to a positive integer power, held in the pairs
+    of _poly_product so that it is multiplied out in its place."""
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: dict):
+        self.poly = poly
+
+
 def _poly_product(factors) -> dict:
     """Product of (possibly powered) factors with base/exponent pairs
     collected *before* any expansion, so powers of the same sum combine
-    across factors.  Non-integer exponents distribute over products
-    (positive-base convention)."""
+    across factors.  A sum to a positive integer power is multiplied out
+    directly unless another sum in the product has its monomials: only
+    then does it become an opaque base that may merge.  Non-integer
+    exponents distribute over products (positive-base convention)."""
     coef = 1
     pairs: list = []
-    sums: dict = {}     # primitive sum base -> its poly, for the expansion
+    sums: list = []     # the indices of the _Sum pairs
     zero = False
 
     def absorb(f: Expr, outer):
@@ -599,11 +617,13 @@ def _poly_product(factors) -> dict:
                 pairs.extend(mono)
             else:
                 pairs.extend((b, _mul_exponent(x, outer)) for b, x in mono)
+        elif type(outer) is int and outer > 0:
+            sums.append(len(pairs))
+            pairs.append((_Sum(pf), outer))
+            return
         else:
             c, prim = _poly_content(pf)
-            base = _rebuild(prim)
-            sums[base] = prim
-            pairs.append((base, outer))
+            pairs.append((_rebuild(prim), outer))
         if c != 1:
             if type(outer) is int:
                 coef *= _rat_pow(c, outer)
@@ -616,16 +636,29 @@ def _poly_product(factors) -> dict:
         return {}
     if not pairs:
         return {(): coef}
+    for i in sums:
+        s, k = pairs[i]
+        keys = s.poly.keys()
+        if any(j != i and _sum_poly(b).keys() == keys
+               for j, (b, _) in enumerate(pairs)):
+            c, prim = _poly_content(s.poly)
+            pairs[i] = (_rebuild(prim), k)
+            coef *= _rat_pow(c, k)
     merged, factor, expansions = _merge_pairs(pairs)
     out = {merged: _num(coef * factor)}
     for base, k in expansions:
-        prim = sums.get(base)
-        out = _poly_mul(out, _poly_int_pow(
-            prim if prim is not None else _to_poly(base), k))
+        out = _poly_mul(out, _poly_int_pow(_sum_poly(base), k))
     return out
 
 
+def _sum_poly(b) -> dict:
+    """The poly of a sum base or _Sum pair of _poly_product, else {}."""
+    t = type(b)
+    return b.poly if t is _Sum else _to_poly(b) if t is Add else {}
+
+
 def _rebuild(p: dict) -> Expr:
+    """The normal form of a poly, which it keeps as its `_poly`."""
     if not p:
         return ZERO
     terms = []
@@ -641,7 +674,7 @@ def _rebuild(p: dict) -> Expr:
     else:
         terms.sort(key=_key)
         e = Add(tuple(terms))
-    object.__setattr__(e, "_poly", dict(p))
+    object.__setattr__(e, "_poly", p)
     return e
 
 
@@ -696,12 +729,8 @@ def free_symbols(e: Expr) -> set:
             for node in subexpressions(e) if isinstance(node, (Sym, Call))}
 
 
-def collect_by(e: Expr, split_names: tuple) -> dict:
-    """Group the normal form of `e` by monomials in the named symbols.
-
-    Returns {key monomial Expr (in the split symbols only): coefficient Expr}.
-    Split symbols must occur with integer exponents.
-    """
+def _split(e: Expr, split_names: tuple) -> dict:
+    """{key monomial in the named symbols: poly of its coefficient}."""
     split = set(split_names)
     groups: dict = {}
     for mono, coef in _to_poly(as_expr(e)).items():
@@ -714,9 +743,25 @@ def collect_by(e: Expr, split_names: tuple) -> dict:
                 key_pairs.append((base, x))
             else:
                 rest_pairs.append((base, x))
-        key = _rebuild({tuple(key_pairs): 1})
-        _poly_add_term(groups.setdefault(key, {}), tuple(rest_pairs), coef)
-    return {k: _rebuild(v) for k, v in groups.items() if v}
+        _poly_add_term(groups.setdefault(tuple(key_pairs), {}),
+                       tuple(rest_pairs), coef)
+    return groups
+
+
+def collect_by(e: Expr, split_names: tuple) -> dict:
+    """Group the normal form of `e` by monomials in the named symbols.
+
+    Returns {key monomial Expr (in the split symbols only): coefficient Expr}.
+    Split symbols must occur with integer exponents.
+    """
+    return {_rebuild({k: 1}): _rebuild(v)
+            for k, v in _split(e, split_names).items() if v}
+
+
+def coefficient(e: Expr, name: str) -> Expr:
+    """collect_by(e, (name,)).get(Sym(name), ZERO), without rebuilding the
+    other groups: the coefficient of `name` to the first power."""
+    return _rebuild(_split(e, (name,)).get(((Sym(name), 1),), {}))
 
 
 def affine_coefficients(e: Expr, name: str):
@@ -920,22 +965,25 @@ def _nth_derivative(e: Expr, d_r: int, d_t: int, table: SymbolTable) -> Expr:
 
 
 def _subst(e: Expr, named: dict) -> Expr:
-    if isinstance(e, Rat):
+    """`e` with the named symbols replaced; an untouched subtree is shared."""
+    t = type(e)
+    if t is Rat:
         return e
-    if isinstance(e, Sym):
+    if t is Sym:
         return named.get(e.name, e)
-    if isinstance(e, Add):
-        return Add(tuple(_subst(t, named) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_subst(f, named) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, named), _subst(e.exponent, named))
-    if isinstance(e, Call):
-        if e.func in named:
-            raise SubstitutionError(
-                f"cannot substitute applied function symbol {e.func!r}")
-        return Call(e.func, tuple(_subst(a, named) for a in e.args))
-    raise TypeError(type(e))
+    if t is Pow:
+        base, x = _subst(e.base, named), _subst(e.exponent, named)
+        return e if base is e.base and x is e.exponent else Pow(base, x)
+    if t is Call and e.func in named:
+        raise SubstitutionError(
+            f"cannot substitute applied function symbol {e.func!r}")
+    old = e.terms if t is Add else e.factors if t is Mul else e.args
+    new = tuple(_subst(a, named) for a in old)
+    if all(map(operator.is_, new, old)):
+        return e
+    if t is Call:
+        return Call(e.func, new)
+    return t(new)
 
 
 # --------------------------------------------------------------------------

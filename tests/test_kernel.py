@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from fluxsym.kernel import (
-    Add, Call, EvaluationError, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
-    as_expr, differentiate, evaluate, is_zero, normalize, sign_normalize,
-    substitute, to_text, collect_by, poly_div_exact, strip_coordinates,
+    Add, Call, EvaluationError, KernelError, Mul, Pow, Rat, Sym, ZERO,
+    ZeroVerdict, as_expr, coefficient, differentiate, evaluate, is_zero,
+    linear_combination, normalize, sign_normalize, substitute, to_text,
+    collect_by, poly_div_exact, strip_coordinates,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -150,6 +151,39 @@ def test_inverse_of_sum_cancels(model):
     assert normalize(base**2 * base ** Rat(-1)) == normalize(base)
 
 
+def test_sums_merge_across_the_factors_of_a_product(model):
+    # a sum to a positive integer power is multiplied out, unless the
+    # product holds another power of the same sum: then the exponents add
+    a, b, e = syms("a", "b", "e")
+    a3, a4, t = syms("a3", "a4", "t")
+    half = Rat(Fraction(1, 2))
+    assert normalize((a + b) ** 2 * (a + b) ** half) == normalize(
+        (a + b) ** Rat(Fraction(5, 2)))
+    assert normalize((a + b) * (a + b) ** Rat(-1)) == Rat(1)
+    assert normalize((a3 + a4 * t) * (a3 + a4 * t) ** (e - 1)) == normalize(
+        (a3 + a4 * t) ** e)
+    assert normalize((2 * a + 2 * b) * (a + b)) == normalize(
+        2 * a**2 + 4 * a * b + 2 * b**2)
+    assert to_text(normalize((2 * a + 2 * b) ** half * (a + b))) == (
+        "2^(1/2)*(a + b)^(3/2)")
+
+
+def test_products_with_an_opaque_sum_power_are_canonical(model):
+    # the sum becomes an opaque base to add its exponent to the power, and
+    # its product with the constant term must still be multiplied out
+    a, b = syms("a", "b")
+    half = Rat(Fraction(1, 2))
+    want = normalize(a + b + (a + b) ** Rat(Fraction(3, 2)))
+    for e in ((a + b) * (1 + (a + b) ** half),
+              (1 + (a + b) ** half) * (a + b)):
+        assert normalize(e) == want
+        assert is_zero(normalize(e) - want, model.table) == ZeroVerdict.ZERO
+    # a sum squared that multiplies out to an opaque base joins its power
+    square = normalize((a + b) ** 2)
+    assert normalize((a + b) ** 2 * square ** half) == normalize(
+        square ** Rat(Fraction(3, 2)))
+
+
 def test_constant_power_with_integer_exponent_joins_the_coefficient():
     h = Pow(Rat(2), Rat(Fraction(1, 2)))
     assert normalize(h * h - 2) == ZERO
@@ -180,6 +214,59 @@ def test_collect_by_monomials():
     assert normalize(groups[Sym("phi")] - a6) == ZERO
     assert normalize(groups[Sym("w")] - (a6 + a5)) == ZERO
     assert normalize(groups[Rat(1)] - a5) == ZERO
+
+
+def test_coefficient_matches_collect_by(model):
+    rng = random.Random(29)
+    names = ("r", "t", "a1", "a2", "phi", "w", "D")
+    for _ in range(300):
+        e = random_expression(rng, names, depth=3, funcs=("G",))
+        for name in ("r", "phi", "a1", "x"):
+            assert coefficient(e, name) == collect_by(e, (name,)).get(
+                Sym(name), ZERO)
+    e = Sym("a1") * Sym("r") + Sym("r") ** Rat(Fraction(1, 2))
+    with pytest.raises(KernelError) as ours:
+        coefficient(e, "r")
+    with pytest.raises(KernelError) as theirs:
+        collect_by(e, ("r",))
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_cached_polys_are_never_updated_in_place(model):
+    # a normal form hands its poly out read-only: no kernel function that
+    # reads it may change it
+    table = model.table
+    rng = random.Random(31)
+    names = ("r", "t", "a1", "a2", "phi", "D", "D_r")
+    half = Rat(Fraction(1, 2))
+    forms = []
+    for _ in range(150):
+        e = normalize(random_expression(rng, names, depth=3, funcs=("G",)))
+        f = normalize(random_expression(rng, names, depth=2))
+        # opaque sum powers, so that sums merge across factors
+        forms += [e, normalize(Mul((e, Pow(f, half), f, Pow(e, half))))]
+    for e, other in zip(forms, forms[1:] + forms[:1]):
+        kept = {id(n): dict(n._poly) for n in (e, other)
+                if getattr(n, "_poly", None) is not None}
+        normalize(Mul((e, other, e)))
+        linear_combination(((2, e), (-1, other), (1, e)))
+        for split in (lambda: collect_by(e, ("r", "t")),
+                      lambda: coefficient(e, "r")):
+            try:
+                split()
+            except KernelError:     # r to a non-integer power
+                pass
+        sign_normalize(e)
+        strip_coordinates(e)
+        poly_div_exact(e, other)
+        poly_div_exact(normalize(Mul((e, other))), other)
+        substitute(e, {"a1": other, "D": Sym("t")}, table)
+        differentiate(e, "r", table)
+        for n in (e, other):
+            if id(n) in kept:
+                assert n._poly == kept[id(n)], n
+        # a substitution that binds nothing in `e` returns `e` itself
+        assert substitute(e, {"a9": ZERO}, table) is e
 
 
 def test_poly_div_exact_monomial_quotient():

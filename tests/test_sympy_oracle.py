@@ -71,6 +71,33 @@ def test_normalize_agrees_with_expand():
         assert same(to_sympy(normalize(e), table), to_sympy(e, table)), e
 
 
+def test_products_of_shared_sums_agree_with_expand():
+    # integer and rational powers of the same sums, some scaled, next to a
+    # random factor: the kernel adds the exponents of equal sums, which
+    # sympy leaves apart when their contents differ, so the difference is
+    # brought over one denominator before it is expanded
+    table = Model().table
+    rng = random.Random(131)
+    a1, a2, r, t, phi, w = (Sym(n) for n in ("a1", "a2", "r", "t", "phi", "w"))
+    sums = (a1 + a2 * r, phi + w + 1, r + t)
+    exponents = [Rat(Fraction(x)) for x in
+                 (1, 2, 3, -1, -2, "1/2", "-1/2", "3/2", "-3/2")]
+    for _ in range(150):
+        shared = rng.sample(sums, 2)
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            base, x = rng.choice(shared), rng.choice(exponents)
+            if x.value.denominator == 1 and rng.random() < 0.5:
+                base = Rat(rng.choice((2, -3, Fraction(1, 2)))) * base
+            factors.append(Pow(base, x))
+        if rng.random() < 0.5:
+            factors.append(random_expression(rng, NAMES[:6], depth=2))
+        rng.shuffle(factors)
+        e = Mul(tuple(factors))
+        diff = to_sympy(normalize(e), table) - to_sympy(e, table)
+        assert sympy.expand(sympy.together(diff)) == 0, e
+
+
 def test_linear_combination_agrees_with_expand():
     table = Model().table
     rng = random.Random(113)
