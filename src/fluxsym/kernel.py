@@ -7,10 +7,12 @@ differentiation with jet-symbol bookkeeping, simultaneous substitution,
 randomized zero testing and evaluation in exact, float or array arithmetic.
 
 The normal form is a collected "generalized Laurent polynomial": a sum of
-monomials, each a rational coefficient times powers of atomic bases.  Bases
-are symbols, function applications, or sums raised to a negative-integer or
-non-integer exponent (kept opaque).  Positive integer powers of sums are
-expanded; powers with equal bases combine by exponent addition.  Non-integer
+monomials, each a rational coefficient times powers of atomic bases (symbols,
+function applications, constants, and sums to a negative or non-integer
+power, kept opaque).  Powers with equal bases combine by exponent addition.
+Each product decides once which sums to a positive integer power join an
+opaque sum of another factor, or of another sum's terms, that equals them or
+their power up to a constant; it multiplies out every other.  Non-integer
 powers assume positive bases (evaluation raises otherwise).
 """
 
@@ -309,7 +311,11 @@ class SymbolTable:
 #                 normalized non-constant Expr
 #
 # Bases are normalized atoms (Sym, Call, Rat for irrational constant powers,
-# or Add for opaque sum powers).
+# or Add for opaque sum powers).  `_poly_product` alone decides which sums
+# are opaque: a sum to a positive integer power k joins an opaque sum of the
+# product that equals it, or its k-th power, up to a constant.  It alone
+# multiplies out the others, so a product of polys (`_poly_mul`) may hold a
+# sum to a positive integer power until `_poly_product` reads it.
 #
 # A compound normal form keeps the poly it was built from (its `_poly`
 # attribute), so normalizing it again returns it unchanged.  The poly lives
@@ -412,40 +418,37 @@ def _merge_pairs(pairs):
     """Combine (base, exponent) pairs into a monomial, adding the exponents
     of equal bases.
 
-    Returns (monomial, factor, expansions): `factor` is the rational value
-    of the integer part of each constant base's exponent (2^(3/2) is
-    2*2^(1/2)), and expansions are (add_expr, k) factors whose exponent
-    became a positive integer, and _poly_product's _Sum pairs, that must be
-    multiplied out.
+    Returns (monomial, factor): `factor` is the rational value of the
+    integer part of each constant base's exponent (2^(3/2) is 2*2^(1/2)).
+    It never multiplies out a sum: _poly_product decides whether a sum
+    whose exponents add up to a positive integer joins a base or expands.
     """
-    if len(pairs) == 1:
-        acc = dict(pairs)
-    else:
-        acc = {}
-        for base, x in pairs:
-            old = acc.get(base)
-            acc[base] = x if old is None else _add_exponents(old, x)
+    acc = {}
+    for base, x in pairs:
+        old = acc.get(base)
+        acc[base] = x if old is None else _add_exponents(old, x)
     mono = []
     factor = 1
-    expansions = []
     for base, x in acc.items():
         if type(x) is int:
             if x == 0:
                 continue
-            if (type(base) is Add or type(base) is _Sum) and x > 0:
-                expansions.append((base, x))
-                continue
             if type(base) is Rat and base.value:
                 factor = _num(factor * _rat_pow(_num(base.value), x))
                 continue
-        elif type(x) is Fraction and type(base) is Rat and base.value:
-            whole = math.floor(x)
-            factor = _num(factor * _rat_pow(_num(base.value), whole))
-            x -= whole
+        elif type(base) is Rat and base.value:
+            # the integer part of the exponent, or of its constant term,
+            # joins the factor: 2^(x-1/2) is 1/2*2^(x+1/2) in any order
+            whole = math.floor(x if type(x) is Fraction else
+                               x.terms[0].value if type(x) is Add
+                               and type(x.terms[0]) is Rat else 0)
+            if whole:
+                factor = _num(factor * _rat_pow(_num(base.value), whole))
+                x = _add_exponents(x, -whole)
         mono.append((base, x))
     if len(mono) > 1:
         mono.sort(key=_base_key)
-    return tuple(mono), factor, expansions
+    return tuple(mono), factor
 
 
 def _add_exponents(a, b):
@@ -472,42 +475,13 @@ def _mul_exponent(a, b):
     return _num(a * b)
 
 
-def _maybe_atomize(p: dict, other: dict):
-    """If the primitive part of multi-term `p` equals an opaque power base
-    already present in `other`, represent p as that base to first power so
-    exponents combine instead of distributing over the expansion."""
-    if len(p) < 2:
-        return None
-    bases = {b for mono in other for b, _ in mono if type(b) is Add}
-    if not bases:
-        return None
-    c, prim = _poly_content(p)
-    prim_expr = _rebuild(prim)
-    if prim_expr in bases:
-        return {((prim_expr, 1),): c}
-    return None
-
-
 def _poly_mul(p: dict, q: dict) -> dict:
-    q2 = _maybe_atomize(q, p)
-    if q2 is not None:
-        q = q2
-    else:
-        p2 = _maybe_atomize(p, q)
-        if p2 is not None:
-            p = p2
+    """p*q, term by term."""
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono, factor, expansions = _merge_pairs(m1 + m2)
-            c = _num(c1 * c2 * factor)
-            if not expansions:
-                _poly_add_term(out, mono, c)
-                continue
-            term = {mono: c}
-            for base, k in expansions:
-                term = _poly_mul(term, _poly_int_pow(_to_poly(base), k))
-            _poly_iadd(out, term)
+            mono, factor = _merge_pairs(m1 + m2)
+            _poly_add_term(out, mono, _num(c1 * c2 * factor))
     return out
 
 
@@ -565,25 +539,18 @@ def _to_poly(e: Expr) -> dict:
     raise TypeError(t)
 
 
-class _Sum:
-    """A multi-term factor to a positive integer power, held in the pairs
-    of _poly_product so that it is multiplied out in its place."""
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: dict):
-        self.poly = poly
-
-
 def _poly_product(factors) -> dict:
-    """Product of (possibly powered) factors with base/exponent pairs
-    collected *before* any expansion, so powers of the same sum combine
-    across factors.  A sum to a positive integer power is multiplied out
-    directly unless another sum in the product has its monomials: only
-    then does it become an opaque base that may merge.  Non-integer
-    exponents distribute over products (positive-base convention)."""
+    """The poly of a product of (possibly powered) factors, non-integer
+    exponents distributed over products (positive-base convention).  Its
+    base/exponent pairs merge before anything is multiplied out, and it is
+    the one place that decides which sums stay opaque bases: a sum to a
+    positive integer power k (its exponents over the product added up)
+    joins an opaque sum base of another factor, or one in the terms of
+    another sum, when its primitive part or that of its k-th power is that
+    base.  It multiplies out every other such sum."""
     coef = 1
     pairs: list = []
-    sums: list = []     # the indices of the _Sum pairs
+    sums: list = []     # (poly, k): sums to a positive integer power k
     zero = False
 
     def absorb(f: Expr, outer):
@@ -618,43 +585,75 @@ def _poly_product(factors) -> dict:
             else:
                 pairs.extend((b, _mul_exponent(x, outer)) for b, x in mono)
         elif type(outer) is int and outer > 0:
-            sums.append(len(pairs))
-            pairs.append((_Sum(pf), outer))
+            sums.append((pf, outer))
             return
         else:
             c, prim = _poly_content(pf)
             pairs.append((_rebuild(prim), outer))
-        if c != 1:
-            if type(outer) is int:
-                coef *= _rat_pow(c, outer)
-            else:
-                pairs.append((Rat(c), outer))
+        if c == 1:
+            return
+        if type(outer) is int:
+            coef *= _rat_pow(c, outer)
+            return
+        # a constant to a non-integer power, split as the parser reads its
+        # printed form: (-3/2)^x is (-1)^x*3^x*2^(-x)
+        if c < 0:
+            pairs.append((MINUS_ONE, outer))
+        if abs(c.numerator) != 1:
+            pairs.append((Rat(abs(c.numerator)), outer))
+        if c.denominator != 1:
+            pairs.append((Rat(c.denominator), _mul_exponent(outer, -1)))
 
     for f in factors:
         absorb(f, 1)
     if zero:
         return {}
-    if not pairs:
-        return {(): coef}
-    for i in sums:
-        s, k = pairs[i]
-        keys = s.poly.keys()
-        if any(j != i and _sum_poly(b).keys() == keys
-               for j, (b, _) in enumerate(pairs)):
-            c, prim = _poly_content(s.poly)
-            pairs[i] = (_rebuild(prim), k)
-            coef *= _rat_pow(c, k)
-    merged, factor, expansions = _merge_pairs(pairs)
-    out = {merged: _num(coef * factor)}
-    for base, k in expansions:
-        out = _poly_mul(out, _poly_int_pow(_sum_poly(base), k))
+    mono, factor = _merge_pairs(pairs)
+    sums += [(_to_poly(b), x) for b, x in mono if _is_sum_power(b, x)]
+    if not sums:
+        return {mono: _num(coef * factor)}
+    pairs = [(b, x) for b, x in mono if not _is_sum_power(b, x)]
+    bases = [b for b, _ in pairs if type(b) is Add] + [
+        b for s, _ in sums for m in s for b, _ in m if type(b) is Add]
+    powers = []
+    for s, k in sums:
+        joined = bases and _sum_base(s, k, bases)
+        if not joined and k > 1 and bases:
+            s, k = _poly_int_pow(s, k), 1
+            joined = _sum_base(s, k, bases)
+        if joined:
+            pairs += joined
+        else:
+            powers.append((s, k))
+    # with no opaque sum in sight, nothing joined and no term holds a sum
+    mono, more = _merge_pairs(pairs) if bases else (tuple(pairs), 1)
+    p = {mono: _num(coef * factor * more)}
+    for s, k in powers:
+        p = _poly_mul(p, _poly_int_pow(s, k))
+    if not bases:
+        return p
+    out: dict = {}
+    for m, c in p.items():
+        if any(_is_sum_power(b, x) for b, x in m):
+            # a product of its own, so the sum may join a base of the rest
+            _poly_iadd(out, _poly_product(
+                [Rat(c)] + [Pow(b, as_expr(x)) for b, x in m]))
+        else:
+            _poly_add_term(out, m, c)
     return out
 
 
-def _sum_poly(b) -> dict:
-    """The poly of a sum base or _Sum pair of _poly_product, else {}."""
-    t = type(b)
-    return b.poly if t is _Sum else _to_poly(b) if t is Add else {}
+def _sum_base(p: dict, k: int, bases):
+    """The pairs of p^k as (c*base)^k, base one of `bases`, or None."""
+    c, prim = _poly_content(p)
+    for base in bases:
+        if _to_poly(base) == prim:
+            return [(base, k), (Rat(c), k)]
+    return None
+
+
+def _is_sum_power(base, x) -> bool:
+    return type(base) is Add and type(x) is int and x > 0
 
 
 def _rebuild(p: dict) -> Expr:
@@ -788,12 +787,12 @@ def poly_div_exact(p: Expr, q: Expr):
     lead_p = max(pp, key=_mono_key)
     for mono_q in sorted(qq, key=_mono_key):
         inv = tuple((b, _mul_exponent(x, -1)) for b, x in mono_q)
-        mono, factor, expansions = _merge_pairs(lead_p + inv)
-        if expansions:
+        mono, factor = _merge_pairs(lead_p + inv)
+        if any(_is_sum_power(b, x) for b, x in mono):
             continue
-        cand = {mono: _num(_div(pp[lead_p], qq[mono_q]) * factor)}
-        if _poly_mul(cand, qq) == pp:
-            return _rebuild(cand)
+        m = _rebuild({mono: _num(_div(pp[lead_p], qq[mono_q]) * factor)})
+        if _poly_product((m, as_expr(q))) == pp:
+            return m
     return None
 
 

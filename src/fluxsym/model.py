@@ -1,10 +1,10 @@
 """Standard symbols of the diffusion model.
 
 Coordinates t, r, phi (scalar flux) and w (its radial gradient); the group
-constants a1..a8 and parameter epsilon of the translation/scaling family;
-neutron speed v; geometry index n; the material functions D(r, t) and
-Gamma(r, t) = nu_bar*Sigma_f - Sigma_a with their jets; arbitrary functions
-G, F and the arbitrary constant C used by the closed-form material families.
+constants a1..a8 of the translation/scaling family; neutron speed v;
+geometry index n; the material functions D(r, t) and Gamma(r, t) with their
+jets; arbitrary functions G, F and the arbitrary constant C used by the
+closed-form material families.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ def standard_table() -> SymbolTable:
     table = SymbolTable()
     for name in COORDINATES:
         table.declare(name, "coordinate")
-    for name in GROUP_CONSTANTS + ("epsilon", "v", "n"):
-        table.declare(name, "parameter")
-    # cross-section decomposition symbols; they enter only through Gamma
-    for name in ("nu_bar", "Sigma_a", "Sigma_f"):
+    for name in GROUP_CONSTANTS + ("v", "n"):
         table.declare(name, "parameter")
     table.declare("D", "arbitrary-function", arity=0, depends=("r", "t"))
     table.declare("Gamma", "arbitrary-function", arity=0, depends=("r", "t"))

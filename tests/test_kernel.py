@@ -184,6 +184,51 @@ def test_products_with_an_opaque_sum_power_are_canonical(model):
         square ** Rat(Fraction(3, 2)))
 
 
+def test_a_sum_joins_a_power_in_the_terms_of_another_factor(model):
+    # the sum joins the opaque (a+b)^(1/2) in the other factor's terms
+    # whatever the order of the factors, so both orders are one tree
+    a, b, x = syms("a", "b", "x")
+    half = Rat(Fraction(1, 2))
+    first = normalize(x * (a + b) * (1 + (a + b) ** half))
+    second = normalize((1 + (a + b) ** half) * x * (a + b))
+    assert first == second == normalize(
+        a * x + b * x + x * (a + b) ** Rat(Fraction(3, 2)))
+    assert is_zero(first - second, model.table) == ZeroVerdict.ZERO
+
+
+def test_products_of_shared_sums_have_one_normal_form(model):
+    # a product decides once which of its sums stay opaque bases, so
+    # neither the order of its factors nor a factor written as two powers
+    # of its base changes its normal form, and the printed normal form
+    # parses back to it
+    table = model.table
+    rng = random.Random(37)
+    sums = [parse(s, table) for s in (
+        "a1 + a2", "a3 + a4*t", "2*a1 + 2*a2", "1 + r", "a1 - a2", "r + a1*t")]
+    exponents = [parse(x, table) for x in (
+        "1", "2", "3", "-1", "1/2", "-1/2", "3/2", "a2/a4", "a2/a4 - 1")]
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randint(3, 4)):
+            base = rng.choice(sums)
+            u = rng.random()
+            if u < 0.3:         # a sum that holds a power of a shared sum
+                base = 1 + base ** rng.choice(exponents[4:])
+            elif u < 0.45:
+                base = Sym(rng.choice(("r", "t", "a3")))
+            factors.append(base ** rng.choice(exponents))
+        j = rng.randrange(len(factors))
+        base, x = factors[j].base, factors[j].exponent
+        half = rng.choice(exponents[4:7])
+        split = (factors[:j] + [base ** half, base ** (x - half)]
+                 + factors[j + 1:])
+        forms = {normalize(Mul(tuple(order))) for order in (
+            factors, factors[::-1], factors[1:] + factors[:1], split)}
+        assert len(forms) == 1, factors
+        n, = forms
+        assert parse(to_text(n), table) == n, to_text(n)
+
+
 def test_constant_power_with_integer_exponent_joins_the_coefficient():
     h = Pow(Rat(2), Rat(Fraction(1, 2)))
     assert normalize(h * h - 2) == ZERO

@@ -32,6 +32,16 @@ def test_parse_symbolic_exponent_round_trips(model):
     assert parse(to_text(e), model.table) == e
 
 
+def test_rational_constant_bases_round_trip(model):
+    # a constant to a non-integer power, read as such or as the content of
+    # a sum, prints in the form the parser reads it in: (3/2)^(1/2) as
+    # 1/2*2^(1/2)*3^(1/2) and (-2)^(1/2) as (-1)^(1/2)*2^(1/2)
+    for text in ("(3/2)^(1/2)", "(-2)^(1/2)", "(3*a1/2 + 3*a2/2)^(1/2)",
+                 "(-2*a1 - 2*a2)^(1/2)", "(-2*a1/3 + 2*a2/3)^(a2/a4 - 1)"):
+        e = parse(text, model.table)
+        assert parse(to_text(e), model.table) == e, text
+
+
 def test_parse_jet_names_resolve(model):
     e = parse("D_r + Gamma_t + D_rrt", model.table)
     info = model.table.info("D_rrt")

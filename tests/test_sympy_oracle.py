@@ -96,6 +96,33 @@ def test_products_of_shared_sums_agree_with_expand():
         e = Mul(tuple(factors))
         diff = to_sympy(normalize(e), table) - to_sympy(e, table)
         assert sympy.expand(sympy.together(diff)) == 0, e
+    # factors whose terms hold a power of another factor's sum, such as
+    # 1 + (r + t)^(1/2): the sum joins that power inside the product.
+    # Where sympy leaves the two forms apart, they must agree in value at
+    # random positive points
+    names = NAMES[:6]
+    for _ in range(80):
+        s = rng.choice(sums)
+        factors = [Pow(rng.choice((1, 2, Fraction(1, 2))) * s,
+                       rng.choice(exponents[:3]))]
+        for _ in range(rng.randint(1, 2)):
+            inner = Pow(s, rng.choice(exponents[5:]))
+            if rng.random() < 0.5:
+                inner = Sym(rng.choice(names)) * inner
+            factors.append(Pow(rng.randint(1, 2) + inner,
+                               rng.choice(exponents[:6])))
+        factors.append(random_expression(rng, names, depth=2))
+        rng.shuffle(factors)
+        e = Mul(tuple(factors))
+        ours, theirs = to_sympy(normalize(e), table), to_sympy(e, table)
+        if sympy.expand(sympy.together(ours - theirs)) == 0:
+            continue
+        for _ in range(3):
+            point = {sympy.Symbol(n): sympy.Rational(rng.randint(1, 9), 4)
+                     for n in names}
+            want = complex(theirs.subs(point).evalf(30))
+            assert abs(complex(ours.subs(point).evalf(30)) - want) <= (
+                1e-12 * max(1.0, abs(want))), (e, point)
 
 
 def test_linear_combination_agrees_with_expand():
