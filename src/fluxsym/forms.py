@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .kernel import (
     Expr, Mul, Pow, Rat, SymbolTable, ZERO, as_expr, differentiate,
-    linear_combination, normalize, to_text,
+    linear_combination, normalize,
 )
 from .model import Model
 
@@ -109,15 +109,6 @@ class DifferentialForm(NamedTuple):
             self.degree,
             [(key, Mul((as_expr(factor), c))) for key, c in self.coefficients])
 
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for key, coef in self.coefficients:
-            basis = basis_label(key)
-            parts.append(f"({to_text(coef)})·{basis}" if basis else to_text(coef))
-        return " + ".join(parts)
-
 
 def scalar_form(e) -> DifferentialForm:
     c = normalize(as_expr(e))
@@ -201,7 +192,7 @@ def build_mu1(model: Model, geometry, r_multiplied: bool = False) -> Differentia
     terms = [
         (("phi", "r"), Mul((rfac, Pow(m.v, Rat(-1))))),
         (("phi", "t"), curv),
-        (("phi", "t"), Mul((rfac, m.jet("D", 1, 0)))),
+        (("phi", "t"), Mul((rfac, m.table.jet("D", 1, 0)))),
         (("w", "t"), Mul((rfac, m.D))),
         (("r", "t"), Mul((rfac, m.Gamma, m.phi))),
     ]
@@ -223,6 +214,6 @@ def build_mu3(model: Model) -> DifferentialForm:
     cancels the form to zero identically.
     """
     return DifferentialForm.build(2, [
-        (("r", "t"), model.jet("D", 1, 0)),
+        (("r", "t"), model.table.jet("D", 1, 0)),
         (("D", "t"), Rat(-1)),
     ])

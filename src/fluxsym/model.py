@@ -51,9 +51,6 @@ class Model:
         for i in range(1, 9):
             setattr(self, f"a{i}", Sym(f"a{i}"))
 
-    def jet(self, base: str, d_r: int, d_t: int) -> Sym:
-        return self.table.jet(base, d_r, d_t)
-
     def geometry_index(self, mode):
         """Geometry index as an expression: 'symbolic' or an int 0/1/2."""
         if mode == "symbolic":

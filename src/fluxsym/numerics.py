@@ -61,10 +61,15 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
             try:
                 float(node.value)
             except OverflowError:
-                from decimal import Decimal
-
-                q = Decimal(node.value.numerator) / node.value.denominator
-                raise SolverError(f"constant {q.normalize():.6g} is outside "
+                from decimal import MAX_EMAX, Context
+                # the top 128 bits of each part times a power of 2: 6 digits
+                # at a cost that does not grow with the constant
+                p, q = node.value.numerator, node.value.denominator
+                ps, qs = (max(k.bit_length() - 128, 0) for k in (p, q))
+                c = Context(prec=40, Emax=MAX_EMAX)
+                x = c.multiply(c.divide(p >> ps, q >> qs), c.power(2, ps - qs))
+                c.prec = 6      # normalize rounds to 6 digits, drops zeros
+                raise SolverError(f"constant {c.normalize(x):.6g} is outside "
                                   "the float range") from None
 
     def array(v):
@@ -100,7 +105,7 @@ def sampled_functions(amplitude: float = 1.0) -> dict:
 # --------------------------------------------------------------------------
 
 class GridSpec:
-    """A uniform grid on [r0, r1] x [0, t1], equal by its six numbers."""
+    """A uniform grid on [r0, r1] x [0, t1]."""
     __slots__ = ("r0", "r1", "t1", "n_r", "n_t", "geometry", "_r_nodes", "_t_nodes")
 
     def __init__(self, r0: float, r1: float, t1: float, n_r: int, n_t: int,
@@ -120,15 +125,6 @@ class GridSpec:
         self._r_nodes = np.linspace(r0, r1, n_r + 1)
         self._t_nodes = np.linspace(0.0, t1, n_t + 1)
         self._r_nodes.flags.writeable = self._t_nodes.flags.writeable = False
-
-    def _value(self):
-        return (self.r0, self.r1, self.t1, self.n_r, self.n_t, self.geometry)
-
-    def __eq__(self, other):
-        return type(other) is GridSpec and self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
 
     @property
     def r_nodes(self):
@@ -268,7 +264,7 @@ def _bc_value(spec, t: float) -> float:
 def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     """March the diffusion equation with implicit trapezoidal steps.
 
-    ic: callable phi(r) or array of node values.  bc: (left, right), each
+    ic: callable phi(r) giving the node values.  bc: (left, right), each
     ("dirichlet", value-or-callable) or ("zero_gradient",).  Dirichlet rows
     are pinned to the boundary value at the new time level.
 
@@ -287,7 +283,7 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     material.validate(grid)
     r = grid.r_nodes
     m = r.size
-    phi0 = np.asarray(ic(r) if callable(ic) else ic, dtype=float)
+    phi0 = np.asarray(ic(r), dtype=float)
     if phi0.shape != r.shape or not np.all(np.isfinite(phi0)):
         raise SolverError("initial profile must be finite node values")
     out = np.empty((grid.n_t + 1, m))
@@ -410,7 +406,7 @@ def material_residual(material: MaterialModel, params: TransformParams,
 def transform_field(f: Field, p: TransformParams) -> Field:
     """phi_new(r, t) = e^(eps a6) phi(inverse map of (r, t)) by bicubic
     interpolation on the source grid; points mapping outside the computed
-    domain are masked and the clipped fraction is reported (error above
+    domain are NaN and masked; the clipped fraction is reported (error above
     _MAX_CLIPPED_FRACTION)."""
     import numpy as np
     from scipy.interpolate import RectBivariateSpline
@@ -435,22 +431,17 @@ def transform_field(f: Field, p: TransformParams) -> Field:
                  valid=inside, clipped_fraction=clipped)
 
 
-def _interior_stencil(grid: GridSpec, material: MaterialModel):
-    """The `_stencil` rows at the interior times of `grid`."""
-    return _stencil(grid, material, grid.t_nodes[1:-1])
-
-
 def discrete_residual(f: Field, stencil=None) -> np.ndarray:
-    """Pointwise discrete PDE residual on interior nodes: centered time
-    difference minus conservative diffusion minus production.
-
-    `stencil` is `_interior_stencil(f.grid, f.material)`, built here when
-    not given."""
+    """Pointwise discrete PDE residual on interior nodes (NaN on the border):
+    centered time difference minus conservative diffusion minus production.
+    A transformed field is NaN at its clipped nodes, and the NaN spreads
+    through the five-point stencil.  `stencil` is the `_stencil` rows at
+    `f.grid.t_nodes[1:-1]`, built here when not given."""
     import numpy as np
 
     grid = f.grid
     phi = f.phi
-    lo, hi, gamma = (_interior_stencil(grid, f.material)
+    lo, hi, gamma = (_stencil(grid, f.material, grid.t_nodes[1:-1])
                      if stencil is None else stencil)
     mid = phi[1:-1, 1:-1]
     # (phi_t - diffusion) - gamma*mid with diffusion = hi*(up - mid) -
@@ -464,9 +455,6 @@ def discrete_residual(f: Field, stencil=None) -> np.ndarray:
     inner /= 2 * grid.dt * f.material.v
     inner -= diffusion
     inner -= gamma[:, 1:-1] * mid
-    ok = _residual_mask(f)
-    if ok is not None:
-        res[~ok] = np.nan
     return res
 
 
@@ -490,8 +478,9 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     so boundary and startup layers do not mask the convergence behaviour.
     The window is defined by node values (not index counts), so refined
     grids measure the same physical region.  Only the nodes outside an
-    interpolated field's valid region are left out; any other non-finite
-    residual (a pole of the material on a node) is a SolverError.
+    interpolated field's valid region, whose residual is the NaN spread
+    from its clipped nodes, are left out; any other non-finite residual (a
+    pole of the material on a node) is a SolverError.
     """
     import numpy as np
 
@@ -541,13 +530,13 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
     levels, residuals, base_residuals = [], [], []
     clipped = 0.0
     f0 = solve_pde(grid, material, ic, bc)
-    stencil0 = _interior_stencil(grid, material)
+    stencil0 = _stencil(grid, material, grid.t_nodes[1:-1])
     g, f, stencil = grid, f0, stencil0
     for level in range(refinements):
         if level:
             g = g.refined()
             f = solve_pde(g, material, ic, bc)
-            stencil = _interior_stencil(g, material)
+            stencil = _stencil(g, material, g.t_nodes[1:-1])
         tf = transform_field(f, p)
         levels.append((g.n_r, g.n_t))
         residuals.append(max_interior_residual(tf, stencil=stencil))

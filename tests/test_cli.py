@@ -150,6 +150,7 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["simulate", "--D", "10^400"],
     ["simulate", "--Gamma", "10^400"],
     ["simulate", "--initial", "10^400"],
+    ["simulate", "--D", "10^1000000"],
     ["verify", "--case", "B", "--a3", "0", "--a4", "1"],
     ["verify", "--case", "B", "--a1", "1", "--a2", "0", "--a3", "0",
      "--a4", "0"],

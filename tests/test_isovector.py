@@ -5,18 +5,18 @@ import pytest
 
 from fluxsym import isovector, published
 from fluxsym.forms import (
-    DifferentialForm, SLOTS, build_mu1, build_mu2, build_mu3, d_slot,
-    exterior_d, scalar_form, wedge,
+    DifferentialForm, SLOTS, basis_label, build_mu1, build_mu2, build_mu3,
+    d_slot, exterior_d, scalar_form, wedge,
 )
 from fluxsym.isovector import (
     DerivationError, Generator, Reduction, audit_against_published,
-    closure_check, _coefficient_of, _eliminate, extract_determining,
+    closure_check, _eliminate, extract_determining,
     ideal_reduce, lie_form, lie_scalar, solve_linear, strip_coordinates,
 )
 from fluxsym.kernel import (
-    Add, Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, apply_derivation, collect_by,
-    differentiate, is_zero, normalize, poly_div_exact, sign_normalize,
-    substitute, to_text,
+    Add, Mul, ONE, Rat, Sym, ZERO, ZeroVerdict, apply_derivation, coefficient,
+    collect_by, differentiate, is_zero, normalize, poly_div_exact,
+    sign_normalize, substitute, to_text,
 )
 from fluxsym.model import standard_table
 from fluxsym.parser import parse
@@ -229,8 +229,8 @@ def test_ideal_reduce_mu2(model, gen):
     # convention chi(mu) = sum(lambda * basis) + residual
     assert normalize(mults["mu2"] - (Sym("a6") + Sym("a4"))) == ZERO
     split = {}
-    for label, expr in solve.residuals:
-        split.update({(label, to_text(k)): v
+    for slots, expr in solve.residual_form.coefficients:
+        split.update({(basis_label(slots), to_text(k)): v
                       for k, v in collect_by(expr, ("phi", "w")).items()})
     assert normalize(split[("dt∧dr", "1")] - Sym("a7")) == ZERO
     assert sign_normalize(split[("dt∧dr", "w")]) == sign_normalize(
@@ -275,7 +275,8 @@ def test_ideal_reduce_unsolvable_pivot(model, gen):
 def test_residual_split_gives_gamma_condition(model, gen):
     basis = standard_basis(model)
     solve = ideal_reduce(lie_form(gen, basis[0][1], model), basis)
-    tr = dict(solve.residuals)["dt∧dr"]
+    tr = {basis_label(slots): expr for slots, expr
+          in solve.residual_form.coefficients}["dt∧dr"]
     groups = collect_by(tr, ("phi", "w"))
     gamma_part = strip_coordinates(groups[Sym("phi")])
     expected = parse(
@@ -379,7 +380,7 @@ def test_self_consistency_residuals_annihilated(model):
     e_dw = next(eq.expression for eq in system.residual_equations
                 if eq.basis == "dt∧dw")
     relations = (("D_t", system.diffusion_pde,
-                  _coefficient_of(system.diffusion_pde, "D_t")),)
+                  coefficient(system.diffusion_pde, "D_t")),)
     reduced = _eliminate(e_dw, relations)
     assert is_zero(reduced, table) == ZeroVerdict.ZERO
     assert determining_system_payload(system)["unknown_verdicts"] == 0
@@ -459,7 +460,7 @@ def test_the_shared_reducer_matches_a_fresh_one(model, mode):
     a8_equation = next(c.equation for c in system.constraints
                        if c.name == "a8")
     relations = tuple(
-        (jet, relation, _coefficient_of(relation, jet)) for jet, relation in (
+        (jet, relation, coefficient(relation, jet)) for jet, relation in (
             ("D_t", system.diffusion_pde),
             ("D_rt", differentiate(system.diffusion_pde, "r", table)),
             ("Gamma_t", system.gamma_pde)))
@@ -482,12 +483,12 @@ def test_the_shared_reducer_matches_a_fresh_one(model, mode):
 def test_one_reducer_per_derive(model, monkeypatch):
     # a derive and its audit take each relation's jet coefficient once
     taken = []
-    real = isovector._coefficient_of
+    real = isovector.coefficient
 
     def recording(e, jet_name):
         taken.append((e, jet_name))
         return real(e, jet_name)
-    monkeypatch.setattr(isovector, "_coefficient_of", recording)
+    monkeypatch.setattr(isovector, "coefficient", recording)
     system = extract_determining(model, "symbolic")
     audit_against_published(system, model)
     for jet, relation, _ in system.reduction.relations:
