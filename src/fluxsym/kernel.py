@@ -904,9 +904,7 @@ def _diff(e: Expr, action, table: SymbolTable) -> Expr:
 def _diff_symbol(s: Sym, var: str, table: SymbolTable) -> Expr:
     if s.name == var:
         return ONE
-    info = table.info(s.name) if table.is_declared(s.name) else None
-    if info is None:
-        raise UndeclaredSymbolError(f"symbol {s.name!r} is not declared")
+    info = table.info(s.name)
     if var not in ("r", "t"):
         return ZERO
     if info.kind == "arbitrary-function" and info.arity in (0, None) and info.depends:

@@ -156,15 +156,10 @@ class MaterialModel(NamedTuple):
     Gamma: object
     v: float = 1.0
 
-    def validate(self, grid: GridSpec):
-        if not 0.0 < self.v < math.inf:
-            raise SolverError(f"v must be positive and finite, got {self.v!r}")
-        _check_diffusion(self.D(grid.r_nodes[None, :], grid.t_nodes[:, None]))
-
 
 def _check_diffusion(d):
-    """D values, wherever the solver or the material check evaluates them,
-    must be positive and finite."""
+    """D must be positive and finite wherever it is evaluated: in `_stencil`
+    (the solver and the discrete residual) and in the material check."""
     import numpy as np
 
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
@@ -172,17 +167,18 @@ def _check_diffusion(d):
 
 
 class Field:
-    """phi on the (n_t+1) x (n_r+1) space-time grid (time-major); `valid`
-    masks an interpolated field, `clipped_fraction` that of a transformed one."""
-    __slots__ = ("grid", "material", "phi", "valid", "clipped_fraction")
+    """phi on the (n_t+1) x (n_r+1) space-time grid (time-major).  NaN alone
+    marks the clipped nodes of a transformed field, and `clipped_fraction`
+    is their share of the grid."""
+    __slots__ = ("grid", "material", "phi", "clipped_fraction")
 
     def __init__(self, grid: GridSpec, material: MaterialModel, phi: np.ndarray,
-                 valid: np.ndarray | None = None, clipped_fraction: float | None = None):
+                 clipped_fraction: float | None = None):
         expect = (grid.n_t + 1, grid.n_r + 1)
         if phi.shape != expect:
             raise SolverError(f"field shape {phi.shape} != grid {expect}")
         self.grid, self.material, self.phi = grid, material, phi
-        self.valid, self.clipped_fraction = valid, clipped_fraction
+        self.clipped_fraction = clipped_fraction
 
 
 class TransformParams:
@@ -219,10 +215,11 @@ def _stencil(grid: GridSpec, material: MaterialModel, times):
     """Stencil weights (lo, hi) and Gamma of the spatial operator
     (1/r^n) d/dr[r^n D phi_r] + Gamma phi, one row per entry of `times`.
 
-    D and Gamma are evaluated once over the broadcast (times x r) grid and D
-    is averaged onto the cell faces.  The weights are conservative, with the
-    half-cell boundary rows and the r = 0 regularity limit; lo[:, 0] and
-    hi[:, -1] are 0."""
+    D and Gamma are evaluated once over the broadcast (times x r) grid.  D
+    is checked where it is evaluated here, positive and finite, and averaged
+    onto the cell faces.  Each weight is r_face^n D_face divided by dr times
+    the node's `integral_weights` volume, so the stencil conserves the
+    integral those weights define; lo[:, 0] and hi[:, -1] are 0."""
     import numpy as np
 
     n = grid.geometry
@@ -231,28 +228,20 @@ def _stencil(grid: GridSpec, material: MaterialModel, times):
     t = np.asarray(times, dtype=float)[:, None]
     shape = (t.shape[0], r.size)
     d = np.broadcast_to(material.D(r[None, :], t), shape)
+    _check_diffusion(d)
     d_face = 0.5 * (d[:, 1:] + d[:, :-1])
-    r_lo = r - 0.5 * dr
-    r_hi = r + 0.5 * dr
-    lo = np.empty(shape)
-    hi = np.empty(shape)
-    # interior nodes: r_face^n D_face / (r^n dr^2), formed in place
-    scale = np.where(r[1:-1] > 0, r[1:-1] ** n, 1.0) * dr * dr
-    np.multiply(r_lo[1:-1] ** n, d_face[:, :-1], out=lo[:, 1:-1])
-    lo[:, 1:-1] /= scale
-    np.multiply(r_hi[1:-1] ** n, d_face[:, 1:], out=hi[:, 1:-1])
-    hi[:, 1:-1] /= scale
-    # half-cell boundary rows (used only under zero-gradient conditions)
+    scale = integral_weights(grid) * dr
+    lo = np.zeros(shape)
+    hi = np.zeros(shape)
+    np.multiply((r[1:] - 0.5 * dr) ** n, d_face, out=lo[:, 1:])
+    lo[:, 1:] /= scale[1:]
+    np.multiply((r[:-1] + 0.5 * dr) ** n, d_face, out=hi[:, :-1])
+    hi[:, :-1] /= scale[:-1]
     if grid.r0 == 0.0 and n > 0:
-        # volume-integrated limit over [0, dr/2]
+        # the r = 0 regularity row, written out: the rule above gives the
+        # same value but not the same bits at n = 2, which the spherical
+        # r0 = 0 golden tests/golden/simulate_small.* pins
         hi[:, 0] = 2.0 * (n + 1) * d_face[:, 0] / (dr * dr)
-    else:
-        r0n = r[0] ** n if r[0] > 0 else 1.0
-        hi[:, 0] = (r_hi[0] ** n) * d_face[:, 0] / (r0n * dr * (0.5 * dr))
-    rNn = r[-1] ** n if r[-1] > 0 else 1.0
-    lo[:, -1] = (r_lo[-1] ** n) * d_face[:, -1] / (rNn * dr * (0.5 * dr))
-    lo[:, 0] = 0.0
-    hi[:, -1] = 0.0
     return lo, hi, np.broadcast_to(material.Gamma(r[None, :], t), shape)
 
 
@@ -280,7 +269,8 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
         raise SolverError(
             "r = 0 in curvilinear geometry needs the zero-gradient "
             "regularity condition on the left edge")
-    material.validate(grid)
+    if not 0.0 < material.v < math.inf:
+        raise SolverError(f"v must be positive and finite, got {material.v!r}")
     r = grid.r_nodes
     m = r.size
     phi0 = np.asarray(ic(r), dtype=float)
@@ -337,17 +327,19 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
 
 
 def integral_weights(grid: GridSpec) -> np.ndarray:
-    """Trapezoidal weights of the conserved integral of phi r^n dr."""
+    """Trapezoidal weights of the conserved integral of phi r^n dr: the cell
+    volumes r_i^n dr, halved at the edges, that `_stencil` divides by (times
+    dr).  At r = 0 in curvilinear geometry the first is the exact volume
+    (dr/2)^(n+1)/(n+1), for which `_stencil` writes out its row."""
     import numpy as np
 
+    n = grid.geometry
     r = grid.r_nodes
     w = np.full_like(r, grid.dr)
     w[0] = w[-1] = 0.5 * grid.dr
-    if grid.r0 == 0.0 and grid.geometry > 0:
-        w = w * np.where(r > 0, r ** grid.geometry, 1.0)
-        w[0] = (0.5 * grid.dr) ** (grid.geometry + 1) / (grid.geometry + 1)
-    else:
-        w = w * r ** grid.geometry
+    w *= r ** n
+    if grid.r0 == 0.0 and n > 0:
+        w[0] = (0.5 * grid.dr) ** (n + 1) / (n + 1)
     return w
 
 
@@ -428,7 +420,7 @@ def transform_field(f: Field, p: TransformParams) -> Field:
                            np.clip(r_src, grid.r0, grid.r1), grid=True)
     phi_new = np.where(inside, phi_new, np.nan)
     return Field(grid=grid, material=f.material, phi=phi_new,
-                 valid=inside, clipped_fraction=clipped)
+                 clipped_fraction=clipped)
 
 
 def discrete_residual(f: Field, stencil=None) -> np.ndarray:
@@ -458,15 +450,16 @@ def discrete_residual(f: Field, stencil=None) -> np.ndarray:
     return res
 
 
-def _residual_mask(f: Field):
-    """Where the discrete residual of an interpolated field is defined: the
-    valid nodes whose centered stencil (the 4 neighbours) is valid too.
-    None for a field without a `valid` mask."""
-    if f.valid is None:
-        return None
-    ok = f.valid.copy()
-    ok[1:-1, 1:-1] &= (f.valid[:-2, 1:-1] & f.valid[2:, 1:-1]
-                       & f.valid[1:-1, :-2] & f.valid[1:-1, 2:])
+def _residual_mask(f: Field) -> np.ndarray:
+    """Where the discrete residual of `f` is defined: the finite nodes whose
+    centered stencil (the 4 neighbours) is finite too.  NaN alone marks a
+    transformed field's clipped nodes; a solved field is finite throughout."""
+    import numpy as np
+
+    valid = np.isfinite(f.phi)
+    ok = valid.copy()
+    ok[1:-1, 1:-1] &= (valid[:-2, 1:-1] & valid[2:, 1:-1]
+                       & valid[1:-1, :-2] & valid[1:-1, 2:])
     return ok
 
 
@@ -477,10 +470,11 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     An _INTERIOR_MARGIN fraction of the domain is trimmed from every side
     so boundary and startup layers do not mask the convergence behaviour.
     The window is defined by node values (not index counts), so refined
-    grids measure the same physical region.  Only the nodes outside an
-    interpolated field's valid region, whose residual is the NaN spread
-    from its clipped nodes, are left out; any other non-finite residual (a
-    pole of the material on a node) is a SolverError.
+    grids measure the same physical region.  NaN alone marks a transformed
+    field's clipped nodes: only the nodes their NaN reaches through the
+    stencil (`_residual_mask`) are left out, and any other non-finite
+    residual (a pole of Gamma on a node) is a SolverError.  D was checked
+    where the stencil evaluated it.
     """
     import numpy as np
 
@@ -496,8 +490,7 @@ def max_interior_residual(f: Field, stencil=None) -> float:
     cols = (r >= r_lo - tiny) & (r <= r_hi + tiny)
     window = np.ix_(rows, cols)
     vals = res[window]
-    ok = _residual_mask(f)
-    keep = np.ones(vals.shape, bool) if ok is None else ok[window]
+    keep = _residual_mask(f)[window]
     bad = keep & ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]

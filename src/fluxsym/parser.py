@@ -6,7 +6,7 @@
     power      := atom ("^" unary)?            # right associative
     atom       := NUMBER | NAME | NAME "(" expression ("," expression)* ")"
                 | "(" expression ")"
-    NUMBER     := digits with an optional fractional part (exact rational)
+    NUMBER     := ASCII digits with an optional fractional part (exact rational)
     NAME       := [A-Za-z_][A-Za-z0-9_]* "'"*   # jet symbols D_r, primes G'
 
 There is no implicit multiplication.  Every NAME must already be declared in
@@ -15,6 +15,7 @@ the symbol table.  Errors carry the byte offset.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,6 +37,10 @@ class _Token(NamedTuple):
     offset: int
 
 
+# ASCII digits only: str.isdigit would also take "²" and "٣"
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -44,16 +49,10 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
+        number = ch in "0123456789." and _NUMBER.match(text, i)
+        if number:
+            tokens.append(_Token("number", number.group(), i))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i

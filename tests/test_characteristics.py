@@ -212,6 +212,22 @@ def test_back_substitution_counts_evaluated_points(model, monkeypatch):
     assert sampled.evaluated == 200
 
 
+def test_back_substitution_is_numeric_only_on_a_residual_it_cannot_fold(model):
+    # the residual of this true solution normalizes to three G' terms, not to
+    # 0: (a3 + a4*t)*(a3 + a4*t)^(a2/a4) does not fold once the first factor
+    # is distributed over a sum; a kernel that folds it (ROADMAP item 5)
+    # turns this verdict into zero
+    table = model.table
+    pde = QuasiLinearPDE("D", *(parse(text, table)
+                                for text in ("a1", "a3 + a4*t", "a2")))
+    family = parse("(a3 + a4*t)^(a2/a4) * G((a3 + a4*t)*exp(-a4*r/a1))", table)
+    check = back_substitute(MaterialSolution("D", family, None, "G", ()),
+                            pde, model)
+    assert pde.residual(family, model) != ZERO
+    assert check.verdict == "numeric-only" and not check.symbolic_zero
+    assert check.evaluated == 1000 and check.max_residual <= 1e-10
+
+
 def test_published_table_notes_recorded(model):
     cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
     assert any("exponent" in n for n in cases["A"].notes)

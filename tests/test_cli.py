@@ -306,6 +306,61 @@ def test_a_failing_simulate_writes_no_csv(tmp_path):
     assert not csv.exists() and not out.exists()
 
 
+def test_a_diffusion_negative_at_a_half_step_writes_no_csv(tmp_path, capsys):
+    # D = 0.99 or more on every node t = k/32, and -0.01 at t = 1/64, the
+    # first half step, where the solver evaluates it
+    csv = tmp_path / "halfstep.csv"
+    code, out = run(tmp_path, "simulate", "--D", "(64*t-1)^2 - 1/100",
+                    "--nr", "8", "--nt", "32", "--csv", str(csv))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "simulate: D must be positive and finite on the grid\n")
+    assert not csv.exists() and not out.exists()
+
+
+def test_derive_exits_2_on_an_unknown_zero_verdict(tmp_path, monkeypatch,
+                                                    capsys):
+    # an inconclusive zero test is never read as success: is_zero answers
+    # unknown for every nonzero normal form
+    from fluxsym import isovector
+    from fluxsym.kernel import ZERO, ZeroVerdict, normalize
+    real = isovector.is_zero
+    monkeypatch.setattr(
+        isovector, "is_zero", lambda e, table, **kw: real(e, table, **kw)
+        if normalize(e) == ZERO else ZeroVerdict.UNKNOWN)
+    code, out = run(tmp_path, "derive", "--n", "symbolic")
+    assert code == 2
+    assert capsys.readouterr().err == "unknown zero-verdicts present\n"
+    assert json.loads(out.read_text())["audit"]["unknown_verdicts"] > 0
+
+
+def test_verify_closure_exits_2_on_a_nonzero_residual(tmp_path, monkeypatch,
+                                                      capsys):
+    # mis-set the generator's action on D_r to zero
+    from fluxsym import isovector
+    from fluxsym.kernel import ZERO
+    real = isovector._lie_symbol
+    monkeypatch.setattr(
+        isovector, "_lie_symbol",
+        lambda s, gen, m: ZERO if s.name == "D_r" else real(s, gen, m))
+    code, out = run(tmp_path, "verify", "--closure")
+    assert code == 2
+    assert capsys.readouterr().err == "verify: closure residual nonzero\n"
+    assert json.loads(out.read_text())["closure"]["identically_zero"] is False
+
+
+def test_verify_invariance_exits_2_on_a_ratio_outside_the_band(tmp_path,
+                                                                capsys):
+    # 6x6 and 12x12 cells are too coarse for the O(h^2) rate
+    code, out = run(tmp_path, "verify", "--case", "D", "--invariance",
+                    "--nr", "6", "--nt", "6", "--refine", "1")
+    assert code == 2
+    ratios = json.loads(out.read_text())["invariance"]["ratios"]
+    assert len(ratios) == 1 and not 2.8 <= ratios[0] <= 5.2
+    assert capsys.readouterr().err == (
+        f"verify: invariance ratio {ratios[0]:.2f} outside 4 +/- 30%\n")
+
+
 def test_reports_are_byte_stable(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -8,7 +8,7 @@ from fluxsym.kernel import (
     Add, Call, EvaluationError, KernelError, Mul, Pow, Rat, Sym, ZERO,
     ZeroVerdict, as_expr, coefficient, differentiate, evaluate, is_zero,
     linear_combination, normalize, sign_normalize, substitute, to_text,
-    collect_by, poly_div_exact, strip_coordinates,
+    collect_by, poly_div_exact, strip_coordinates, UndeclaredSymbolError,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -361,6 +361,12 @@ def test_differentiate_function_symbol_gives_jet(model):
 def test_differentiate_linear(model):
     a1, a2, r = syms("a1", "a2", "r")
     assert normalize(differentiate(a1 + a2 * r, "r", model.table) - a2) == ZERO
+
+
+def test_differentiate_an_undeclared_symbol_raises(model):
+    with pytest.raises(UndeclaredSymbolError,
+                       match="^symbol 'zz' is not declared$"):
+        differentiate(Sym("zz"), "r", model.table)
 
 
 def test_differentiate_coordinates_independent(model):

@@ -312,7 +312,35 @@ def test_material_speed_must_be_positive_and_finite(v):
     grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
     mat = MaterialModel(D=constant(0.5), Gamma=constant(0.0), v=v)
     with pytest.raises(SolverError, match="v must be positive and finite"):
-        mat.validate(grid)
+        solve_pde(grid, mat, lambda r: np.ones_like(r), ZERO_GRAD)
+
+
+def test_a_diffusion_negative_only_at_a_half_step_is_refused():
+    # (64t - 1)^2 - 1/100 is at least 0.99 on every node t = k/32 and -0.01
+    # at the first half step t = 1/64, where the solver evaluates it
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 32)
+    assert grid.dt == 1 / 32
+    d = lambda r, t: ((64.0 * np.asarray(t) - 1.0) ** 2 - 0.01) * np.ones(
+        np.broadcast_shapes(np.shape(r), np.shape(t)))
+    assert np.all(d(grid.r_nodes[None, :], grid.t_nodes[:, None]) > 0.9)
+    mat = MaterialModel(D=d, Gamma=constant(0.0))
+    with pytest.raises(SolverError,
+                       match="^D must be positive and finite on the grid$"):
+        solve_pde(grid, mat, lambda r: np.ones_like(r), ZERO_GRAD)
+
+
+@pytest.mark.parametrize("zero_at", [0.0, 1.0], ids=["t=0", "t=t1"])
+def test_a_diffusion_zero_only_on_an_end_row_solves(zero_at):
+    # D = |t - zero_at| vanishes on the t = 0 or the t = t1 row, which no
+    # stencil evaluates: neither the solver's half steps nor the residual's
+    # interior rows
+    grid = GridSpec(0.0, 1.0, 1.0, 8, 8)
+    d = lambda r, t: np.abs(np.asarray(t, float) - zero_at) * np.ones(
+        np.broadcast_shapes(np.shape(r), np.shape(t)))
+    field = solve_pde(grid, MaterialModel(D=d, Gamma=constant(0.0)),
+                      lambda r: np.cos(r), ZERO_GRAD)
+    assert np.all(np.isfinite(field.phi))
+    assert math.isfinite(max_interior_residual(field))
 
 
 # --- material residuals -------------------------------------------------------
@@ -400,7 +428,7 @@ def test_material_residual_rejects_a_non_finite_material(name):
 
 @pytest.mark.parametrize("value", [0.0, -0.5])
 def test_material_residual_refuses_a_diffusion_that_is_not_positive(value):
-    # the material check asks of D what the solver's validate asks
+    # the material check asks of D what the solver's stencil asks
     material = MaterialModel(D=constant(value), Gamma=constant(0.0))
     grid = GridSpec(0.5, 1.5, 1.0, 32, 32)
     with pytest.raises(SolverError,
@@ -408,7 +436,7 @@ def test_material_residual_refuses_a_diffusion_that_is_not_positive(value):
         material_residual(material, TransformParams(0.02, CASE_D_A), grid)
     with pytest.raises(SolverError,
                        match="^D must be positive and finite on the grid$"):
-        material.validate(grid)
+        solve_pde(grid, material, lambda r: np.ones_like(r), ZERO_GRAD)
 
 
 # --- finite transformations ----------------------------------------------------
@@ -436,7 +464,7 @@ def test_time_translation_of_steady_field():
     steady = Field(grid=grid, material=mat,
                    phi=np.tile(profile, (grid.n_t + 1, 1)))
     out = transform_field(steady, TransformParams(0.1, {"a3": 1.0}))
-    inside = out.valid
+    inside = np.isfinite(out.phi)
     assert np.allclose(out.phi[inside],
                        np.tile(profile, (grid.n_t + 1, 1))[inside],
                        atol=1e-10)
@@ -454,7 +482,7 @@ def test_scaling_matches_analytic_oracle():
     out = transform_field(field, p)
     r_src, t_src = p.map_inverse(rr, tt)
     oracle = exact(r_src, t_src)
-    err = np.abs(out.phi - oracle)[out.valid]
+    err = np.abs(out.phi - oracle)[np.isfinite(out.phi)]
     assert np.max(err) <= 1e-6
 
 
@@ -468,7 +496,7 @@ def test_transform_composition_group_property():
     once = transform_field(transform_field(field, TransformParams(0.03, a)),
                            TransformParams(0.02, a))
     combined = transform_field(field, TransformParams(0.05, a))
-    both = once.valid & combined.valid
+    both = np.isfinite(once.phi) & np.isfinite(combined.phi)
     assert np.max(np.abs(once.phi[both] - combined.phi[both])) <= 1e-5
 
 
@@ -505,7 +533,7 @@ def test_transform_matches_pointwise_spline_evaluation():
         out = transform_field(field, p)
         want, inside = _transform_by_points(field, p)
         assert 0.0 < out.clipped_fraction < 0.2
-        assert np.array_equal(out.valid, inside)
+        assert np.array_equal(np.isfinite(out.phi), inside)
         np.testing.assert_array_equal(out.phi, want)
 
 
@@ -670,6 +698,25 @@ def test_a_transformed_residual_is_nan_exactly_where_the_mask_drops_it():
     border = np.ones(nan.shape, bool)
     border[1:-1, 1:-1] = False
     assert nan[border].all()
+
+
+def test_the_residual_mask_is_the_in_domain_test_with_its_neighbours():
+    # NaN alone marks the clipped nodes: the mask read from phi is the one
+    # built from the inverse map's in-domain test on the grid axes
+    grid = GridSpec(0.5, 1.5, 1.0, 40, 40)
+    ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
+    field = solve_pde(grid, case_d_material(), ic, ZERO_GRAD)
+    p = TransformParams(0.02, CASE_D_A)
+    tf = transform_field(field, p)
+    r_src, t_src = p.map_inverse(grid.r_nodes, grid.t_nodes)
+    inside = (((t_src >= -1e-12) & (t_src <= grid.t1 + 1e-12))[:, None]
+              & ((r_src >= grid.r0 - 1e-12) & (r_src <= grid.r1 + 1e-12))[None, :])
+    want = inside.copy()
+    want[1:-1, 1:-1] &= (inside[:-2, 1:-1] & inside[2:, 1:-1]
+                         & inside[1:-1, :-2] & inside[1:-1, 2:])
+    assert not inside.all()
+    assert np.array_equal(numerics._residual_mask(tf), want)
+    assert numerics._residual_mask(field).all()
 
 
 def test_a_material_pole_on_a_node_is_not_dropped_from_the_residual():

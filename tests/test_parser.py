@@ -67,6 +67,18 @@ def test_parse_syntax_error_offset(model):
     assert err.value.offset == 5
 
 
+@pytest.mark.parametrize("text, offset", [("²", 0), ("r^²", 2), ("٣", 0)],
+                         ids=["superscript", "superscript-exponent",
+                              "arabic-indic"])
+def test_a_non_ascii_digit_is_an_unexpected_character(model, text, offset):
+    # the grammar's NUMBER takes ASCII digits only
+    with pytest.raises(ParseError) as err:
+        parse(text, model.table)
+    assert str(err.value) == (f"unexpected character {text[offset]!r} "
+                              f"(byte {offset})")
+    assert err.value.offset == offset
+
+
 def test_parse_unbalanced_paren(model):
     with pytest.raises(ParseError):
         parse("(a1 + a2", model.table)
