@@ -677,13 +677,15 @@ def _rebuild(p: dict) -> Expr:
     return e
 
 
+def _is_normal(e: Expr) -> bool:
+    return type(e) is Sym or type(e) is Rat or getattr(e, "_poly", None) is not None
+
+
 def normalize(e: Expr) -> Expr:
     """Canonical form: expanded, collected, deterministically ordered.
     Idempotent; structural equality of normal forms is the kernel's equality."""
     e = as_expr(e)
-    if type(e) is Sym or type(e) is Rat or getattr(e, "_poly", None) is not None:
-        return e
-    return _rebuild(_to_poly(e))
+    return e if _is_normal(e) else _rebuild(_to_poly(e))
 
 
 def linear_combination(terms) -> Expr:
@@ -702,8 +704,13 @@ def linear_combination(terms) -> Expr:
 
 
 def sign_normalize(e: Expr) -> Expr:
-    """Flip the overall sign so the leading monomial's coefficient is positive."""
-    return _rebuild(_lead_positive(_to_poly(as_expr(e))))
+    """Flip the overall sign so the leading monomial's coefficient is
+    positive; a normal form whose leading coefficient is positive comes back
+    as itself."""
+    e = as_expr(e)
+    p = _to_poly(e)
+    q = _lead_positive(p)
+    return e if q is p and _is_normal(e) else _rebuild(q)
 
 
 def subexpressions(e: Expr):
@@ -800,8 +807,10 @@ def strip_coordinates(e: Expr) -> Expr:
     """Remove common powers of the base coordinates r, t (an identity in the
     coordinates is unaffected) and integerize, leading coefficient positive:
     divide by r^i t^j, with i and j the least integer powers over all
-    monomials (0 where one lacks r or t)."""
-    p = _to_poly(as_expr(e))
+    monomials (0 where one lacks r or t).  A normal form so reduced already
+    comes back as itself."""
+    e = as_expr(e)
+    p = q = _to_poly(e)
     if not p:
         return ZERO
     powers = [{b.name: x for b, x in mono
@@ -813,19 +822,14 @@ def strip_coordinates(e: Expr) -> Expr:
         if low:
             divisor.append((Sym(name), -low))
     if divisor:
-        p = _poly_mul(p, {tuple(divisor): 1})
-    return _integerize(p)
-
-
-def _integerize(p: dict) -> Expr:
-    """Scale a nonzero poly so its rational coefficients are coprime
-    integers, leading positive."""
-    num = 0
-    den = 1
-    for c in p.values():
+        q = _poly_mul(q, {tuple(divisor): 1})
+    num, den = 0, 1     # coprime integer coefficients: scale by den/num
+    for c in q.values():
         num = math.gcd(num, abs(c.numerator))
         den = math.lcm(den, c.denominator)
-    return _rebuild(_lead_positive(_poly_scale(p, Fraction(den, num))))
+    q = _lead_positive(
+        q if num == den == 1 else _poly_scale(q, Fraction(den, num)))
+    return e if q is p and _is_normal(e) else _rebuild(q)
 
 
 # --------------------------------------------------------------------------

@@ -182,12 +182,12 @@ class Field:
 
 
 class TransformParams:
-    """One finite element of the translation/scaling family.
-
-    r -> eps*a1 + e^(eps*a2) r,  t -> eps*a3 + e^(eps*a4) t,
-    phi -> e^(eps*a6) phi,       w -> e^(eps*a8) w,
+    """One finite element exp(eps*chi) of the translation/scaling family,
+    chi = (a1 + a2 r) d/dr + (a3 + a4 t) d/dt + a6 phi d/phi + a8 w d/w,
     with the determining constraints a5 = a7 = 0, a8 = a6 - a2 enforced.
-    The neutron speed is held fixed under the map.
+    Each coordinate flows along its affine component c0 + c1 x, to
+    (x + c0/c1) e^(eps*c1) - c0/c1 (x + eps*c0 when c1 = 0): phi to
+    e^(eps*a6) phi.  The neutron speed is held fixed under the map.
     """
     __slots__ = ("eps", "a")
 
@@ -202,9 +202,14 @@ class TransformParams:
     def map_inverse(self, r, t):
         import numpy as np
 
+        def back(x, c0, c1):
+            # the flow along c0 + c1 x over -eps is x e^(-eps c1) plus c0 times
+            # (e^(-eps c1) - 1)/c1, by expm1 so that a small c1 loses no digits
+            lag = math.expm1(-self.eps * c1) / c1 if c1 else -self.eps
+            return np.asarray(x) * math.exp(-self.eps * c1) + c0 * lag
+
         a = self.a
-        return (math.exp(-self.eps * a["a2"]) * (np.asarray(r) - self.eps * a["a1"]),
-                math.exp(-self.eps * a["a4"]) * (np.asarray(t) - self.eps * a["a3"]))
+        return back(r, a["a1"], a["a2"]), back(t, a["a3"], a["a4"])
 
 
 # --------------------------------------------------------------------------
@@ -340,6 +345,10 @@ def integral_weights(grid: GridSpec) -> np.ndarray:
     w *= r ** n
     if grid.r0 == 0.0 and n > 0:
         w[0] = (0.5 * grid.dr) ** (n + 1) / (n + 1)
+    if w.min() < np.finfo(float).tiny:     # underflowed: dividing by it overflows
+        raise SolverError(
+            f"the grid on [{grid.r0:g}, {grid.r1:g}] in geometry {n} has a "
+            f"cell volume {w.min():.3g} below the smallest normal float")
     return w
 
 

@@ -6,11 +6,12 @@
     power      := atom ("^" unary)?            # right associative
     atom       := NUMBER | NAME | NAME "(" expression ("," expression)* ")"
                 | "(" expression ")"
-    NUMBER     := ASCII digits with an optional fractional part (exact rational)
+    NUMBER     := [0-9]+ ("." [0-9]*)? | "." [0-9]+   # exact rational
     NAME       := [A-Za-z_][A-Za-z0-9_]* "'"*   # jet symbols D_r, primes G'
 
-There is no implicit multiplication.  Every NAME must already be declared in
-the symbol table.  Errors carry the byte offset.
+Whitespace separates tokens; any other character is unexpected.  There is
+no implicit multiplication.  Every NAME must already be declared in the
+symbol table.  Errors carry the byte offset.
 """
 
 from __future__ import annotations
@@ -37,37 +38,22 @@ class _Token(NamedTuple):
     offset: int
 
 
-# ASCII digits only: str.isdigit would also take "²" and "٣"
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+# skipped whitespace (\s is what str.isspace takes), NUMBER, NAME, operators
+_TOKEN = re.compile(r"\s+|(?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>[-+*/^(),])")
 
 
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        number = ch in "0123456789." and _NUMBER.match(text, i)
-        if number:
-            tokens.append(_Token("number", number.group(), i))
-            i = number.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        if kind:
+            tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), i))
+        i = m.end()
     tokens.append(_Token("end", "", n))
     return tokens
 

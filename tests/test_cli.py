@@ -115,6 +115,21 @@ def test_verify_invariance_report(tmp_path):
     assert 2.8 <= ratios[-1] <= 5.2
 
 
+@pytest.mark.parametrize("case, argv", [
+    *((case, ["--a3", "1"]) for case in "ABCDEF"),
+    ("A", ["--a1", "0.3", "--a3", "1"]),
+    ("D", ["--a1", "0.3", "--a3", "1"]),
+], ids=[*(f"{case}-a3" for case in "ABCDEF"), "A-a1-a3", "D-a1-a3"])
+def test_verify_invariance_holds_with_translations_on(tmp_path, case, argv):
+    # the finite map is the flow of chi, so a member with a1*a2 != 0 or
+    # a3*a4 != 0 keeps the O(h^2) rate: every ratio is close to 4
+    code, out = run(tmp_path, "verify", "--case", case, "--invariance", *argv)
+    assert code == 0
+    ratios = json.loads(out.read_text())["invariance"]["ratios"]
+    assert len(ratios) == 3
+    assert all(abs(ratio - 4) < 0.2 for ratio in ratios), ratios
+
+
 @pytest.mark.parametrize("refine", ["0", "-1"])
 def test_verify_invariance_without_a_ratio_fails(tmp_path, refine):
     code, out = run(tmp_path, "verify", "--case", "D", "--invariance",
@@ -316,6 +331,24 @@ def test_a_diffusion_negative_at_a_half_step_writes_no_csv(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "simulate: D must be positive and finite on the grid\n")
     assert not csv.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("r0, volume", [("1e-300", "0"),
+                                         ("1e-160", "6.23e-322")])
+def test_a_grid_with_a_vanishing_cell_volume_is_a_one_line_error(tmp_path, r0,
+                                                                 volume):
+    # r0^2 underflows to 0, or to a subnormal float whose reciprocal
+    # overflows; in a fresh process, so numpy's RuntimeWarnings would show
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "fluxsym.cli", "simulate", "--r0", r0, "--n", "2",
+         "--nr", "8", "--nt", "8", "--csv", "tiny.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"simulate: the grid on [{r0}, 1] in geometry 2 has a cell volume "
+        f"{volume} below the smallest normal float\n")
+    assert not (tmp_path / "tiny.csv").exists()
 
 
 def test_derive_exits_2_on_an_unknown_zero_verdict(tmp_path, monkeypatch,

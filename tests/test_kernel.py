@@ -10,6 +10,7 @@ from fluxsym.kernel import (
     linear_combination, normalize, sign_normalize, substitute, to_text,
     collect_by, poly_div_exact, strip_coordinates, UndeclaredSymbolError,
 )
+from fluxsym.isovector import extract_determining
 from fluxsym.model import Model
 from fluxsym.parser import parse
 
@@ -349,6 +350,28 @@ def test_strip_coordinates_does_not_depend_on_term_order(model):
     assert strip_coordinates(Add((x, Rat(-4)))) == normalize(stripped)
     assert strip_coordinates(parse("a1*t^3*r^(-1) + t^2*r", table)) == \
         normalize(parse("r^2 + a1*t", table))
+
+
+def test_a_canonical_equation_comes_back_as_itself(model):
+    # a normal form that is already stripped, or already sign-normalized,
+    # is returned as the same object: nothing is rebuilt
+    system = extract_determining(Model())
+    for eq in (system.diffusion_pde, system.gamma_pde, system.geometry_lock):
+        assert strip_coordinates(eq) is eq
+    assert sign_normalize(system.diffusion_pde_reduced) is \
+        system.diffusion_pde_reduced
+    rng = random.Random(23)
+    names = ("r", "t", "a1", "a2", "n", "D", "D_r")
+    for _ in range(300):
+        stripped = strip_coordinates(random_expression(rng, names, depth=3))
+        assert strip_coordinates(stripped) is stripped
+        assert sign_normalize(stripped) is stripped
+    # a form that stripping changes is rebuilt
+    a1, r = syms("a1", "r")
+    e = normalize(2 * r * a1)
+    assert strip_coordinates(e) == a1
+    negated = normalize(-e)
+    assert sign_normalize(negated) == e and sign_normalize(negated) is not negated
 
 
 # --- differentiation ----------------------------------------------------

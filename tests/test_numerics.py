@@ -500,6 +500,27 @@ def test_transform_composition_group_property():
     assert np.max(np.abs(once.phi[both] - combined.phi[both])) <= 1e-5
 
 
+@pytest.mark.parametrize("a", [
+    {"a1": 0.3, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0},
+    {"a1": 0.3, "a3": 1.0},
+    {"a1": 0.3, "a2": 1e-12, "a3": 1.0, "a4": 1e-12, "a6": 0.0, "a8": -1e-12},
+], ids=["translation-and-scaling", "translation-only", "slow-scaling"])
+def test_map_inverse_is_the_flow_of_chi(a):
+    # the inverse maps compose as a one-parameter group with translations
+    # on, and to first order in eps they move (r, t) by -eps*chi
+    rr, tt = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
+    twice = TransformParams(0.02, a).map_inverse(
+        *TransformParams(0.03, a).map_inverse(rr, tt))
+    once = TransformParams(0.05, a).map_inverse(rr, tt)
+    np.testing.assert_allclose(twice, once, rtol=0.0, atol=1e-14)
+    eps = 1e-7
+    r_src, t_src = TransformParams(eps, a).map_inverse(rr, tt)
+    chi_r = a["a1"] + a.get("a2", 0.0) * rr
+    chi_t = a["a3"] + a.get("a4", 0.0) * tt
+    np.testing.assert_allclose((rr - r_src) / eps, chi_r, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose((tt - t_src) / eps, chi_t, rtol=0.0, atol=1e-6)
+
+
 def test_transform_out_of_domain_errors():
     grid = GridSpec(0.0, 1.0, 1.0, 16, 16)
     mat = MaterialModel(D=constant(0.5), Gamma=constant(0.0))

@@ -67,11 +67,13 @@ def test_parse_syntax_error_offset(model):
     assert err.value.offset == 5
 
 
-@pytest.mark.parametrize("text, offset", [("²", 0), ("r^²", 2), ("٣", 0)],
+@pytest.mark.parametrize("text, offset", [("²", 0), ("r^²", 2), ("٣", 0),
+                                          ("é + 1", 0), ("r²", 1), ("a1é", 2)],
                          ids=["superscript", "superscript-exponent",
-                              "arabic-indic"])
-def test_a_non_ascii_digit_is_an_unexpected_character(model, text, offset):
-    # the grammar's NUMBER takes ASCII digits only
+                              "arabic-indic", "letter", "superscript-after-name",
+                              "letter-in-name"])
+def test_a_non_ascii_character_is_an_unexpected_character(model, text, offset):
+    # the grammar's NUMBER and NAME take ASCII characters only
     with pytest.raises(ParseError) as err:
         parse(text, model.table)
     assert str(err.value) == (f"unexpected character {text[offset]!r} "
