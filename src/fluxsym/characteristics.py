@@ -18,7 +18,7 @@ from . import published
 from .kernel import (
     Add, Call, EvaluationError, Expr, Mul, ONE, Rat, ZERO, ZeroVerdict,
     affine_coefficients, differentiate, evaluate, is_zero, normalize,
-    sign_normalize, substitute, to_text,
+    sign_normalize, to_text,
 )
 from .model import Model
 from .numerics import sampled_functions
@@ -46,28 +46,18 @@ class QuasiLinearPDE(NamedTuple):
         )))
 
 
-def diffusion_condition(model: Model, a1_zero=False, gradient_free=False) -> QuasiLinearPDE:
-    """(a1 + a2 r) D_r + (a3 + a4 t) D_t = (2 a2 - a4) D, specialised per case."""
+def material_condition(model: Model, func: str, constraints=()) -> QuasiLinearPDE:
+    """The first-order condition on func (D or Gamma) under a case's
+    constraints: c_r = a1 + a2 r (a2 r under a1 = 0, 0 under func_r = 0),
+    c_t = a3 + a4 t, and growth 2 a2 - a4 for D, -a4 for Gamma."""
     m = model
-    c_r = ZERO if gradient_free else (
-        normalize(Mul((m.a2, m.r))) if a1_zero else normalize(Add((m.a1, Mul((m.a2, m.r))))))
-    return QuasiLinearPDE(
-        func="D", c_r=c_r,
-        c_t=normalize(Add((m.a3, Mul((m.a4, m.t))))),
-        growth=normalize(Add((Mul((Rat(2), m.a2)), Mul((Rat(-1), m.a4))))),
-    )
-
-
-def gamma_condition(model: Model, a1_zero=False) -> QuasiLinearPDE:
-    """(a1 + a2 r) Gamma_r + (a3 + a4 t) Gamma_t + a4 Gamma = 0."""
-    m = model
-    c_r = normalize(Mul((m.a2, m.r))) if a1_zero else normalize(
-        Add((m.a1, Mul((m.a2, m.r)))))
-    return QuasiLinearPDE(
-        func="Gamma", c_r=c_r,
-        c_t=normalize(Add((m.a3, Mul((m.a4, m.t))))),
-        growth=normalize(Mul((Rat(-1), m.a4))),
-    )
+    if f"{func}_r = 0" in constraints:
+        c_r = ZERO
+    else:
+        c_r = m.a2 * m.r if "a1 = 0" in constraints else m.a1 + m.a2 * m.r
+    growth = 2 * m.a2 - m.a4 if func == "D" else -m.a4
+    return QuasiLinearPDE(func, normalize(c_r), normalize(m.a3 + m.a4 * m.t),
+                          normalize(growth))
 
 
 class MaterialSolution(NamedTuple):
@@ -143,7 +133,6 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model) -> MaterialSolution
 
 class BackSubstitution(NamedTuple):
     verdict: str               # "zero" | "numeric-only" | "nonzero" | "unknown"
-    symbolic_zero: bool
     max_residual: float = 0.0
     evaluated: int = 0         # sample points the numeric check evaluated
 
@@ -161,10 +150,10 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     """
     residual = pde.residual(sol.expression, model)
     if residual == ZERO:
-        return BackSubstitution("zero", True)
+        return BackSubstitution("zero")
     verdict = is_zero(residual, model.table, seed=seed)
     if verdict == ZeroVerdict.NONZERO:
-        return BackSubstitution("nonzero", False, float("inf"))
+        return BackSubstitution("nonzero", float("inf"))
     fns = sampled_functions()
     rng = random.Random(seed)
     worst = 0.0
@@ -180,10 +169,10 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
         evaluated += 1
         worst = max(worst, abs(val) / scale)
     if evaluated == 0 or 2 * evaluated < points:
-        return BackSubstitution("unknown", False, worst, evaluated)
+        return BackSubstitution("unknown", worst, evaluated)
     if worst <= tol:
-        return BackSubstitution("numeric-only", False, worst, evaluated)
-    return BackSubstitution("nonzero", False, worst, evaluated)
+        return BackSubstitution("numeric-only", worst, evaluated)
+    return BackSubstitution("nonzero", worst, evaluated)
 
 
 # --------------------------------------------------------------------------
@@ -215,31 +204,28 @@ def enumerate_cases(model: Model, verify: bool = True,
                     seed: int = 0, tol: float = 1e-10) -> list:
     """The six admissible constraint combinations and their material families.
 
-    The diffusion condition depends only on (a1 = 0, D_r = 0) and the Gamma
-    condition only on a1 = 0, so the twelve conditions of the six cases are
-    six distinct ones: each is solved and back-substituted once and its
+    The twelve conditions of the six cases are five distinct ones: three
+    for D (c_r = a1 + a2 r, a2 r, 0) and two for Gamma (a1 + a2 r, a2 r).
+    Each is solved and back-substituted once, keyed by its value, and its
     result shared by the cases that have it.  A case coincides with the
-    first case that has the same two flags, so the same two conditions."""
+    first case whose two conditions are equal to its own."""
     solved = {}
     first_with = {}
 
-    def solve(condition, *flags):
-        key = (condition, flags)
-        if key not in solved:
-            pde = condition(model, *flags)
+    def solve(pde):
+        if pde not in solved:
             sol = solve_characteristics(pde, model)
             check = (back_substitute(sol, pde, model, seed=seed, tol=tol)
                      if verify else None)
-            solved[key] = sol, check
-        return solved[key]
+            solved[pde] = sol, check
+        return solved[pde]
 
     results = []
     for case_id, constraints in CASE_CONSTRAINTS.items():
-        a1_zero = "a1 = 0" in constraints
-        gradient_free = "D_r = 0" in constraints
-        d_sol, d_check = solve(diffusion_condition, a1_zero, gradient_free)
-        g_sol, g_check = solve(gamma_condition, a1_zero)
-        first = first_with.setdefault((a1_zero, gradient_free), case_id)
+        pdes = tuple(material_condition(model, func, constraints)
+                     for func in ("D", "Gamma"))
+        (d_sol, d_check), (g_sol, g_check) = map(solve, pdes)
+        first = first_with.setdefault(pdes, case_id)
         results.append(CaseResult(
             case_id=case_id,
             constraints=constraints,
@@ -260,28 +246,24 @@ def constant_material_constraints(model: Model) -> dict:
     nonzero Gamma forces a4 = 0; both together leave translations only
     (a2 = a4 = 0).  Gamma identically zero adds no constraint.
     """
-    m = model
-    table = m.table
-    d_pde = diffusion_condition(m)
-    g_pde = gamma_condition(m)
-    d_residual = substitute(
-        d_pde.residual(m.D, m), {"D_r": ZERO, "D_t": ZERO}, table)
-    g_residual = substitute(
-        g_pde.residual(m.Gamma, m), {"Gamma_r": ZERO, "Gamma_t": ZERO}, table)
-    g_zero = substitute(g_residual, {"Gamma": ZERO}, table)
+    def residual(func, f):
+        # f has no r or t derivative: the condition is growth * f = 0
+        growth = material_condition(model, func).growth
+        return to_text(sign_normalize(Mul((growth, f))))
+
     return {
         "constant_D": {
-            "residual": to_text(sign_normalize(d_residual)),
+            "residual": residual("D", model.D),
             "constraint": "a4 = 2*a2",
             "assumption": "D != 0",
         },
         "constant_Gamma": {
-            "residual": to_text(sign_normalize(g_residual)),
+            "residual": residual("Gamma", model.Gamma),
             "constraint": "a4 = 0",
             "assumption": "Gamma != 0",
         },
         "zero_Gamma": {
-            "residual": to_text(g_zero),
+            "residual": residual("Gamma", ZERO),
             "constraint": None,
         },
         "constant_D_and_Gamma": {

@@ -25,6 +25,7 @@ import sys
 from . import reports
 from .characteristics import (
     CASE_CONSTRAINTS, constant_material_constraints, enumerate_cases,
+    material_condition,
 )
 from .isovector import (
     audit_against_published, closure_check, extract_determining,
@@ -280,7 +281,9 @@ def cmd_verify(args) -> int:
         # step; decouple it from the (coarse) solver grid
         fd_grid = GridSpec(args.r0, args.r1, args.t1,
                            max(args.nr, 4096), max(args.nt, 4096), geometry=0)
-        res = material_residual(material, params, fd_grid)
+        res = material_residual(
+            material, (material_condition(model, "D"),
+                       material_condition(model, "Gamma")), params, fd_grid)
         body["material_residuals"] = res
         if not args.json:
             print(f"# case {args.case} material residuals: "

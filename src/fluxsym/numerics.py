@@ -356,10 +356,12 @@ def integral_weights(grid: GridSpec) -> np.ndarray:
 # Material-condition residuals (finite differences)
 # --------------------------------------------------------------------------
 
-def material_residual(material: MaterialModel, params: TransformParams,
-                      grid: GridSpec) -> dict:
-    """Max-norm residuals of the two first-order material conditions, with
-    derivatives by central differences at half-grid steps.
+def material_residual(material: MaterialModel, conditions,
+                      params: TransformParams, grid: GridSpec) -> dict:
+    """Max-norm residuals res_<func> of the first-order material conditions
+    c_r f_r + c_t f_t = growth * f (`characteristics.QuasiLinearPDE`s), with
+    c_r, c_t and growth compiled with params.a and the derivatives by
+    central differences at half-grid steps.
 
     The grid fixes the difference steps; the max is sampled on at most
     _RESIDUAL_MAX_SAMPLES nodes per axis so very fine steps stay cheap.  The
@@ -369,7 +371,6 @@ def material_residual(material: MaterialModel, params: TransformParams,
     SolverError naming the material."""
     import numpy as np
 
-    a = params.a
     r = grid.r_nodes[1:-1]
     t = grid.t_nodes[1:-1]
     r = r[:: max(1, len(r) // _RESIDUAL_MAX_SAMPLES)][None, :]
@@ -377,15 +378,17 @@ def material_residual(material: MaterialModel, params: TransformParams,
     hr = 0.5 * grid.dr
     ht = 0.5 * grid.dt
 
-    def residual(name, f, weight):
+    def residual(condition):
+        name = condition.func
+        f = getattr(material, name)
+        c_r, c_t, growth = (
+            compile_numeric(e, params=params.a)(r, t)
+            for e in (condition.c_r, condition.c_t, condition.growth))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f_r = (f(r + hr, t) - f(r - hr, t)) / (2 * hr)
             f_t = (f(r, t + ht) - f(r, t - ht)) / (2 * ht)
             base = f(r, t)
-            res = ((a["a1"] + a["a2"] * r) * f_r
-                   + (a["a3"] + a["a4"] * t) * f_t
-                   + weight * base)
-            worst = np.max(np.abs(res))
+            worst = np.max(np.abs(c_r * f_r + c_t * f_t - growth * base))
         scale = np.max(np.abs(base))
         if not (np.isfinite(scale) and np.isfinite(worst)):
             raise SolverError(
@@ -394,10 +397,7 @@ def material_residual(material: MaterialModel, params: TransformParams,
             _check_diffusion(base)
         return float(worst / (scale if scale > 0 else 1.0))
 
-    return {
-        "res_D": residual("D", material.D, -(2 * a["a2"] - a["a4"])),
-        "res_Gamma": residual("Gamma", material.Gamma, a["a4"]),
-    }
+    return {f"res_{c.func}": residual(c) for c in conditions}
 
 
 # --------------------------------------------------------------------------

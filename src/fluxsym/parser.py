@@ -46,15 +46,17 @@ _TOKEN = re.compile(r"\s+|(?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
+    offset = 0          # in UTF-8 bytes: skipped whitespace may be non-ASCII
     while i < n:
         m = _TOKEN.match(text, i)
         if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
+            raise ParseError(f"unexpected character {text[i]!r}", offset)
+        kind, word = m.lastgroup, m.group()
         if kind:
-            tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), i))
+            tokens.append(_Token(word if kind == "op" else kind, word, offset))
+        offset += len(word.encode("utf-8"))
         i = m.end()
-    tokens.append(_Token("end", "", n))
+    tokens.append(_Token("end", "", offset))
     return tokens
 
 

@@ -107,7 +107,7 @@ def case_payload(case) -> dict:
             "branch": sol.branch,
             "back_substitution": None if check is None else {
                 "verdict": check.verdict,
-                "symbolic_zero": check.symbolic_zero,
+                "symbolic_zero": check.verdict == "zero",
                 "max_residual": check.max_residual,
             },
         }

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from fluxsym import isovector
-from fluxsym.characteristics import (
-    diffusion_condition, enumerate_cases, gamma_condition,
-)
+from fluxsym.characteristics import enumerate_cases, material_condition
 from fluxsym.cli import main
 from fluxsym.forms import exterior_d, scalar_form, section, wedge
 from fluxsym.isovector import (
@@ -152,13 +150,10 @@ def test_criterion_5_case_forms_verified():
     rng = random.Random(0)
     worst = 0.0
     for case in cases:
-        for sol, pde in ((case.diffusion,
-                          diffusion_condition(
-                              model, a1_zero="a1 = 0" in case.constraints,
-                              gradient_free="D_r = 0" in case.constraints)),
-                         (case.gamma,
-                          gamma_condition(
-                              model, a1_zero="a1 = 0" in case.constraints))):
+        for sol, pde in ((case.diffusion, material_condition(
+                              model, "D", case.constraints)),
+                         (case.gamma, material_condition(
+                              model, "Gamma", case.constraints))):
             f = sol.expression
             raw = Add((
                 Mul((pde.c_r, differentiate(f, "r", table))),
@@ -176,7 +171,9 @@ def test_criterion_5_case_forms_verified():
     from fluxsym.cli import _case_materials
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
     material = _case_materials("B", a, 1.0, model)
-    res = material_residual(material, TransformParams(0.02, a),
+    conditions = tuple(material_condition(model, func)
+                       for func in ("D", "Gamma"))
+    res = material_residual(material, conditions, TransformParams(0.02, a),
                             GridSpec(0.0, 1.0, 1.0, 2048, 2048))
     assert max(res["res_D"], res["res_Gamma"]) <= 1e-6
     ok(f"criterion 5: six cases back-substitute symbolically; exact-path "
@@ -258,7 +255,10 @@ def test_criterion_8_invariance_at_desk_scale():
     grid = GridSpec(0.5, 1.5, 1.0, 40, 40)
     ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
     bc = (("zero_gradient",), ("zero_gradient",))
-    check = material_residual(material, p,
+    model = Model()
+    conditions = tuple(material_condition(model, func)
+                       for func in ("D", "Gamma"))
+    check = material_residual(material, conditions, p,
                               GridSpec(0.5, 1.5, 1.0, 4096, 4096))
     assert max(check["res_D"], check["res_Gamma"]) <= 1e-6
     report = invariance_residual(grid, material, p, ic, bc, refinements=4)

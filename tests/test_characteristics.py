@@ -8,18 +8,31 @@ from fluxsym import characteristics, published
 from fluxsym.characteristics import (
     CASE_CONSTRAINTS, MaterialSolution, QuasiLinearPDE,
     UnsupportedBranchError, back_substitute, constant_material_constraints,
-    diffusion_condition, enumerate_cases, gamma_condition,
-    solve_characteristics,
+    enumerate_cases, material_condition, solve_characteristics,
 )
+from fluxsym.isovector import extract_determining
 from fluxsym.kernel import (
     Call, Mul, Rat, Sym, ZERO, ZeroVerdict, evaluate,
-    normalize, substitute, to_text,
+    normalize, strip_coordinates, substitute, to_text,
 )
 from fluxsym.parser import parse
 
 
+@pytest.mark.parametrize("mode", ["symbolic", 0, 1, 2])
+def test_material_conditions_are_the_derived_determining_equations(model,
+                                                                   mode):
+    # the one builder states the two first-order equations that the
+    # isovector reduction derives, in every geometry
+    system = extract_determining(model, mode)
+    for func, derived in (("D", system.diffusion_pde_reduced),
+                          ("Gamma", system.gamma_pde)):
+        condition = material_condition(model, func)
+        residual = condition.residual(getattr(model, func), model)
+        assert strip_coordinates(residual) == strip_coordinates(derived)
+
+
 def test_gamma_generic_solution_matches_text(model):
-    pde = gamma_condition(model)
+    pde = material_condition(model, "Gamma")
     sol = solve_characteristics(pde, model)
     expected = parse(
         "(a3 + a4*t)^(-1) * F((r + a1/a2)*(a3 + a4*t)^(-a2/a4))", model.table)
@@ -29,7 +42,7 @@ def test_gamma_generic_solution_matches_text(model):
 
 
 def test_diffusion_a1_zero_solution_matches_text(model):
-    pde = diffusion_condition(model, a1_zero=True)
+    pde = material_condition(model, "D", ("a1 = 0",))
     sol = solve_characteristics(pde, model)
     expected = parse(
         "(a3 + a4*t)^(2*a2/a4 - 1) * G(r*(a3 + a4*t)^(-a2/a4))", model.table)
@@ -37,7 +50,7 @@ def test_diffusion_a1_zero_solution_matches_text(model):
 
 
 def test_diffusion_gradient_free_solution(model):
-    pde = diffusion_condition(model, gradient_free=True)
+    pde = material_condition(model, "D", ("D_r = 0",))
     sol = solve_characteristics(pde, model)
     expected = parse("C*(a3 + a4*t)^(2*a2/a4 - 1)", model.table)
     assert normalize(sol.expression - expected) == ZERO
@@ -55,16 +68,14 @@ def test_all_cases_back_substitute_symbolically(model):
 
 
 def test_each_distinct_condition_is_solved_once(model, monkeypatch):
-    # B and C share their diffusion condition, E and F too, and the Gamma
-    # condition depends on a1 = 0 alone: six distinct conditions
+    # five distinct conditions: D with c_r = a1 + a2*r (A), a2*r (B, C)
+    # and 0 (D, E, F), and Gamma with c_r = a1 + a2*r (A, D) and a2*r
+    # (B, C, E, F)
     reference = []
     for case_id, constraints in CASE_CONSTRAINTS.items():
-        a1_zero = "a1 = 0" in constraints
         row = []
-        for pde in (
-                diffusion_condition(model, a1_zero=a1_zero,
-                                    gradient_free="D_r = 0" in constraints),
-                gamma_condition(model, a1_zero=a1_zero)):
+        for pde in (material_condition(model, "D", constraints),
+                    material_condition(model, "Gamma", constraints)):
             sol = solve_characteristics(pde, model)
             row.append((sol, back_substitute(sol, pde, model, seed=3)))
         reference.append((case_id, row))
@@ -76,7 +87,7 @@ def test_each_distinct_condition_is_solved_once(model, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(characteristics, name, counted)
     cases = enumerate_cases(model, seed=3)
-    assert calls == {"solve_characteristics": 6, "back_substitute": 6}
+    assert calls == {"solve_characteristics": 5, "back_substitute": 5}
     for case, (case_id, row) in zip(cases, reference, strict=True):
         assert case.case_id == case_id
         for (sol, check), got_sol, got_check in zip(
@@ -86,7 +97,7 @@ def test_each_distinct_condition_is_solved_once(model, monkeypatch):
             assert got_sol == sol
             assert got_check == check
     enumerate_cases(model, verify=False)
-    assert calls == {"solve_characteristics": 12, "back_substitute": 6}
+    assert calls == {"solve_characteristics": 10, "back_substitute": 5}
 
 
 def test_case_constraint_sets(model):
@@ -125,7 +136,7 @@ def test_case_d_gradient_term_absent(model):
     from fluxsym.kernel import differentiate
     d = cases["D"].diffusion.expression
     assert differentiate(d, "r", table) == ZERO
-    pde = diffusion_condition(model, gradient_free=True)
+    pde = material_condition(model, "D", ("D_r = 0",))
     assert pde.residual(d, model) == ZERO
 
 
@@ -134,7 +145,7 @@ def test_generic_branch_on_random_rational_constants(model):
     # identically zero (exponents may collapse to integers)
     rng = random.Random(51)
     table = model.table
-    pde = diffusion_condition(model)
+    pde = material_condition(model, "D")
     sol = solve_characteristics(pde, model)
     residual = pde.residual(sol.expression, model)
     assert residual == ZERO
@@ -156,7 +167,7 @@ def test_mutated_exponent_fails_back_substitution(model):
     table = model.table
     wrong = parse(
         "(a3 + a4*t)^(2*a2/a4) * G(r*(a3 + a4*t)^(-a2/a4))", table)
-    pde = diffusion_condition(model, a1_zero=True)
+    pde = material_condition(model, "D", ("a1 = 0",))
     sol = MaterialSolution("D", wrong, None, "G", ())
     check = back_substitute(sol, pde, model)
     assert check.verdict == "nonzero"
@@ -173,14 +184,8 @@ PRINTED_FAILURES = {("A", "Gamma"), ("B", "D"), ("C", "D"), ("D", "Gamma")}
 def test_published_table_typos_fail_back_substitution(model, case_id,
                                                       material):
     table = model.table
-    constraints = CASE_CONSTRAINTS[case_id]
-    a1_zero = "a1 = 0" in constraints
-    if material == "D":
-        pde = diffusion_condition(model, a1_zero, "D_r = 0" in constraints)
-        func = "G"
-    else:
-        pde = gamma_condition(model, a1_zero)
-        func = "F"
+    pde = material_condition(model, material, CASE_CONSTRAINTS[case_id])
+    func = "G" if material == "D" else "F"
     printed = parse(published.TABLE_FORMS[case_id][material], table)
     check = back_substitute(
         MaterialSolution(material, printed, None, func, ()), pde, model)
@@ -197,7 +202,7 @@ def test_back_substitution_counts_evaluated_points(model, monkeypatch):
                         lambda *args, **kwargs: ZeroVerdict.UNKNOWN)
     table = model.table
     table.declare("H", "arbitrary-function", arity=1)
-    pde = diffusion_condition(model)
+    pde = material_condition(model, "D")
     tripled = QuasiLinearPDE(pde.func, pde.c_r, pde.c_t,
                              normalize(Mul((Rat(3), pde.growth))))
     h_family = parse("(a3 + a4*t)^((2*a2 - a4)/a4)"
@@ -224,7 +229,7 @@ def test_back_substitution_is_numeric_only_on_a_residual_it_cannot_fold(model):
     check = back_substitute(MaterialSolution("D", family, None, "G", ()),
                             pde, model)
     assert pde.residual(family, model) != ZERO
-    assert check.verdict == "numeric-only" and not check.symbolic_zero
+    assert check.verdict == "numeric-only"
     assert check.evaluated == 1000 and check.max_residual <= 1e-10
 
 
@@ -315,7 +320,7 @@ def test_every_branch_solves_its_condition(model, c_r, c_t, growth):
                                 for text in (c_r, c_t, growth)))
     sol = solve_characteristics(pde, model)
     check = back_substitute(sol, pde, model)
-    assert check.verdict == "zero" and check.symbolic_zero
+    assert check.verdict == "zero"
     conditions = R_CONDITIONS[c_r] + T_CONDITIONS[c_t]
     assert sol.conditions == conditions
     if "a2 = 0" in conditions or "a4 = 0" in conditions:
@@ -355,10 +360,10 @@ def test_constant_material_constraints(model):
     # oracle: substitute constant materials into the conditions directly
     table = model.table
     d_res = substitute(
-        diffusion_condition(model).residual(model.D, model),
+        material_condition(model, "D").residual(model.D, model),
         {"D_r": ZERO, "D_t": ZERO, "a4": 2 * Sym("a2")}, table)
     assert d_res == ZERO
     g_res = substitute(
-        gamma_condition(model).residual(model.Gamma, model),
+        material_condition(model, "Gamma").residual(model.Gamma, model),
         {"Gamma_r": ZERO, "Gamma_t": ZERO, "a4": ZERO}, table)
     assert g_res == ZERO

@@ -410,9 +410,9 @@ def test_audit_gradient_lock_conflicts_with_planar_translation(model):
     # the not-derivable grade is consistent: a planar-geometry family with
     # a1 != 0 and D_r != 0 satisfies every derived equation
     from fluxsym.characteristics import (back_substitute,
-                                         diffusion_condition,
+                                         material_condition,
                                          solve_characteristics)
-    pde = diffusion_condition(model)
+    pde = material_condition(model, "D")
     sol = solve_characteristics(pde, model)
     assert back_substitute(sol, pde, model).verdict == "zero"
     assert "a1" in to_text(sol.expression)

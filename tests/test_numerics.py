@@ -10,7 +10,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 from fluxsym import numerics
-from fluxsym.characteristics import CASE_CONSTRAINTS
+from fluxsym.characteristics import CASE_CONSTRAINTS, material_condition
 from fluxsym.cli import main
 from fluxsym.kernel import Call, EvaluationError, Pow, Rat, Sym, evaluate
 from fluxsym.model import Model
@@ -47,6 +47,8 @@ def case_d_material(amplitude=0.5, diffusion=0.35):
 
 
 CASE_D_A = {"a1": 0, "a2": 1, "a3": 0, "a4": 2, "a6": 0, "a8": -1}
+# the two first-order material conditions, as `verify` checks them
+CONDITIONS = tuple(material_condition(Model(), func) for func in ("D", "Gamma"))
 
 
 # --- grid and material validation -------------------------------------------
@@ -351,7 +353,8 @@ def test_material_residual_case_b_floor():
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
     material = _case_materials("B", a, 1.0, model)
     grid = GridSpec(0.0, 1.0, 1.0, 2048, 2048)
-    res = material_residual(material, TransformParams(0.02, a), grid)
+    res = material_residual(material, CONDITIONS, TransformParams(0.02, a),
+                            grid)
     assert res["res_D"] <= 1e-6
     assert res["res_Gamma"] <= 1e-6
 
@@ -360,10 +363,10 @@ def test_material_residual_constant_diffusion():
     grid = GridSpec(0.25, 1.0, 1.0, 64, 64)
     mat = MaterialModel(D=constant(0.7), Gamma=constant(0.0))
     locked = TransformParams(0.02, {"a2": 1, "a4": 2, "a6": 0, "a8": -1})
-    res = material_residual(mat, locked, grid)
+    res = material_residual(mat, CONDITIONS, locked, grid)
     assert res["res_D"] <= 1e-12
     skew = TransformParams(0.02, {"a2": 1, "a4": 3, "a6": 0, "a8": -1})
-    res = material_residual(mat, skew, grid)
+    res = material_residual(mat, CONDITIONS, skew, grid)
     # residual is exactly |2 a2 - a4| * D / max D
     assert res["res_D"] == pytest.approx(1.0, rel=1e-12)
 
@@ -407,7 +410,7 @@ def test_material_residual_on_broadcast_axes_matches_a_meshgrid(case):
         a["a8"] = a["a6"] - a["a2"]
         material = _case_materials(case, a, 0.7, Model())
     params = TransformParams(0.02, a)
-    assert (material_residual(material, params, grid)
+    assert (material_residual(material, CONDITIONS, params, grid)
             == _material_residual_on_a_meshgrid(material, params, grid))
 
 
@@ -422,7 +425,8 @@ def test_material_residual_rejects_a_non_finite_material(name):
     materials = {"D": constant(0.5), "Gamma": constant(0.0), name: pole}
     material = MaterialModel(D=materials["D"], Gamma=materials["Gamma"])
     with pytest.raises(SolverError, match=f"^{name} "):
-        material_residual(material, TransformParams(0.02, CASE_D_A),
+        material_residual(material, CONDITIONS,
+                          TransformParams(0.02, CASE_D_A),
                           GridSpec(0.5, 1.5, 1.0, 32, 32))
 
 
@@ -433,7 +437,8 @@ def test_material_residual_refuses_a_diffusion_that_is_not_positive(value):
     grid = GridSpec(0.5, 1.5, 1.0, 32, 32)
     with pytest.raises(SolverError,
                        match="^D must be positive and finite on the grid$"):
-        material_residual(material, TransformParams(0.02, CASE_D_A), grid)
+        material_residual(material, CONDITIONS,
+                          TransformParams(0.02, CASE_D_A), grid)
     with pytest.raises(SolverError,
                        match="^D must be positive and finite on the grid$"):
         solve_pde(grid, material, lambda r: np.ones_like(r), ZERO_GRAD)

@@ -68,16 +68,18 @@ def test_parse_syntax_error_offset(model):
 
 
 @pytest.mark.parametrize("text, offset", [("²", 0), ("r^²", 2), ("٣", 0),
-                                          ("é + 1", 0), ("r²", 1), ("a1é", 2)],
+                                          ("é + 1", 0), ("r²", 1), ("a1é", 2),
+                                          ("r +\u00a0@", 5)],
                          ids=["superscript", "superscript-exponent",
                               "arabic-indic", "letter", "superscript-after-name",
-                              "letter-in-name"])
+                              "letter-in-name", "after-a-no-break-space"])
 def test_a_non_ascii_character_is_an_unexpected_character(model, text, offset):
-    # the grammar's NUMBER and NAME take ASCII characters only
+    # the grammar's NUMBER and NAME take ASCII characters only; the offset
+    # counts UTF-8 bytes, so a no-break space before the error counts two
+    char = text.encode("utf-8")[offset:].decode("utf-8")[0]
     with pytest.raises(ParseError) as err:
         parse(text, model.table)
-    assert str(err.value) == (f"unexpected character {text[offset]!r} "
-                              f"(byte {offset})")
+    assert str(err.value) == f"unexpected character {char!r} (byte {offset})"
     assert err.value.offset == offset
 
 
