@@ -21,7 +21,6 @@ from .kernel import (
     sign_normalize, to_text,
 )
 from .model import Model
-from .numerics import sampled_functions
 
 
 class UnsupportedBranchError(Exception):
@@ -58,6 +57,13 @@ def material_condition(model: Model, func: str, constraints=()) -> QuasiLinearPD
     growth = 2 * m.a2 - m.a4 if func == "D" else -m.a4
     return QuasiLinearPDE(func, normalize(c_r), normalize(m.a3 + m.a4 * m.t),
                           normalize(growth))
+
+
+def material_conditions(model: Model, constraints=()) -> tuple:
+    """The (D, Gamma) pair of `material_condition`s under `constraints`;
+    with none, the conditions every material family must satisfy."""
+    return tuple(material_condition(model, func, constraints)
+                 for func in ("D", "Gamma"))
 
 
 class MaterialSolution(NamedTuple):
@@ -131,6 +137,19 @@ def solve_characteristics(pde: QuasiLinearPDE, model: Model) -> MaterialSolution
 # Verification
 # --------------------------------------------------------------------------
 
+def sampled_functions(amplitude: float = 1.0) -> dict:
+    """Vectorized samples of the arbitrary functions and their derivative
+    symbols: G(x) = exp(-x^2) and F(x) = amplitude/(1 + x^2)."""
+    import numpy as np
+
+    return {
+        "G": lambda x: np.exp(-x * x),
+        "G'": lambda x: -2 * x * np.exp(-x * x),
+        "F": lambda x: amplitude / (1.0 + x * x),
+        "F'": lambda x: -2 * amplitude * x / (1.0 + x * x) ** 2,
+    }
+
+
 class BackSubstitution(NamedTuple):
     verdict: str               # "zero" | "numeric-only" | "nonzero" | "unknown"
     max_residual: float = 0.0
@@ -145,7 +164,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     Symbolic first: the chain rule runs through the arbitrary-function
     derivative symbol and the residual must normalize to zero.  If the
     normal form is inconclusive the verdict downgrades to a numeric check
-    at random points, with G and F sampled by `numerics.sampled_functions`.
+    at random points, with G and F sampled by `sampled_functions`.
     The verdict is 'unknown' when fewer than half of the points evaluate.
     """
     residual = pde.residual(sol.expression, model)
@@ -222,8 +241,7 @@ def enumerate_cases(model: Model, verify: bool = True,
 
     results = []
     for case_id, constraints in CASE_CONSTRAINTS.items():
-        pdes = tuple(material_condition(model, func, constraints)
-                     for func in ("D", "Gamma"))
+        pdes = material_conditions(model, constraints)
         (d_sol, d_check), (g_sol, g_check) = map(solve, pdes)
         first = first_with.setdefault(pdes, case_id)
         results.append(CaseResult(
@@ -237,6 +255,28 @@ def enumerate_cases(model: Model, verify: bool = True,
             gamma_check=g_check,
         ))
     return results
+
+
+def find_case(model: Model, case_id: str) -> CaseResult:
+    """The unverified record of the case `case_id`."""
+    return next(c for c in enumerate_cases(model, verify=False)
+                if c.case_id == case_id)
+
+
+def check_constants(case: CaseResult, a: dict) -> None:
+    """A ValueError naming the first non-degeneracy condition of the case's
+    D or Gamma family ("a2 != 0", "a4 = 0", ...), then the first constraint
+    of the case on a constant ("a1 = 0"), that the constants `a` violate:
+    outside them the closed form does not solve its condition."""
+    checks = [(f"the {sol.func} family", condition)
+              for sol in (case.diffusion, case.gamma)
+              for condition in sol.conditions]
+    checks += [("the case", constraint) for constraint in case.constraints]
+    for what, condition in checks:
+        name, op, value = condition.split()
+        if name in a and (a[name] == float(value)) != (op == "="):
+            raise ValueError(f"case {case.case_id}: {what} needs "
+                             f"{condition}, got {name} = {a[name]:g}")
 
 
 def constant_material_constraints(model: Model) -> dict:

@@ -24,8 +24,8 @@ import sys
 
 from . import reports
 from .characteristics import (
-    CASE_CONSTRAINTS, constant_material_constraints, enumerate_cases,
-    material_condition,
+    CASE_CONSTRAINTS, check_constants, constant_material_constraints,
+    enumerate_cases, find_case, material_conditions, sampled_functions,
 )
 from .isovector import (
     audit_against_published, closure_check, extract_determining,
@@ -34,9 +34,9 @@ from .isovector import (
 from .kernel import KernelError, to_text
 from .model import Model
 from .numerics import (
-    GridSpec, MaterialModel, TransformParams, compile_numeric, export_csv,
-    invariance_residual, material_residual, max_interior_residual,
-    sampled_functions, solve_pde, SolverError,
+    DiffusionError, GridSpec, MaterialModel, TransformParams, compile_numeric,
+    export_csv, invariance_residual, material_residual, max_interior_residual,
+    solve_pde, SolverError,
 )
 from .parser import ParseError, parse
 
@@ -142,36 +142,17 @@ def _a_values(args) -> dict:
     return a
 
 
-def _check_conditions(case, a: dict) -> None:
-    """A ValueError naming the first non-degeneracy condition of the case's
-    D or Gamma family ("a2 != 0", "a4 = 0", ...), then the first constraint
-    of the case on a constant ("a1 = 0"), that the constants `a` violate:
-    outside them the closed form does not solve its condition."""
-    checks = [(f"the {sol.func} family", condition)
-              for sol in (case.diffusion, case.gamma)
-              for condition in sol.conditions]
-    checks += [("the case", constraint) for constraint in case.constraints]
-    for what, condition in checks:
-        name, op, value = condition.split()
-        if name in a and (a[name] == float(value)) != (op == "="):
-            raise ValueError(f"case {case.case_id}: {what} needs "
-                             f"{condition}, got {name} = {a[name]:g}")
-
-
-def _case_materials(case_id: str, a: dict, amplitude: float, model: Model):
-    """Numeric material callables for one case instance with the sampled
-    functions G(x)=exp(-x^2) and F(x)=amplitude/(1+x^2).  Constants that
-    violate a condition of the case or of its families are a ValueError.
+def _case_materials(case, a: dict, amplitude: float):
+    """Numeric material callables for one case instance with G and F from
+    `sampled_functions(amplitude)`.  Constants that violate a condition of
+    the case or of its families are a ValueError.
 
     When a3 = 0 the generic compiled form of Gamma is indeterminate at
-    t = 0; for the F above with a4 = 2*a2 the family member has the closed
-    form amplitude/(a3 + a4 t + r^2), which is used directly.
+    t = 0; for F(x) = amplitude/(1+x^2) with a4 = 2*a2 the family member
+    has the closed form amplitude/(a3 + a4 t + r^2), which is used directly.
     """
-    cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
-    case = cases[case_id]
-    _check_conditions(case, a)
-    params = {k: v for k, v in a.items()}
-    params["C"] = amplitude
+    check_constants(case, a)
+    params = {**a, "C": amplitude}
     fns = sampled_functions(amplitude)
     d_fn = compile_numeric(case.diffusion.expression, params=params, fns=fns)
     if a["a3"] == 0.0:
@@ -275,15 +256,25 @@ def cmd_verify(args) -> int:
         a = _a_values(args)
         grid = GridSpec(args.r0, args.r1, args.t1, args.nr, args.nt,
                         geometry=0)
-        material = _case_materials(args.case, a, args.amplitude, model)
+        case = find_case(model, args.case)
+        material = _case_materials(case, a, args.amplitude)
         params = TransformParams(args.eps, a)
         # the finite-difference floor of the material check needs a fine
         # step; decouple it from the (coarse) solver grid
         fd_grid = GridSpec(args.r0, args.r1, args.t1,
                            max(args.nr, 4096), max(args.nt, 4096), geometry=0)
-        res = material_residual(
-            material, (material_condition(model, "D"),
-                       material_condition(model, "Gamma")), params, fd_grid)
+        # every family satisfies the unconstrained conditions: under D_r = 0
+        # this also checks that D has no r
+        try:
+            res = material_residual(material, material_conditions(model),
+                                    params, fd_grid)
+        except DiffusionError as exc:
+            if a["a3"] != 0.0 or case.diffusion.xi is None:
+                raise
+            raise DiffusionError(
+                f"{exc}: at a3 = 0 the similarity argument of case "
+                f"{case.case_id} is infinite at t = 0, so D = G(xi) "
+                "underflows to 0 near it; give --a3 other than 0") from None
         body["material_residuals"] = res
         if not args.json:
             print(f"# case {args.case} material residuals: "

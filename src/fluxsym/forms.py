@@ -19,11 +19,10 @@ from .kernel import (
     Expr, Mul, Pow, Rat, SymbolTable, ZERO, as_expr, differentiate,
     linear_combination, normalize,
 )
-from .model import Model
+from .model import COORDINATES, Model
 
-SLOTS = ("t", "r", "phi", "w", "D", "Gamma")
+SLOTS = COORDINATES + ("D", "Gamma")
 _SLOT_INDEX = {name: i for i, name in enumerate(SLOTS)}
-BASE_SLOTS = ("t", "r", "phi", "w")
 
 
 class FormError(Exception):
@@ -139,7 +138,7 @@ def exterior_d(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
     """
     terms = []
     for key, coef in alpha.coefficients:
-        for name in BASE_SLOTS:
+        for name in COORDINATES:
             df = differentiate(coef, name, table)
             if df != ZERO:
                 terms.append(((_SLOT_INDEX[name],) + key, df))

@@ -29,6 +29,10 @@ class SolverError(Exception):
     pass
 
 
+class DiffusionError(SolverError):
+    """D is not positive and finite where it is evaluated."""
+
+
 _REFINEMENT_FACTOR = 2        # a refined grid has twice the cells per axis
 _RESIDUAL_MAX_SAMPLES = 256   # nodes per axis the material residual samples
 _MAX_CLIPPED_FRACTION = 0.2   # share of a transformed grid allowed outside
@@ -85,19 +89,6 @@ def compile_numeric(expr, args=("r", "t"), params=None, fns=None):
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
     return compiled
-
-
-def sampled_functions(amplitude: float = 1.0) -> dict:
-    """Vectorized samples of the arbitrary functions and their derivative
-    symbols: G(x) = exp(-x^2) and F(x) = amplitude/(1 + x^2)."""
-    import numpy as np
-
-    return {
-        "G": lambda x: np.exp(-x * x),
-        "G'": lambda x: -2 * x * np.exp(-x * x),
-        "F": lambda x: amplitude / (1.0 + x * x),
-        "F'": lambda x: -2 * amplitude * x / (1.0 + x * x) ** 2,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +154,7 @@ def _check_diffusion(d):
     import numpy as np
 
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise SolverError("D must be positive and finite on the grid")
+        raise DiffusionError("D must be positive and finite on the grid")
 
 
 class Field:

@@ -134,18 +134,10 @@ def invariance_payload(report) -> dict:
     }
 
 
-def render(command: str, body: dict, seed: int) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "seed": seed,
-    }
-    payload.update(body)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def write_report(path, command: str, body: dict, seed: int) -> str:
-    text = render(command, body, seed)
+    payload = {"schema_version": SCHEMA_VERSION, "command": command,
+               "seed": seed, **body}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from fluxsym import isovector
-from fluxsym.characteristics import enumerate_cases, material_condition
+from fluxsym.characteristics import (
+    enumerate_cases, find_case, material_condition,
+)
 from fluxsym.cli import main
 from fluxsym.forms import exterior_d, scalar_form, section, wedge
 from fluxsym.isovector import (
@@ -170,7 +172,7 @@ def test_criterion_5_case_forms_verified():
     # finite-difference residuals of a grid instance
     from fluxsym.cli import _case_materials
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
-    material = _case_materials("B", a, 1.0, model)
+    material = _case_materials(find_case(model, "B"), a, 1.0)
     conditions = tuple(material_condition(model, func)
                        for func in ("D", "Gamma"))
     res = material_residual(material, conditions, TransformParams(0.02, a),

@@ -18,6 +18,20 @@ def _kernel_private_imports(path: Path) -> list:
     return names
 
 
+def _package_imports(path: Path) -> set:
+    """The fluxsym modules that `path` imports, by their short names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("fluxsym")):
+            module = (node.module or "").removeprefix("fluxsym").lstrip(".")
+            names.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.removeprefix("fluxsym.") for a in node.names
+                         if a.name.startswith("fluxsym."))
+    return names
+
+
 def test_only_the_kernel_knows_its_private_helpers():
     # the polynomial representation is the kernel's own: no other module
     # may import a _-prefixed kernel name
@@ -25,6 +39,14 @@ def test_only_the_kernel_knows_its_private_helpers():
                  for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "kernel.py"}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_only_the_cli_imports_numerics():
+    # the symbolic layer samples G and F itself: numerics serves the
+    # commands that solve, and only the cli reaches it
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "numerics" in _package_imports(path)]
+    assert importers == ["cli.py"]
 
 
 def test_the_cli_imports_without_scipy():
@@ -38,9 +60,9 @@ def test_the_cli_imports_without_scipy():
 
 
 def test_no_module_loads_numpy_at_import():
-    # numpy serves the solver and the sampled functions, and numerics and
-    # the cli import it inside the functions that use it: importing any
-    # module, the cli included, leaves it unloaded
+    # numpy serves the solver and the sampled functions, and numerics,
+    # characteristics and the cli import it inside the functions that use
+    # it: importing any module, the cli included, leaves it unloaded
     modules = sorted(path.stem for path in PACKAGE.glob("*.py")
                      if path.stem != "__init__")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

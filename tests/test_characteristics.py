@@ -8,7 +8,7 @@ from fluxsym import characteristics, published
 from fluxsym.characteristics import (
     CASE_CONSTRAINTS, MaterialSolution, QuasiLinearPDE,
     UnsupportedBranchError, back_substitute, constant_material_constraints,
-    enumerate_cases, material_condition, solve_characteristics,
+    enumerate_cases, find_case, material_condition, solve_characteristics,
 )
 from fluxsym.isovector import extract_determining
 from fluxsym.kernel import (
@@ -109,6 +109,8 @@ def test_case_constraint_sets(model):
         "E": ("a1 = 0", "D_r = 0"),
         "F": ("n = 0", "a1 = 0", "D_r = 0"),
     }
+    for case_id, constraints in CASE_CONSTRAINTS.items():
+        assert find_case(model, case_id).constraints == constraints
 
 
 def test_case_a_shares_similarity_argument(model):

@@ -254,13 +254,19 @@ def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
     (["simulate", "--Gamma", "1/(t-1/16)", "--nr", "8", "--nt", "8"],
      "simulate: non-finite coefficient at step 0"),
     (["verify", "--case", "B", "--invariance", "--refine", "2"],
-     "verify: D must be positive and finite on the grid"),
+     "verify: D must be positive and finite on the grid: at a3 = 0 the "
+     "similarity argument of case B is infinite at t = 0, so D = G(xi) "
+     "underflows to 0 near it; give --a3 other than 0"),
     # a pole on a grid row, which the half-step solver never evaluates
     (["simulate", "--Gamma", "1/(1000*t-500)", "--nr", "8", "--nt", "8",
       "--json"],
      "simulate: non-finite discrete residual at t = 0.5, r = 0.25"),
+    # at a3 = 0 a negative a4*t makes D's time factor NaN: not the
+    # underflow that the a3 hint names
+    (["verify", "--case", "A", "--a2", "-1", "--a4", "-2"],
+     "verify: D or its residual is not finite at the sampled points"),
 ], ids=["simulate-gamma-pole", "verify-case-B-invariance",
-        "simulate-gamma-pole-on-a-node"])
+        "simulate-gamma-pole-on-a-node", "verify-case-A-nan-time-factor"])
 def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
     # in a fresh process, so that numpy's RuntimeWarnings would reach stderr
     env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
@@ -289,6 +295,49 @@ def test_verify_refuses_a_degenerate_family_member(tmp_path, capsys, case, argv,
     assert code == 2
     assert capsys.readouterr().err == f"verify: case {case}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", "ABC")
+def test_verify_names_a3_when_d_underflows_at_the_default(tmp_path, capsys,
+                                                         case):
+    # at the default a3 = 0 the similarity argument is infinite at t = 0,
+    # so D = G(xi) underflows to 0 near it: the one line names the fix
+    code, out = run(tmp_path, "verify", "--case", case)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--a3" in err
+    assert not out.exists()
+
+
+def test_verify_runs_at_a3_0_where_d_does_not_underflow(tmp_path):
+    # a3 = 0 is not refused: on [0.5, 0.6] G(xi) stays positive
+    code, _ = run(tmp_path, "verify", "--case", "A", "--r0", "0.5",
+                  "--r1", "0.6", "--tol", "1e-5")
+    assert code == 0
+
+
+def test_verify_checks_that_a_gradient_free_d_has_no_r(tmp_path, capsys,
+                                                        monkeypatch):
+    # case E's D solves c_t D_t = growth D, and so does D*(1 + r): the
+    # unconstrained condition, which verify checks, tells them apart
+    from fluxsym import cli
+    from fluxsym.characteristics import find_case
+    from fluxsym.kernel import to_text
+    from fluxsym.model import Model
+    from fluxsym.parser import parse
+
+    model = Model()
+    case = find_case(model, "E")
+    d_of_r = parse(f"({to_text(case.diffusion.expression)})*(1 + r)",
+                   model.table)
+    assert case.diffusion.xi is None
+    monkeypatch.setattr(cli, "find_case", lambda model, case_id: case._replace(
+        diffusion=case.diffusion._replace(expression=d_of_r)))
+    code, out = run(tmp_path, "verify", "--case", "E", "--a3", "1")
+    assert code == 2
+    assert json.loads(out.read_text())["material_residuals"]["res_D"] > 0.1
+    assert capsys.readouterr().err == (
+        "verify: material residual exceeds tolerance\n")
 
 
 def test_verify_refuses_a_diffusion_that_vanishes_where_sampled(tmp_path,

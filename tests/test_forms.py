@@ -3,11 +3,12 @@ import random
 import pytest
 
 from fluxsym.forms import (
-    BASE_SLOTS, DifferentialForm, SLOTS,
+    DifferentialForm, SLOTS,
     build_mu1, build_mu2, build_mu3, d_slot, exterior_d, scalar_form,
     section, wedge,
 )
 from fluxsym.kernel import Rat, Sym, ZERO, normalize, sign_normalize
+from fluxsym.model import COORDINATES
 
 from conftest import random_expression
 
@@ -17,7 +18,7 @@ def form_of(degree, *terms):
 
 
 def random_form(rng, degree, names=("r", "t", "phi", "w", "D"),
-                slots=BASE_SLOTS):
+                slots=COORDINATES):
     slots = list(slots)
     terms = []
     for _ in range(rng.randint(1, 3)):

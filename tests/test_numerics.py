@@ -10,7 +10,9 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 from fluxsym import numerics
-from fluxsym.characteristics import CASE_CONSTRAINTS, material_condition
+from fluxsym.characteristics import (
+    CASE_CONSTRAINTS, find_case, material_condition, sampled_functions,
+)
 from fluxsym.cli import main
 from fluxsym.kernel import Call, EvaluationError, Pow, Rat, Sym, evaluate
 from fluxsym.model import Model
@@ -18,7 +20,7 @@ from fluxsym.numerics import (
     Field, GridSpec, MaterialModel, SolverError, TransformParams,
     compile_numeric, discrete_residual, export_csv, integral_weights,
     invariance_residual, material_residual, max_interior_residual,
-    sampled_functions, solve_pde, transform_field,
+    solve_pde, transform_field,
 )
 from fluxsym.parser import parse
 
@@ -348,10 +350,9 @@ def test_a_diffusion_zero_only_on_an_end_row_solves(zero_at):
 # --- material residuals -------------------------------------------------------
 
 def test_material_residual_case_b_floor():
-    model = Model()
     from fluxsym.cli import _case_materials
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
-    material = _case_materials("B", a, 1.0, model)
+    material = _case_materials(find_case(Model(), "B"), a, 1.0)
     grid = GridSpec(0.0, 1.0, 1.0, 2048, 2048)
     res = material_residual(material, CONDITIONS, TransformParams(0.02, a),
                             grid)
@@ -408,7 +409,7 @@ def test_material_residual_on_broadcast_axes_matches_a_meshgrid(case):
         if "a1 = 0" in CASE_CONSTRAINTS[case]:
             a["a1"] = 0.0
         a["a8"] = a["a6"] - a["a2"]
-        material = _case_materials(case, a, 0.7, Model())
+        material = _case_materials(find_case(Model(), case), a, 0.7)
     params = TransformParams(0.02, a)
     assert (material_residual(material, CONDITIONS, params, grid)
             == _material_residual_on_a_meshgrid(material, params, grid))
@@ -810,9 +811,8 @@ def test_invariance_case_b_function_valued_materials():
     # parameter is small enough that the map parametrization error is
     # subdominant; the mutated control separates from it
     from fluxsym.cli import _case_materials
-    model = Model()
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
-    mat = _case_materials("B", a, 1.0, model)
+    mat = _case_materials(find_case(Model(), "B"), a, 1.0)
     p = TransformParams(0.005, a)
     ic = lambda r: 1.0 + np.cos(math.pi * r)
     rep = invariance_residual(GridSpec(0.0, 1.0, 1.0, 32, 32), mat, p, ic,
