@@ -150,6 +150,9 @@ def sampled_functions(amplitude: float = 1.0) -> dict:
     }
 
 
+_NUMERIC_POINTS = 1000
+
+
 class BackSubstitution(NamedTuple):
     verdict: str               # "zero" | "numeric-only" | "nonzero" | "unknown"
     max_residual: float = 0.0
@@ -157,15 +160,15 @@ class BackSubstitution(NamedTuple):
 
 
 def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
-                    points: int = 1000, tol: float = 1e-10,
-                    seed: int = 0) -> BackSubstitution:
+                    tol: float = 1e-10, seed: int = 0) -> BackSubstitution:
     """Substitute the closed form into its condition.
 
     Symbolic first: the chain rule runs through the arbitrary-function
     derivative symbol and the residual must normalize to zero.  If the
     normal form is inconclusive the verdict downgrades to a numeric check
-    at random points, with G and F sampled by `sampled_functions`.
-    The verdict is 'unknown' when fewer than half of the points evaluate.
+    at _NUMERIC_POINTS random points, with G and F sampled by
+    `sampled_functions`.  The verdict is 'unknown' when fewer than half of
+    the points evaluate.
     """
     residual = pde.residual(sol.expression, model)
     if residual == ZERO:
@@ -177,7 +180,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     rng = random.Random(seed)
     worst = 0.0
     evaluated = 0
-    for _ in range(points):
+    for _ in range(_NUMERIC_POINTS):
         point = {name: rng.uniform(0.25, 2.0) for name in
                  ("a1", "a2", "a3", "a4", "r", "t", "C")}
         try:
@@ -187,7 +190,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
             continue
         evaluated += 1
         worst = max(worst, abs(val) / scale)
-    if evaluated == 0 or 2 * evaluated < points:
+    if evaluated == 0 or 2 * evaluated < _NUMERIC_POINTS:
         return BackSubstitution("unknown", worst, evaluated)
     if worst <= tol:
         return BackSubstitution("numeric-only", worst, evaluated)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import reports
@@ -340,7 +341,11 @@ def cmd_simulate(args) -> int:
         "csv": csv_path,
         "residual_norm": residual_norm,
     }
-    _emit(args, "simulate", body)
+    try:
+        _emit(args, "simulate", body)
+    except OSError:
+        os.remove(csv_path)     # a simulate that fails leaves no CSV
+        raise
     if not args.json:
         print(f"# wrote {csv_path} "
               f"({grid.n_t + 1} x {grid.n_r + 1} samples)")

@@ -4,7 +4,8 @@ A small, purpose-built expression engine: immutable trees over rational
 constants, named symbols, sums, products, powers and function applications,
 with exact rational arithmetic, a canonical (idempotent) normal form,
 differentiation with jet-symbol bookkeeping, simultaneous substitution,
-randomized zero testing and evaluation in exact, float or array arithmetic.
+randomized zero testing in exact arithmetic, and evaluation in exact, float
+or array arithmetic.
 
 The normal form is a collected "generalized Laurent polynomial": a sum of
 monomials, each a rational coefficient times powers of atomic bases (symbols,
@@ -1090,86 +1091,61 @@ def _exact_power(b: Fraction, x: Fraction) -> Fraction:
     return b ** int(x)
 
 
-def _sampled_function(coeffs, exact: bool):
-    """A sampled polynomial as a unary function: of a Fraction, exactly,
-    or of a float through a nearby rational.  Any other arity is inexact."""
+def _sampled_function(coeffs):
+    """A sampled polynomial as a unary function of a Fraction, exactly.
+    Any other arity is inexact."""
     def fn(*args):
         if len(args) != 1:
             raise _Inexact
-        x, = args
-        if exact:
-            return _poly_eval(coeffs, x)
-        if not math.isfinite(x):
-            raise OverflowError("non-finite argument")
-        return float(_poly_eval(coeffs, Fraction(x).limit_denominator(10**6)))
+        return _poly_eval(coeffs, args[0])
     return fn
 
 
-_FLOAT_ZERO_TOL = 1e-9
 _ZERO_TEST_TRIALS = 32
 
 
-def is_zero(e: Expr, table: SymbolTable, seed: int = 0,
-            rng: random.Random | None = None) -> str:
-    """'zero' iff the normal form is 0; otherwise randomized evaluation.
+def is_zero(e: Expr, table: SymbolTable, seed: int = 0) -> str:
+    """'zero' iff the normal form is 0; otherwise randomized exact evaluation.
 
     Samples all symbols at random rationals (jets independently) and
     arbitrary functions as random cubic polynomials, a primed symbol G''
-    as the matching derivative of G's.  Any nonzero evaluation gives
-    'nonzero'; all-zero without a structural zero is reported 'unknown',
-    never silently treated as zero.  The evaluation is exact unless exp is
-    present; in floating point a value counts as nonzero only above
-    _FLOAT_ZERO_TOL times the largest term of the normal form.  A sample
-    that cannot be evaluated (a pole, an overflow, a non-finite value, a
-    non-integer power in exact arithmetic, a function of more than one
-    argument) is drawn again, and the verdict is 'unknown' after five
-    such failures in a row.
+    as the matching derivative of G's, and evaluates in exact rational
+    arithmetic.  Any nonzero evaluation gives 'nonzero'; all-zero without
+    a structural zero is reported 'unknown', never silently treated as
+    zero.  An expression with exp has no exact value, so it is 'unknown'
+    before any sample is drawn.  A sample that cannot be evaluated (a
+    pole, a non-integer power, a function of more than one argument) is
+    drawn again, and the verdict is 'unknown' after five such failures in
+    a row.
     """
     n = normalize(e)
     if n == ZERO:
         return ZeroVerdict.ZERO
-    rng = rng or random.Random(seed)
     syms = sorted(free_symbols(n))
+    if "exp" in syms:
+        return ZeroVerdict.UNKNOWN
+    rng = random.Random(seed)
     names, funcs = [], []
     for s in syms:
         info = table.info(s) if table.is_declared(s) else None
         if info is not None and info.kind == "arbitrary-function" and (info.arity or 0) >= 1:
             funcs.append(s)
-        elif s == "exp":
-            funcs.append(s)
         else:
             names.append(s)
-    bases = sorted({f.rstrip("'") for f in funcs if f != "exp"})
-    exact = "exp" not in funcs
-    if exact:
-        value, power, tol = Fraction, _exact_power, 0
-    else:
-        value, power, tol = float, _float_power, _FLOAT_ZERO_TOL
-    terms = n.terms if type(n) is Add else (n,)
+    bases = sorted({f.rstrip("'") for f in funcs})
 
     for _ in range(_ZERO_TEST_TRIALS):
         for attempt in range(5):
             env = {s: _sample_fraction(rng) for s in names}
             polys = {b: _sample_poly(rng) for b in bases}
             fns = {f: _sampled_function(_poly_derivative(
-                       polys[f.rstrip("'")], f.count("'")), exact)
-                   for f in funcs if f != "exp"}
-            if not exact:
-                env = {s: abs(float(v)) + 0.5 for s, v in env.items()}
-                fns["exp"] = math.exp
+                       polys[f.rstrip("'")], f.count("'")))
+                   for f in funcs}
             try:
-                # relative to the largest term, so rounding in a large
-                # identity is not taken for a nonzero and a tiny nonzero
-                # still is; an exact sum never goes through a float
-                vals = [_value(t, env, fns, value, power) for t in terms]
-                total = sum(vals)
-                if not exact and not math.isfinite(total):
-                    # an overflow that float arithmetic let through
-                    raise OverflowError("non-finite value")
-                if abs(total) > tol * max(map(abs, vals)):
+                if _value(n, env, fns, Fraction, _exact_power) != 0:
                     return ZeroVerdict.NONZERO
                 break
-            except (ZeroDivisionError, OverflowError, EvaluationError, _Inexact):
+            except (ZeroDivisionError, EvaluationError, _Inexact):
                 if attempt == 4:
                     return ZeroVerdict.UNKNOWN
                 continue

@@ -226,13 +226,15 @@ def _stencil(grid: GridSpec, material: MaterialModel, times):
     d = np.broadcast_to(material.D(r[None, :], t), shape)
     _check_diffusion(d)
     d_face = 0.5 * (d[:, 1:] + d[:, :-1])
-    scale = integral_weights(grid) * dr
     lo = np.zeros(shape)
     hi = np.zeros(shape)
-    np.multiply((r[1:] - 0.5 * dr) ** n, d_face, out=lo[:, 1:])
-    lo[:, 1:] /= scale[1:]
-    np.multiply((r[:-1] + 0.5 * dr) ** n, d_face, out=hi[:, :-1])
-    hi[:, :-1] /= scale[:-1]
+    # a weight past the float range is left to its callers' finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = integral_weights(grid) * dr
+        np.multiply((r[1:] - 0.5 * dr) ** n, d_face, out=lo[:, 1:])
+        lo[:, 1:] /= scale[1:]
+        np.multiply((r[:-1] + 0.5 * dr) ** n, d_face, out=hi[:, :-1])
+        hi[:, :-1] /= scale[:-1]
     if grid.r0 == 0.0 and n > 0:
         # the r = 0 regularity row, written out: the rule above gives the
         # same value but not the same bits at n = 2, which the spherical
@@ -279,10 +281,11 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     lower, upper, gamma = _stencil(grid, material, (np.arange(grid.n_t) + 0.5) * dt)
     c = 0.5 * material.v * dt
     # (I - v dt/2 A) phi_new = (I + v dt/2 A) phi_old  (+ Dirichlet rows)
-    diag = -(lower + upper) + gamma
-    sub = -c * lower[:, 1:]
-    main = 1.0 - c * diag
-    sup = -c * upper[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+        diag = -(lower + upper) + gamma
+        sub = -c * lower[:, 1:]
+        main = 1.0 - c * diag
+        sup = -c * upper[:, :-1]
     left, right = (spec[0] == "dirichlet" for spec in bc)
     if left:
         main[:, 0] = 1.0
@@ -301,24 +304,25 @@ def solve_pde(grid: GridSpec, material: MaterialModel, ic, bc) -> Field:
     # too and a -0.0 sum there turns +0.0, as in a zero-padded sum
     from_lower = np.zeros(m)
     from_upper = np.zeros(m)
-    for k in range(grid.n_t):
-        old, new = out[k], out[k + 1]
-        np.multiply(diag[k], old, out=new)
-        np.multiply(lower[k, 1:], old[:-1], out=from_lower[1:])
-        new += from_lower
-        np.multiply(upper[k, :-1], old[1:], out=from_upper[:-1])
-        new += from_upper
-        new *= c
-        new += old
-        t_new = (k + 1) * dt
-        if left:
-            new[0] = _bc_value(bc[0], t_new)
-        if right:
-            new[-1] = _bc_value(bc[1], t_new)
-        if dgtsv(sub[k], main[k], sup[k], new, 1, 1, 1, 1)[-1] > 0:
-            raise SolverError(f"singular step system at step {k}")
-        if not np.isfinite(new).all():
-            raise SolverError(f"NaN detected at step {k + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):    # checked per step
+        for k in range(grid.n_t):
+            old, new = out[k], out[k + 1]
+            np.multiply(diag[k], old, out=new)
+            np.multiply(lower[k, 1:], old[:-1], out=from_lower[1:])
+            new += from_lower
+            np.multiply(upper[k, :-1], old[1:], out=from_upper[:-1])
+            new += from_upper
+            new *= c
+            new += old
+            t_new = (k + 1) * dt
+            if left:
+                new[0] = _bc_value(bc[0], t_new)
+            if right:
+                new[-1] = _bc_value(bc[1], t_new)
+            if dgtsv(sub[k], main[k], sup[k], new, 1, 1, 1, 1)[-1] > 0:
+                raise SolverError(f"singular step system at step {k}")
+            if not np.isfinite(new).all():
+                raise SolverError(f"NaN detected at step {k + 1}")
     return Field(grid=grid, material=material, phi=out)
 
 
@@ -326,20 +330,28 @@ def integral_weights(grid: GridSpec) -> np.ndarray:
     """Trapezoidal weights of the conserved integral of phi r^n dr: the cell
     volumes r_i^n dr, halved at the edges, that `_stencil` divides by (times
     dr).  At r = 0 in curvilinear geometry the first is the exact volume
-    (dr/2)^(n+1)/(n+1), for which `_stencil` writes out its row."""
+    (dr/2)^(n+1)/(n+1), for which `_stencil` writes out its row.  A volume
+    outside the normal float range is a SolverError."""
     import numpy as np
 
     n = grid.geometry
     r = grid.r_nodes
     w = np.full_like(r, grid.dr)
     w[0] = w[-1] = 0.5 * grid.dr
-    w *= r ** n
+    with np.errstate(over="ignore"):
+        w *= r ** n
     if grid.r0 == 0.0 and n > 0:
-        w[0] = (0.5 * grid.dr) ** (n + 1) / (n + 1)
+        try:
+            w[0] = (0.5 * grid.dr) ** (n + 1) / (n + 1)
+        except OverflowError:
+            w[0] = math.inf
+    domain = (f"the grid on [{grid.r0:g}, {grid.r1:g}] in geometry {n} "
+              "has a cell volume")
     if w.min() < np.finfo(float).tiny:     # underflowed: dividing by it overflows
         raise SolverError(
-            f"the grid on [{grid.r0:g}, {grid.r1:g}] in geometry {n} has a "
-            f"cell volume {w.min():.3g} below the smallest normal float")
+            f"{domain} {w.min():.3g} below the smallest normal float")
+    if w.max() > np.finfo(float).max:
+        raise SolverError(f"{domain} above the largest float")
     return w
 
 

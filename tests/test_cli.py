@@ -250,6 +250,13 @@ def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
     assert err == "simulate: non-finite coefficient at step 0\n"
 
 
+def _in_a_fresh_process(tmp_path, *argv):
+    # in a fresh process, so that numpy's RuntimeWarnings would reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "fluxsym.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--Gamma", "1/(t-1/16)", "--nr", "8", "--nt", "8"],
      "simulate: non-finite coefficient at step 0"),
@@ -268,10 +275,7 @@ def test_gamma_pole_at_a_half_step_names_the_step(tmp_path, capsys):
 ], ids=["simulate-gamma-pole", "verify-case-B-invariance",
         "simulate-gamma-pole-on-a-node", "verify-case-A-nan-time-factor"])
 def test_a_non_finite_material_prints_one_line(tmp_path, argv, message):
-    # in a fresh process, so that numpy's RuntimeWarnings would reach stderr
-    env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-m", "fluxsym.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    done = _in_a_fresh_process(tmp_path, *argv)
     assert done.returncode == 2
     assert done.stderr == message + "\n"
 
@@ -382,22 +386,57 @@ def test_a_diffusion_negative_at_a_half_step_writes_no_csv(tmp_path, capsys):
     assert not csv.exists() and not out.exists()
 
 
-@pytest.mark.parametrize("r0, volume", [("1e-300", "0"),
-                                         ("1e-160", "6.23e-322")])
-def test_a_grid_with_a_vanishing_cell_volume_is_a_one_line_error(tmp_path, r0,
-                                                                 volume):
+def test_a_failing_report_leaves_no_csv(tmp_path, capsys):
+    # the CSV is written before the report: a report that cannot be written
+    # takes this run's CSV with it
+    csv = tmp_path / "f.csv"
+    code = main(["simulate", "--nr", "8", "--nt", "8", "--csv", str(csv),
+                 "--out", str(tmp_path / "missing" / "dir" / "r.json")])
+    assert code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not csv.exists()
+
+
+_ABOVE = "has a cell volume above the largest float"
+
+
+@pytest.mark.parametrize("argv, message", [
     # r0^2 underflows to 0, or to a subnormal float whose reciprocal
-    # overflows; in a fresh process, so numpy's RuntimeWarnings would show
-    env = dict(os.environ, PYTHONPATH=str(Path(fluxsym.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "fluxsym.cli", "simulate", "--r0", r0, "--n", "2",
-         "--nr", "8", "--nt", "8", "--csv", "tiny.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True)
+    # overflows
+    (["--r0", "1e-300", "--n", "2"], "the grid on [1e-300, 1] in geometry 2 "
+     "has a cell volume 0 below the smallest normal float"),
+    (["--r0", "1e-160", "--n", "2"], "the grid on [1e-160, 1] in geometry 2 "
+     "has a cell volume 6.23e-322 below the smallest normal float"),
+    # the exact r = 0 volume, or r^n, overflows
+    (["--r1", "1e160", "--n", "2"],
+     f"the grid on [0, 1e+160] in geometry 2 {_ABOVE}"),
+    (["--r0", "1", "--r1", "1e160", "--n", "2"],
+     f"the grid on [1, 1e+160] in geometry 2 {_ABOVE}"),
+    (["--r0", "1", "--r1", "1e300", "--n", "1"],
+     f"the grid on [1, 1e+300] in geometry 1 {_ABOVE}"),
+    # the step's bands overflow
+    (["--t1", "1e308"], "non-finite coefficient at step 0"),
+    (["--v", "1e308"], "non-finite coefficient at step 0"),
+    # and so do the products of a step
+    (["--initial", "10^307", "--Gamma", "10^300"], "NaN detected at step 1"),
+], ids=["1e-300-0", "1e-160-6.23e-322", "r0-0-r1-1e160-n2", "r1-1e160-n2",
+        "r1-1e300-n1", "t1-1e308", "v-1e308", "initial-1e307-gamma-1e300"])
+def test_a_grid_with_a_vanishing_cell_volume_is_a_one_line_error(tmp_path, argv,
+                                                                 message):
+    done = _in_a_fresh_process(tmp_path, "simulate", *argv, "--nr", "8",
+                               "--nt", "8", "--csv", "grid.csv")
     assert done.returncode == 2
-    assert done.stderr == (
-        f"simulate: the grid on [{r0}, 1] in geometry 2 has a cell volume "
-        f"{volume} below the smallest normal float\n")
-    assert not (tmp_path / "tiny.csv").exists()
+    assert done.stderr == f"simulate: {message}\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_stencil_weights_that_underflow_warn_nothing(tmp_path):
+    # dr^2 overflows in the cell volumes times dr, so the weights, about
+    # 3e-615 exactly, are 0 as they would be anyway
+    done = _in_a_fresh_process(tmp_path, "simulate", "--r1", "1e308",
+                               "--nr", "8", "--nt", "8")
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_derive_exits_2_on_an_unknown_zero_verdict(tmp_path, monkeypatch,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fluxsym import kernel
 from fluxsym.kernel import (
     Add, Call, EvaluationError, KernelError, Mul, Pow, Rat, Sym, ZERO,
     ZeroVerdict, as_expr, coefficient, differentiate, evaluate, is_zero,
@@ -522,50 +523,22 @@ def test_is_zero_honest_unknown(model):
     assert is_zero(e, Model().table) == ZeroVerdict.UNKNOWN
 
 
-def test_is_zero_float_branch_is_relative_to_the_terms(model):
+def test_is_zero_of_exp_is_unknown_before_any_sample(model, monkeypatch):
+    # exp has no exact value: whether the expression is an identity, a
+    # small or large nonzero, or overflows a float, the verdict is unknown
+    # and no sample is drawn
+    def no_sample(rng):
+        raise AssertionError("is_zero sampled an expression with exp")
+
+    monkeypatch.setattr(kernel, "_sample_fraction", no_sample)
     table = model.table
-    # rounding in a large identity is no evidence of a nonzero
-    identity = parse("10^6*(exp(2*r) - exp(r)^2)", table)
-    assert is_zero(identity, table) != ZeroVerdict.NONZERO
-    # and a small nonzero is a nonzero
-    assert is_zero(parse("(1/10)^12*exp(r)", table), table) == ZeroVerdict.NONZERO
-    assert is_zero(parse("exp(r) - 1", table), table) == ZeroVerdict.NONZERO
-
-
-class _CountingRandom(random.Random):
-    """Counts the symbol samples is_zero draws (one choice() each)."""
-    draws = 0
-
-    def choice(self, seq):
-        self.draws += 1
-        return super().choice(seq)
-
-
-def test_is_zero_float_branch_resamples_after_an_overflow(model):
-    table = model.table
-    # symbols are sampled from 0.75 to 6.5: exp overflows above r = 2.36,
-    # and a sample that overflows is drawn again
-    assert is_zero(parse("exp(300*r) - 1", table), table) == ZeroVerdict.NONZERO
-    # here nearly every sample overflows: unknown after the fifth failure
-    rng = _CountingRandom(0)
-    assert is_zero(parse("exp(900*r*D*a1*a2) - 1", table), table,
-                   rng=rng) == ZeroVerdict.UNKNOWN
-    assert rng.draws == 4 * 5
-
-
-def test_is_zero_float_branch_rejects_non_finite_values(model):
-    table = model.table
-    # each term overflows to +-inf in the product, so the sum is nan: a
-    # failed sample, not a trial passed as zero
-    e = parse("10^308*exp(r) - 10^308*exp(a1)", table)
-    rng = _CountingRandom(0)
-    assert is_zero(e, table, rng=rng) == ZeroVerdict.UNKNOWN
-    assert rng.draws == 2 * 5
-    # nor is a sampled function of that nan: the cubic's four
-    # coefficients are drawn too
-    rng = _CountingRandom(0)
-    assert is_zero(Call("G", (e,)), table, rng=rng) == ZeroVerdict.UNKNOWN
-    assert rng.draws == (2 + 4) * 5
+    overflowing = "10^308*exp(r) - 10^308*exp(a1)"
+    for text in ("10^6*(exp(2*r) - exp(r)^2)", "(1/10)^12*exp(r)",
+                 "exp(r) - 1", "exp(300*r) - 1", "exp(900*r*D*a1*a2) - 1",
+                 overflowing):
+        assert is_zero(parse(text, table), table) == ZeroVerdict.UNKNOWN
+    assert is_zero(Call("G", (parse(overflowing, table),)),
+                   table) == ZeroVerdict.UNKNOWN
 
 
 def test_is_zero_samples_every_derivative_and_no_other_arity(model):
@@ -577,8 +550,8 @@ def test_is_zero_samples_every_derivative_and_no_other_arity(model):
     # the fourth derivative of a sampled cubic is 0
     assert is_zero(g4, table) == ZeroVerdict.UNKNOWN
     assert is_zero(g4 + 1, table) == ZeroVerdict.NONZERO
-    # a function of two arguments is not sampled, in exact or in float
-    # arithmetic, so no sample evaluates
+    # a function of two arguments is not sampled, so no sample evaluates;
+    # with exp no sample is drawn
     table.declare("H", "arbitrary-function", arity=2)
     h = Call("H", (Sym("r"), Sym("t")))
     assert is_zero(h, table) == ZeroVerdict.UNKNOWN
