@@ -8,7 +8,8 @@ Subcommands:
 
 Every command honors --seed, --out and --json; a JSON config file can
 pre-populate any long option of the running command (explicit flags win).
-Reports are byte-stable across runs for a fixed seed.
+Reports are byte-stable across runs; --seed is recorded in them and no
+result depends on it.
 
 Exit codes: 0 success; 2 usage error, bad value, unwritable output path or
 derivation/verification failure, with a one-line message on stderr; 3 audit
@@ -136,11 +137,8 @@ def _boundary(text):
 
 
 def _a_values(args) -> dict:
-    a = {f"a{i}": 0.0 for i in range(1, 9)}
-    for name in ("a1", "a2", "a3", "a4", "a6"):
-        a[name] = float(getattr(args, name))
-    a["a8"] = a["a6"] - a["a2"]
-    return a
+    return {name: float(getattr(args, name))
+            for name in ("a1", "a2", "a3", "a4", "a6")}
 
 
 def _case_materials(case, a: dict, amplitude: float):
@@ -181,8 +179,8 @@ def _emit(args, command: str, body: dict) -> None:
 
 def cmd_derive(args) -> int:
     model = Model()
-    system = extract_determining(model, args.geometry, seed=args.seed)
-    audit = audit_against_published(system, model, seed=args.seed)
+    system = extract_determining(model, args.geometry)
+    audit = audit_against_published(system, model)
     body = {
         "determining_system": reports.determining_system_payload(system),
         "audit": reports.audit_payload(audit),
@@ -215,7 +213,7 @@ def cmd_derive(args) -> int:
 
 def cmd_cases(args) -> int:
     model = Model()
-    results = enumerate_cases(model, seed=args.seed, tol=args.tol)
+    results = enumerate_cases(model, tol=args.tol)
     if args.case:
         results = [c for c in results if c.case_id == args.case]
     body = {"cases": [reports.case_payload(c) for c in results]}
@@ -353,7 +351,8 @@ def cmd_simulate(args) -> int:
 
 
 def _common_arguments(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report; no result depends on it")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true",
                    help="print the JSON report to stdout")

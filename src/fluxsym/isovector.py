@@ -225,11 +225,10 @@ class DeterminingSystem(NamedTuple):
     reduction: Reduction           # for the self-consistency check and audit
 
 
-def extract_determining(model: Model, geometry_mode="symbolic",
-                        seed: int = 0) -> DeterminingSystem:
+def extract_determining(model: Model,
+                        geometry_mode="symbolic") -> DeterminingSystem:
     """Run both reductions, split the residuals, and assemble the
-    determining system for the material properties.  `seed` drives the
-    randomized zero tests."""
+    determining system for the material properties."""
     table = model.table
     geometry = model.geometry_index(geometry_mode)
     gen = Generator.standard(model)
@@ -340,18 +339,17 @@ def extract_determining(model: Model, geometry_mode="symbolic",
         ),
         reduction=Reduction(relations, links, pins),
     )
-    check_self_consistency(system, model, seed)
+    check_self_consistency(system, model)
     return system
 
 
-def check_self_consistency(system: DeterminingSystem, model: Model,
-                           seed: int = 0):
+def check_self_consistency(system: DeterminingSystem, model: Model):
     """Every residual must vanish once the constraint set and the material
     conditions are imposed (branching over the geometry lock)."""
     table = model.table
     for eq in system.residual_equations:
         for b in system.reduction.branches(eq.expression, table):
-            v = is_zero(b, table, seed=seed)
+            v = is_zero(b, table)
             if v != ZeroVerdict.ZERO:
                 raise DerivationError(
                     f"residual {eq.source} {eq.basis} [{eq.monomial}] does not "
@@ -377,8 +375,8 @@ class AuditReport(NamedTuple):
     unknown_verdicts: int
 
 
-def audit_against_published(system: DeterminingSystem, model: Model,
-                            seed: int = 0) -> AuditReport:
+def audit_against_published(system: DeterminingSystem,
+                            model: Model) -> AuditReport:
     """Grade every published determining equation against the derivation."""
     table = model.table
     literal = {}
@@ -428,7 +426,7 @@ def audit_against_published(system: DeterminingSystem, model: Model,
                 note="r-derivative of the first-order diffusion condition "
                      "under the w-scaling link"))
             continue
-        verdicts = [is_zero(b, table, seed=seed)
+        verdicts = [is_zero(b, table)
                     for b in system.reduction.branches(printed, table)]
         if any(v == ZeroVerdict.UNKNOWN for v in verdicts):
             unknown += 1

@@ -1104,19 +1104,19 @@ def _sampled_function(coeffs):
 _ZERO_TEST_TRIALS = 32
 
 
-def is_zero(e: Expr, table: SymbolTable, seed: int = 0) -> str:
+def is_zero(e: Expr, table: SymbolTable) -> str:
     """'zero' iff the normal form is 0; otherwise randomized exact evaluation.
 
-    Samples all symbols at random rationals (jets independently) and
-    arbitrary functions as random cubic polynomials, a primed symbol G''
-    as the matching derivative of G's, and evaluates in exact rational
-    arithmetic.  Any nonzero evaluation gives 'nonzero'; all-zero without
-    a structural zero is reported 'unknown', never silently treated as
-    zero.  An expression with exp has no exact value, so it is 'unknown'
-    before any sample is drawn.  A sample that cannot be evaluated (a
-    pole, a non-integer power, a function of more than one argument) is
-    drawn again, and the verdict is 'unknown' after five such failures in
-    a row.
+    Samples all symbols at random rationals from random.Random(0) (jets
+    independently) and arbitrary functions as random cubic polynomials, a
+    primed symbol G'' as the matching derivative of G's, and evaluates in
+    exact rational arithmetic.  Any nonzero evaluation gives 'nonzero';
+    all-zero without a structural zero is reported 'unknown', never
+    silently treated as zero.  An expression with exp has no exact value,
+    so it is 'unknown' before any sample is drawn.  A sample that cannot
+    be evaluated (a pole, a non-integer power, a function of more than one
+    argument) is drawn again, and the verdict is 'unknown' after five such
+    failures in a row.
     """
     n = normalize(e)
     if n == ZERO:
@@ -1124,7 +1124,7 @@ def is_zero(e: Expr, table: SymbolTable, seed: int = 0) -> str:
     syms = sorted(free_symbols(n))
     if "exp" in syms:
         return ZeroVerdict.UNKNOWN
-    rng = random.Random(seed)
+    rng = random.Random(0)
     names, funcs = [], []
     for s in syms:
         info = table.info(s) if table.is_declared(s) else None

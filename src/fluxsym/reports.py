@@ -1,9 +1,9 @@
 """Machine-readable reports.
 
 JSON is the only machine format (schema_version-tagged, sorted keys,
-deterministic given the same seed); the Markdown summaries printed by the
-CLI are the only human format.  Equations are serialized as printer strings
-plus a canonical hash of that string.
+deterministic: no field but `seed` depends on the seed); the Markdown
+summaries printed by the CLI are the only human format.  Equations are
+serialized as printer strings plus a canonical hash of that string.
 """
 
 from __future__ import annotations

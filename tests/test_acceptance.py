@@ -171,7 +171,7 @@ def test_criterion_5_case_forms_verified():
     assert worst <= 1e-10
     # finite-difference residuals of a grid instance
     from fluxsym.cli import _case_materials
-    a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0, "a8": -1.0}
+    a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0}
     material = _case_materials(find_case(model, "B"), a, 1.0)
     conditions = tuple(material_condition(model, func)
                        for func in ("D", "Gamma"))
@@ -243,7 +243,7 @@ def test_criterion_7_solver_verification():
 
 def test_criterion_8_invariance_at_desk_scale():
     # case D with (a2, a4, a6) = (1, 2, 0), pure scaling, eps = 0.02
-    a = {"a1": 0, "a2": 1, "a3": 0, "a4": 2, "a6": 0, "a8": -1}
+    a = {"a1": 0, "a2": 1, "a3": 0, "a4": 2, "a6": 0}
     p = TransformParams(0.02, a)
     amplitude, C = 0.5, 0.35
     def gamma(r, t):

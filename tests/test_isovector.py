@@ -10,7 +10,7 @@ from fluxsym.forms import (
 )
 from fluxsym.isovector import (
     DerivationError, Generator, Reduction, audit_against_published,
-    closure_check, _eliminate, extract_determining,
+    check_self_consistency, closure_check, _eliminate, extract_determining,
     ideal_reduce, lie_form, lie_scalar, solve_linear, strip_coordinates,
 )
 from fluxsym.kernel import (
@@ -386,6 +386,19 @@ def test_self_consistency_residuals_annihilated(model):
     assert determining_system_payload(system)["unknown_verdicts"] == 0
 
 
+def test_a_residual_the_system_does_not_imply_is_a_derivation_error(model):
+    # a6 survives every constraint and material condition, so the first
+    # residual no longer vanishes under the determining system
+    system = extract_determining(model, "symbolic")
+    first, *rest = system.residual_equations
+    broken = system._replace(residual_equations=(
+        first._replace(expression=first.expression + Sym("a6")), *rest))
+    with pytest.raises(DerivationError,
+                       match=r"^residual chi\(r\*mu1\) dt∧dr \[1\] does "
+                             r"not vanish .*a6 \(nonzero\)$"):
+        check_self_consistency(broken, model)
+
+
 def test_solve_linear_helper(model):
     e = parse("a2 + a8 - a6", model.table)
     assert to_text(solve_linear(e, "a8")) == "a6 - a2"
@@ -416,6 +429,22 @@ def test_audit_gradient_lock_conflicts_with_planar_translation(model):
     sol = solve_characteristics(pde, model)
     assert back_substitute(sol, pde, model).verdict == "zero"
     assert "a1" in to_text(sol.expression)
+
+
+def test_audit_grades_a_conflicting_printed_row_discrepant(model,
+                                                           monkeypatch):
+    # with its growth term's sign flipped the printed Gamma condition is
+    # neither the derived one nor implied by the system
+    monkeypatch.setitem(
+        published.DETERMINING_EQUATIONS, "gamma_first_order",
+        "(a1 + a2*r)*Gamma_r + (a3 + a4*t)*Gamma_t - a4*Gamma")
+    system = extract_determining(model, "symbolic")
+    report = audit_against_published(system, model)
+    row = next(r for r in report.rows if r.identifier == "gamma_first_order")
+    assert (row.status, row.note) == ("discrepant",
+                                      "conflicts with the derived equation")
+    assert row.engine_form == to_text(strip_coordinates(system.gamma_pde))
+    assert report.unknown_verdicts == 0
 
 
 def test_audit_second_order_is_r_derivative(model):
