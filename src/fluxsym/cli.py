@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import reports
@@ -429,6 +430,11 @@ COMMANDS = {
 }
 
 
+# argparse's pattern for a negative number, which it reads as a value, not
+# an option, widened to exponent notation: --eps -1e-3
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The fluxsym parser.  Every command is listed, but only `command`
     gets its arguments (every command when None): argparse builds a help
@@ -441,6 +447,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if command is None or command == name:
             _common_arguments(p)
             add_arguments(p)

@@ -169,31 +169,25 @@ def section(alpha: DifferentialForm, table: SymbolTable) -> DifferentialForm:
 # The model's exterior differential system
 # --------------------------------------------------------------------------
 
-def build_mu1(model: Model, geometry, r_multiplied: bool = False) -> DifferentialForm:
-    """Flux-balance 2-form.
+def build_mu1(model: Model, geometry: Expr) -> DifferentialForm:
+    """Flux-balance 2-form times r (n D in place of n r^-1 D r), which keeps
+    the coefficients regular at r = 0: the form `extract_determining`
+    reduces.
 
-    geometry: the index expression (model.geometry_index(...)).  With
-    r_multiplied=True, returns r times the form (n D replacing n r^-1 D r),
-    which keeps the coefficients regular at r = 0.
+    geometry: the index expression (model.geometry_index(...)).
 
     The production term is stored on dr∧dt so that the dt∧dr coefficient
-    of the sectioned form, set to zero, is the governing equation exactly
-    (the published display carries it on dt∧dr, which is inconsistent with
-    its own sectioned expansion by exactly this sign).
+    of the sectioned form, set to zero, is r times the governing equation
+    exactly (the published display carries it on dt∧dr, which is
+    inconsistent with its own sectioned expansion by exactly this sign).
     """
     m = model
-    geometry = as_expr(geometry)
-    if isinstance(geometry, Rat) and geometry.value not in (0, 1, 2):
-        raise ValueError("literal geometry index must be 0, 1 or 2")
-    rfac = m.r if r_multiplied else Rat(1)
-    curv = Mul((geometry, m.D)) if r_multiplied else Mul(
-        (geometry, Pow(m.r, Rat(-1)), m.D))
     terms = [
-        (("phi", "r"), Mul((rfac, Pow(m.v, Rat(-1))))),
-        (("phi", "t"), curv),
-        (("phi", "t"), Mul((rfac, m.table.jet("D", 1, 0)))),
-        (("w", "t"), Mul((rfac, m.D))),
-        (("r", "t"), Mul((rfac, m.Gamma, m.phi))),
+        (("phi", "r"), Mul((m.r, Pow(m.v, Rat(-1))))),
+        (("phi", "t"), Mul((geometry, m.D))),
+        (("phi", "t"), Mul((m.r, m.table.jet("D", 1, 0)))),
+        (("w", "t"), Mul((m.r, m.D))),
+        (("r", "t"), Mul((m.r, m.Gamma, m.phi))),
     ]
     return DifferentialForm.build(2, terms)
 

@@ -232,7 +232,7 @@ def extract_determining(model: Model,
     table = model.table
     geometry = model.geometry_index(geometry_mode)
     gen = Generator.standard(model)
-    r_mu1 = build_mu1(model, geometry, r_multiplied=True)
+    r_mu1 = build_mu1(model, geometry)
     mu2 = build_mu2(model)
     basis = (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
 

@@ -221,8 +221,8 @@ class SymbolInfo(NamedTuple):
     kind: str
     base: str | None = None          # jet: the differentiated function
     order: tuple | None = None       # jet: (d/dr count, d/dt count)
-    arity: int | None = None         # arbitrary-function: argument count
-    depends: tuple = ()              # arity-0 functions: implicit arguments
+    arity: int | None = None         # arbitrary-function: argument count,
+                                     # 0 for a function of (r, t)
 
 
 class SymbolTable:
@@ -236,10 +236,10 @@ class SymbolTable:
         self._entries: dict[str, SymbolInfo] = {}
 
     def declare(self, name: str, kind: str, *, base=None, order=None,
-                arity=None, depends=()) -> Sym:
+                arity=None) -> Sym:
         if kind not in KINDS:
             raise KernelError(f"unknown symbol kind {kind!r}")
-        info = SymbolInfo(name, kind, base, order, arity, tuple(depends))
+        info = SymbolInfo(name, kind, base, order, arity)
         prior = self._entries.get(name)
         if prior is not None:
             if prior != info:
@@ -277,16 +277,6 @@ class SymbolTable:
         if name not in self._entries:
             self.declare(name, "jet", base=base, order=(d_r, d_t))
         return Sym(name)
-
-    def jet_from_name(self, name: str) -> Sym | None:
-        """The jet a well-formed jet name of a declared base denotes (D_rrt),
-        declared on demand; None for any other name."""
-        base, _, suffix = name.rpartition("_")
-        d_r, d_t = suffix.count("r"), suffix.count("t")
-        if (not suffix or not self.is_declared(base)
-                or name != self.jet_name(base, d_r, d_t)):
-            return None
-        return self.jet(base, d_r, d_t)
 
     def derivative_function(self, func: str) -> str:
         """Name of the derivative symbol of a unary function (G -> G')."""
@@ -837,8 +827,9 @@ def strip_coordinates(e: Expr) -> Expr:
 # Differentiation
 # --------------------------------------------------------------------------
 
-def differentiate(e: Expr, var, table: SymbolTable) -> Expr:
-    """Partial derivative with jet bookkeeping.
+def differentiate(e: Expr, var: str, table: SymbolTable) -> Expr:
+    """Partial derivative along the coordinate named `var`, with jet
+    bookkeeping.
 
     Coordinates r, t drive the jets: an arity-0 function symbol F(r,t)
     differentiates to its jet (D -> D_r), a jet to the next jet (D_r -> D_rr),
@@ -846,11 +837,9 @@ def differentiate(e: Expr, var, table: SymbolTable) -> Expr:
     symbol.  phi and w are independent coordinates at this layer and
     differentiate to 0 under d/dr, d/dt.
     """
-    var_name = var.name if isinstance(var, Sym) else str(var)
-    if not table.is_declared(var_name) or table.info(var_name).kind != "coordinate":
-        raise DifferentiationError(f"{var_name!r} is not a coordinate")
-    return apply_derivation(
-        e, lambda s: _diff_symbol(s, var_name, table), table)
+    if not table.is_declared(var) or table.info(var).kind != "coordinate":
+        raise DifferentiationError(f"{var!r} is not a coordinate")
+    return apply_derivation(e, lambda s: _diff_symbol(s, var, table), table)
 
 
 def apply_derivation(e: Expr, symbol_action, table: SymbolTable) -> Expr:
@@ -912,16 +901,11 @@ def _diff_symbol(s: Sym, var: str, table: SymbolTable) -> Expr:
     info = table.info(s.name)
     if var not in ("r", "t"):
         return ZERO
-    if info.kind == "arbitrary-function" and info.arity in (0, None) and info.depends:
-        if var in info.depends:
-            return table.jet(s.name, int(var == "r"), int(var == "t"))
-        return ZERO
     if info.kind == "jet":
-        base_info = table.info(info.base)
-        if base_info.kind == "coordinate" or var in base_info.depends:
-            d_r, d_t = info.order
-            return table.jet(info.base, d_r + int(var == "r"), d_t + int(var == "t"))
-        return ZERO
+        d_r, d_t = info.order
+        return table.jet(info.base, d_r + int(var == "r"), d_t + int(var == "t"))
+    if info.arity == 0:
+        return table.jet(s.name, int(var == "r"), int(var == "t"))
     return ZERO
 
 
@@ -932,38 +916,14 @@ def _diff_symbol(s: Sym, var: str, table: SymbolTable) -> Expr:
 def substitute(e: Expr, bindings: dict, table: SymbolTable) -> Expr:
     """Simultaneous substitution; the result is normalized.
 
-    Keys are symbols (or names).  Binding an arity-0 function symbol also
-    rewrites its jets to the corresponding derivatives of the replacement.
-    Binding an applied function symbol is an arity error.
+    Keys are names of symbols that are not functions: binding a function
+    symbol (D, Gamma, G, F) is a SubstitutionError.
     """
-    named: dict[str, Expr] = {}
-    for k, v in bindings.items():
-        name = k.name if isinstance(k, Sym) else str(k)
-        named[name] = as_expr(v)
-    for name in list(named):
-        if table.is_declared(name):
-            info = table.info(name)
-            if info.kind == "arbitrary-function" and (info.arity or 0) >= 1:
-                raise SubstitutionError(
-                    f"cannot substitute applied function symbol {name!r} "
-                    f"(arity {info.arity})")
-            if info.kind == "arbitrary-function" and info.depends:
-                repl = named[name]
-                for other in table.names():
-                    oi = table.info(other)
-                    if oi.kind == "jet" and oi.base == name and other not in named:
-                        d_r, d_t = oi.order
-                        named[other] = _nth_derivative(repl, d_r, d_t, table)
+    for name in bindings:
+        if table.is_declared(name) and table.info(name).kind == "arbitrary-function":
+            raise SubstitutionError(f"cannot substitute function symbol {name!r}")
+    named = {name: as_expr(v) for name, v in bindings.items()}
     return normalize(_subst(as_expr(e), named))
-
-
-def _nth_derivative(e: Expr, d_r: int, d_t: int, table: SymbolTable) -> Expr:
-    out = e
-    for _ in range(d_r):
-        out = differentiate(out, "r", table)
-    for _ in range(d_t):
-        out = differentiate(out, "t", table)
-    return out
 
 
 def _subst(e: Expr, named: dict) -> Expr:
@@ -1007,15 +967,14 @@ def evaluate(e: Expr, point: dict, fns: dict | None = None, *,
     """The value of `e` with all free symbols bound, in floats unless the
     caller supplies another arithmetic.
 
-    `point` maps symbol names (or Syms) to numbers; `fns` maps function
+    `point` maps symbol names to numbers; `fns` maps function
     names to callables, exp defaulting to math.exp.  `value` turns a
     number into a value of the arithmetic (each point value, rational
     constant and function result passes through it) and `power(b, x)`
     takes a power: `numerics.compile_numeric` passes numpy arrays and
     np.power.  An unbound symbol or function is an EvaluationError.
     """
-    env = {(k.name if isinstance(k, Sym) else str(k)): value(v)
-           for k, v in point.items()}
+    env = {name: value(v) for name, v in point.items()}
     return _value(as_expr(e), env, {"exp": math.exp, **(fns or {})},
                   value, power)
 

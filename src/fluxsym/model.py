@@ -21,8 +21,8 @@ def standard_table() -> SymbolTable:
         table.declare(name, "coordinate")
     for name in GROUP_CONSTANTS + ("v", "n"):
         table.declare(name, "parameter")
-    table.declare("D", "arbitrary-function", arity=0, depends=("r", "t"))
-    table.declare("Gamma", "arbitrary-function", arity=0, depends=("r", "t"))
+    table.declare("D", "arbitrary-function", arity=0)
+    table.declare("Gamma", "arbitrary-function", arity=0)
     for base in ("D", "Gamma"):
         table.jet(base, 1, 0)
         table.jet(base, 0, 1)

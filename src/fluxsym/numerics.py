@@ -189,14 +189,30 @@ class TransformParams:
     def map_inverse(self, r, t):
         import numpy as np
 
-        def back(x, c0, c1):
+        def back(x, k0, k1):
             # the flow along c0 + c1 x over -eps is x e^(-eps c1) plus c0 times
             # (e^(-eps c1) - 1)/c1, by expm1 so that a small c1 loses no digits
+            c0, c1 = self.a[k0], self.a[k1]
+            scale = _map_factor(f"e^(-eps*{k1})", -self.eps * c1)
             lag = math.expm1(-self.eps * c1) / c1 if c1 else -self.eps
-            return np.asarray(x) * math.exp(-self.eps * c1) + c0 * lag
+            return np.asarray(x) * scale + c0 * lag
 
-        a = self.a
-        return back(r, a["a1"], a["a2"]), back(t, a["a3"], a["a4"])
+        return back(r, "a1", "a2"), back(t, "a3", "a4")
+
+
+def _map_factor(name: str, x: float) -> float:
+    """e^x, the finite map's factor `name`.  One that overflows (and so
+    would expm1(x)) or underflows to 0, which would make a transformed field
+    of zeros, is a SolverError."""
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise SolverError(
+            f"the finite map's factor {name} = e^({x:g}) is past the float "
+            f"range")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +447,7 @@ def transform_field(f: Field, p: TransformParams) -> Field:
         raise SolverError(
             f"{clipped:.1%} of the transformed grid falls outside the "
             f"computed domain (threshold {_MAX_CLIPPED_FRACTION:.0%})")
-    amp = math.exp(p.eps * p.a["a6"])
+    amp = _map_factor("e^(eps*a6)", p.eps * p.a["a6"])
     phi_new = amp * spline(np.clip(t_src, 0.0, grid.t1),
                            np.clip(r_src, grid.r0, grid.r1), grid=True)
     phi_new = np.where(inside, phi_new, np.nan)

@@ -140,9 +140,7 @@ class _Parser:
 
     def _symbol(self, tok: _Token) -> Expr:
         name = tok.text
-        # D_rrt style names resolve against a declared base function
-        if (not self.table.is_declared(name)
-                and self.table.jet_from_name(name) is None):
+        if not self.table.is_declared(name):
             raise UndeclaredSymbolError(
                 f"undeclared symbol {name!r} (byte {tok.offset})")
         info = self.table.info(name)

@@ -446,6 +446,48 @@ def test_a_step_that_flips_the_sign_of_phi_is_a_one_line_error(tmp_path,
     assert not (tmp_path / "flip.csv").exists()
 
 
+@pytest.mark.parametrize("argv, factor", [
+    (["--a6", "40000"], "e^(eps*a6) = e^(800)"),
+    (["--eps=-1e300"], "e^(-eps*a2) = e^(1e+300)"),
+    # e^(-800) underflows to 0: the transformed field and its residuals
+    # would all be 0
+    (["--a6", "-40000"], "e^(eps*a6) = e^(-800)"),
+    (["--eps=1e300"], "e^(-eps*a2) = e^(-1e+300)"),
+], ids=["a6-40000", "eps-minus-1e300", "a6-minus-40000", "eps-1e300"])
+def test_a_finite_map_past_the_float_range_is_a_one_line_error(tmp_path, argv,
+                                                               factor):
+    done = _in_a_fresh_process(tmp_path, "verify", "--case", "D",
+                               "--invariance", "--a3", "1", *argv,
+                               "--refine", "1")
+    assert done.returncode == 2
+    assert done.stderr == (f"verify: the finite map's factor {factor} is past "
+                           f"the float range\n")
+
+
+def test_the_map_factor_is_checked_only_where_the_map_is_used(tmp_path):
+    code, _ = run(tmp_path, "verify", "--case", "D", "--a3", "1",
+                  "--a6", "40000")
+    assert code == 0
+
+
+def test_a_negative_number_in_exponent_notation_is_a_value():
+    args = build_parser("verify").parse_args(
+        ["verify", "--case", "D", "--eps", "-1e-3", "--a2", "-1e5"])
+    assert args.eps == -0.001
+    assert args.a2 == -100000.0
+
+
+def test_an_undeclared_jet_is_a_one_line_error(tmp_path, capsys):
+    # the standard table declares D_r and D_rr, not D_rrt
+    csv = tmp_path / "x.csv"
+    code = main(["simulate", "--D", "D_rrt", "--nr", "8", "--nt", "8",
+                 "--csv", str(csv)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "simulate: undeclared symbol 'D_rrt' (byte 0)\n")
+    assert not csv.exists()
+
+
 def test_stencil_weights_that_underflow_warn_nothing(tmp_path):
     # dr^2 overflows in the cell volumes times dr, so the weights, about
     # 3e-615 exactly, are 0 as they would be anyway

@@ -113,8 +113,7 @@ def test_exterior_d_nilpotent_random(model):
 
 def test_exterior_d_nilpotent_on_system_forms(model):
     table = model.table
-    for form in (build_mu1(model, model.n), build_mu2(model),
-                 build_mu1(model, model.n, r_multiplied=True)):
+    for form in (build_mu1(model, model.n), build_mu2(model)):
         assert exterior_d(exterior_d(form, table), table).is_zero()
 
 
@@ -127,18 +126,21 @@ def test_mu2_coefficients(model):
 
 
 def test_mu1_planar_has_no_curvature_term(model):
-    mu1 = build_mu1(model, 0)
-    coef = mu1.get("phi", "t")
-    assert normalize(coef - Sym("D_r")) == ZERO
+    r_mu1 = build_mu1(model, model.geometry_index(0))
+    coef = r_mu1.get("phi", "t")
+    assert normalize(coef - model.r * Sym("D_r")) == ZERO
 
 
-def test_mu1_literal_geometry_validation(model):
-    with pytest.raises(ValueError):
-        build_mu1(model, 3)
+def test_geometry_index_validation(model):
+    # build_mu1 takes its geometry from geometry_index, which refuses any
+    # index but 'symbolic', 0, 1 and 2
+    for mode in (3, -1, 1.0, True, "planar"):
+        with pytest.raises(ValueError):
+            model.geometry_index(mode)
 
 
 def test_mu1_r_multiplied_regularizes(model):
-    r_mu1 = build_mu1(model, model.n, r_multiplied=True)
+    r_mu1 = build_mu1(model, model.n)
     coef = r_mu1.get("phi", "t")
     # n D + r D_r: no r^(-1) factor remains
     assert normalize(coef - (model.n * model.D + model.r * Sym("D_r"))) == ZERO
@@ -166,12 +168,13 @@ def test_section_mu2_gives_gradient_definition(model):
 
 
 def test_section_mu1_recovers_governing_equation(model):
+    # r*mu1 sections to r times the governing equation
     res = _dt_dr_coefficient(
         section(build_mu1(model, model.n), model.table))
     v, n, r = model.v, model.n, model.r
-    expected = (-Sym("phi_t") / v + n * model.D * Sym("phi_r") / r
-                + Sym("D_r") * Sym("phi_r") + model.D * Sym("w_r")
-                + model.Gamma * model.phi)
+    expected = r * (-Sym("phi_t") / v + n * model.D * Sym("phi_r") / r
+                    + Sym("D_r") * Sym("phi_r") + model.D * Sym("w_r")
+                    + model.Gamma * model.phi)
     assert sign_normalize(res) == sign_normalize(normalize(expected))
 
 
@@ -210,8 +213,8 @@ def _section_by_wedge_chain(alpha, table):
 def test_section_matches_the_wedge_chain(model):
     table = model.table
     rng = random.Random(41)
-    forms = [build_mu1(model, n, r_multiplied=rm)
-             for n in (model.n, 0, 1, 2) for rm in (False, True)]
+    forms = [build_mu1(model, model.geometry_index(mode))
+             for mode in ("symbolic", 0, 1, 2)]
     forms += [build_mu2(model), build_mu3(model)]
     forms += [random_form(rng, degree, slots=SLOTS)
               for degree in (1, 2, 3) for _ in range(60)]
@@ -222,14 +225,15 @@ def test_section_matches_the_wedge_chain(model):
 
 def test_round_trip_matches_governing_residuals(model):
     # the sectioned system equals the first-order reduction of the governing
-    # equation (gradient definition and flux balance) up to overall sign
+    # equation (gradient definition and r times the flux balance) up to
+    # overall sign
     table = model.table
     gradient = _dt_dr_coefficient(section(build_mu2(model), table))
     assert sign_normalize(gradient) == sign_normalize(
         normalize(model.w - Sym("phi_r")))
     balance = _dt_dr_coefficient(section(build_mu1(model, model.n), table))
-    governing = (-Sym("phi_t") / model.v
-                 + model.n * model.D * Sym("phi_r") / model.r
-                 + Sym("D_r") * Sym("phi_r") + model.D * Sym("w_r")
-                 + model.Gamma * model.phi)
+    governing = model.r * (-Sym("phi_t") / model.v
+                           + model.n * model.D * Sym("phi_r") / model.r
+                           + Sym("D_r") * Sym("phi_r") + model.D * Sym("w_r")
+                           + model.Gamma * model.phi)
     assert sign_normalize(balance) == sign_normalize(normalize(governing))

@@ -31,7 +31,7 @@ def gen(model):
 
 
 def standard_basis(model):
-    r_mu1 = build_mu1(model, model.n, r_multiplied=True)
+    r_mu1 = build_mu1(model, model.n)
     mu2 = build_mu2(model)
     return (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
 
@@ -67,17 +67,16 @@ def _chi_by_its_own_jet_rule(s, gen, model):
     info = table.info(s.name)
     if info.kind == "coordinate":
         return gen.coordinate_coefficient(s.name)
-    if info.kind == "arbitrary-function" and info.depends:
-        base, (d_r, d_t), depends = s.name, (0, 0), info.depends
+    if info.kind == "arbitrary-function" and info.arity == 0:
+        base, (d_r, d_t) = s.name, (0, 0)
     elif info.kind == "jet":
         base, (d_r, d_t) = info.base, info.order
-        depends = table.info(base).depends or ("r", "t")
     else:
         return ZERO
     return Add(tuple(
         Mul((gen.coordinate_coefficient(q),
              table.jet(base, d_r + int(q == "r"), d_t + int(q == "t"))))
-        for q in depends))
+        for q in ("r", "t")))
 
 
 def test_lie_scalar_is_the_jet_rule_along_the_generator(model):
@@ -114,7 +113,7 @@ def test_lie_form_mu2_matches_expansion(model, gen):
 
 def test_lie_form_r_mu1_gradient_slot(model, gen):
     # the dw∧dt coefficient of the expanded flux-balance relation
-    out = lie_form(gen, build_mu1(model, model.n, r_multiplied=True), model)
+    out = lie_form(gen, build_mu1(model, model.n), model)
     a1, a2, a3, a4, a8 = (Sym(n) for n in ("a1", "a2", "a3", "a4", "a8"))
     r, t, D = model.r, model.t, model.D
     expected = (r * ((a1 + a2 * r) * Sym("D_r") + (a3 + a4 * t) * Sym("D_t"))
@@ -165,9 +164,9 @@ def _lie_form_by_wedge_chain(gen, alpha, model):
 
 
 def _system_forms(model):
-    """mu1 and r*mu1 at every geometry index, mu2 and mu3."""
-    forms = [build_mu1(model, model.geometry_index(mode), r_multiplied=rm)
-             for mode in ("symbolic", 0, 1, 2) for rm in (False, True)]
+    """r*mu1 at every geometry index, mu2 and mu3."""
+    forms = [build_mu1(model, model.geometry_index(mode))
+             for mode in ("symbolic", 0, 1, 2)]
     return forms + [build_mu2(model), build_mu3(model)]
 
 
@@ -205,7 +204,7 @@ def test_ideal_reduce_matches_the_three_step_subtraction(model, gen):
     cases = []
     for mode in ("symbolic", 0, 1, 2):
         geometry = model.geometry_index(mode)
-        r_mu1 = build_mu1(model, geometry, r_multiplied=True)
+        r_mu1 = build_mu1(model, geometry)
         basis = (("r*mu1", r_mu1, ("r", "phi")),
                  ("mu2", build_mu2(model), ("t", "phi")))
         cases += [(lie_form(gen, r_mu1, model), basis),
@@ -265,7 +264,7 @@ def test_ideal_reduce_reconstruction_identity(model, gen):
 
 def test_ideal_reduce_unsolvable_pivot(model, gen):
     # a pivot whose coefficient is a sum is reported, with the pivot named
-    mixed = build_mu2(model) + build_mu1(model, model.n, r_multiplied=True)
+    mixed = build_mu2(model) + build_mu1(model, model.n)
     with pytest.raises(DerivationError) as err:
         ideal_reduce(lie_form(gen, mixed, model),
                      (("mixed", mixed, ("t", "r")),))
@@ -475,7 +474,7 @@ def test_derive_and_audit_take_each_lie_derivative_once(model, monkeypatch):
     monkeypatch.setattr(isovector, "lie_form", recording)
     system = extract_determining(model, "symbolic")
     audit_against_published(system, model)
-    assert forms == [build_mu1(model, model.n, r_multiplied=True),
+    assert forms == [build_mu1(model, model.n),
                      build_mu2(model)]
 
 

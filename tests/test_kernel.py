@@ -307,7 +307,7 @@ def test_cached_polys_are_never_updated_in_place(model):
         strip_coordinates(e)
         poly_div_exact(e, other)
         poly_div_exact(normalize(Mul((e, other))), other)
-        substitute(e, {"a1": other, "D": Sym("t")}, table)
+        substitute(e, {"a1": other}, table)
         differentiate(e, "r", table)
         for n in (e, other):
             if id(n) in kept:
@@ -452,7 +452,7 @@ def test_substitute_returns_the_normal_form(model):
     for _ in range(300):
         e = random_expression(rng, names, depth=3, funcs=("G",))
         binding = {"a1": random_expression(rng, ("a2", "t"), depth=2),
-                   "D": random_expression(rng, ("r", "t", "a2"), depth=2)}
+                   "a2": random_expression(rng, ("r", "t", "a1"), depth=2)}
         out = substitute(e, binding, table)
         assert normalize(out) == out
         assert normalize(_copy(out)) == out
@@ -472,14 +472,18 @@ def test_substitute_swap_is_involution(model):
     assert once != e
 
 
-def test_substitute_function_rewrites_jets(model):
-    # binding D also rewrites D_r to the r-derivative of the binding
-    table = model.table
-    case_a = parse(
-        "(a3 + a4*t)^(2*a2/a4 - 1) * G((r + a1/a2)*(a3 + a4*t)^(-a2/a4))",
-        table)
-    via_jet = substitute(Sym("D_r"), {"D": case_a}, table)
-    assert via_jet == differentiate(case_a, "r", table)
+@pytest.mark.parametrize("name", ["D", "Gamma", "G", "F"])
+def test_substitute_refuses_a_function_symbol(model, monkeypatch, name):
+    # a function symbol is refused before any tree is walked or normalized
+    from fluxsym import kernel
+    from fluxsym.kernel import SubstitutionError
+
+    def no_work(*args):
+        raise AssertionError("substitute did work before refusing")
+    monkeypatch.setattr(kernel, "_subst", no_work)
+    monkeypatch.setattr(kernel, "normalize", no_work)
+    with pytest.raises(SubstitutionError, match=repr(name)):
+        substitute(Sym("r"), {"a1": ZERO, name: Sym("r")}, model.table)
 
 
 def test_substitute_applied_function_is_arity_error(model):

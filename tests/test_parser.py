@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxsym.kernel import (
-    Add, ArityError, Mul, Pow, Rat, Sym, UndeclaredSymbolError, normalize,
-    to_text,
+    Add, ArityError, Mul, Pow, Rat, Sym, UndeclaredSymbolError,
+    differentiate, normalize, to_text,
 )
 from fluxsym.model import Model
 from fluxsym.parser import ParseError, parse
@@ -43,10 +43,19 @@ def test_rational_constant_bases_round_trip(model):
 
 
 def test_parse_jet_names_resolve(model):
-    e = parse("D_r + Gamma_t + D_rrt", model.table)
+    # the standard table declares every jet the published equations print
+    jets = ("D_r", "D_t", "D_rr", "D_rt", "Gamma_r", "Gamma_t")
+    e = parse(" + ".join(jets), model.table)
+    assert set(e.terms) == {Sym(name) for name in jets}
+    # a higher jet is a name like any other: undeclared until
+    # differentiation reaches it and declares it
+    with pytest.raises(UndeclaredSymbolError, match=r"'D_rrt' \(byte 5\)"):
+        parse("a1 + D_rrt", model.table)
+    assert differentiate(Sym("D_rt"), "r", model.table) == Sym("D_rrt")
     info = model.table.info("D_rrt")
     assert info.kind == "jet" and info.base == "D" and info.order == (2, 1)
-    assert Sym("Gamma_t") in e.terms
+    assert parse("a1 + D_rrt", model.table) == normalize(
+        Add((Sym("a1"), Sym("D_rrt"))))
 
 
 def test_parse_function_application(model):
