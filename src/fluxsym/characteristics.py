@@ -173,7 +173,7 @@ def back_substitute(sol: MaterialSolution, pde: QuasiLinearPDE, model: Model,
     residual = pde.residual(sol.expression, model)
     if residual == ZERO:
         return BackSubstitution("zero")
-    verdict = is_zero(residual, model.table)
+    verdict = is_zero(residual)
     if verdict == ZeroVerdict.NONZERO:
         return BackSubstitution("nonzero", float("inf"))
     fns = sampled_functions()

@@ -311,6 +311,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    csv_path = args.csv or "field.csv"
+    if args.out is not None and (
+            os.path.realpath(args.out) == os.path.realpath(csv_path)):
+        # the report would overwrite the field it describes
+        raise ValueError(f"--out {args.out} names the CSV file {csv_path}")
     model = Model()
     table = model.table
     d_expr = parse(args.diffusion, table)
@@ -329,7 +334,6 @@ def cmd_simulate(args) -> int:
     field = solve_pde(grid, material, ic_fn, (left_spec, right_spec))
     # a field whose residual is not finite fails here, before any file
     residual_norm = max_interior_residual(field)
-    csv_path = args.csv or "field.csv"
     export_csv(field, csv_path)
     body = {
         "grid": {"r0": grid.r0, "r1": grid.r1, "t1": grid.t1,

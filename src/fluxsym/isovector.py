@@ -349,7 +349,7 @@ def check_self_consistency(system: DeterminingSystem, model: Model):
     table = model.table
     for eq in system.residual_equations:
         for b in system.reduction.branches(eq.expression, table):
-            v = is_zero(b, table)
+            v = is_zero(b)
             if v != ZeroVerdict.ZERO:
                 raise DerivationError(
                     f"residual {eq.source} {eq.basis} [{eq.monomial}] does not "
@@ -388,11 +388,11 @@ def audit_against_published(system: DeterminingSystem,
         return substitute(e, literal, table) if literal else e
 
     # the engine's equations and their consequences, each canonicalized once
+    derived = {c.name: c.equation for c in system.constraints}
     primary = {
-        "w_translation": Sym("a7"),
-        "w_scaling_link": next(c.equation for c in system.constraints
-                               if c.name == "a8"),
-        "flux_translation": Sym("a5"),
+        "w_translation": derived["a7"],
+        "w_scaling_link": derived["a8"],
+        "flux_translation": derived["a5"],
         "diffusion_first_order": system.diffusion_pde,
         "diffusion_first_order_reduced": system.diffusion_pde_reduced,
         "gamma_first_order": system.gamma_pde,
@@ -426,7 +426,7 @@ def audit_against_published(system: DeterminingSystem,
                 note="r-derivative of the first-order diffusion condition "
                      "under the w-scaling link"))
             continue
-        verdicts = [is_zero(b, table)
+        verdicts = [is_zero(b)
                     for b in system.reduction.branches(printed, table)]
         if any(v == ZeroVerdict.UNKNOWN for v in verdicts):
             unknown += 1

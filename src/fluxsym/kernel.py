@@ -217,7 +217,6 @@ KINDS = ("coordinate", "parameter", "jet", "arbitrary-function", "arbitrary-cons
 
 
 class SymbolInfo(NamedTuple):
-    name: str
     kind: str
     base: str | None = None          # jet: the differentiated function
     order: tuple | None = None       # jet: (d/dr count, d/dt count)
@@ -239,7 +238,7 @@ class SymbolTable:
                 arity=None) -> Sym:
         if kind not in KINDS:
             raise KernelError(f"unknown symbol kind {kind!r}")
-        info = SymbolInfo(name, kind, base, order, arity)
+        info = SymbolInfo(kind, base, order, arity)
         prior = self._entries.get(name)
         if prior is not None:
             if prior != info:
@@ -279,15 +278,9 @@ class SymbolTable:
         return Sym(name)
 
     def derivative_function(self, func: str) -> str:
-        """Name of the derivative symbol of a unary function (G -> G')."""
-        info = self.info(func)
-        if info.kind != "arbitrary-function" or info.arity != 1:
-            raise DifferentiationError(
-                f"{func!r} is not a unary arbitrary function")
-        name = func + "'"
-        if name not in self._entries:
-            self._entries[name] = SymbolInfo(name, "arbitrary-function", arity=1)
-        return name
+        """Name of the derivative symbol of a unary function (G -> G'),
+        declared on demand."""
+        return self.declare(func + "'", "arbitrary-function", arity=1).name
 
 
 # --------------------------------------------------------------------------
@@ -1021,24 +1014,6 @@ def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_poly(rng: random.Random):
-    return [_sample_fraction(rng) for _ in range(4)]
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative(coeffs, k: int):
-    """The coefficients of the k-th derivative of a polynomial."""
-    for _ in range(k):
-        coeffs = [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-    return coeffs
-
-
 class _Inexact(Exception):
     pass
 
@@ -1050,55 +1025,51 @@ def _exact_power(b: Fraction, x: Fraction) -> Fraction:
     return b ** int(x)
 
 
-def _sampled_function(coeffs):
-    """A sampled polynomial as a unary function of a Fraction, exactly.
-    Any other arity is inexact."""
+def _sampled_function(coeffs, k: int):
+    """The k-th derivative of the cubic with coefficients `coeffs` (constant
+    term first) as a unary function of a Fraction, exactly.  Any other arity
+    is inexact."""
     def fn(*args):
         if len(args) != 1:
             raise _Inexact
-        return _poly_eval(coeffs, args[0])
+        return sum(c * math.perm(i, k) * args[0] ** (i - k)
+                   for i, c in enumerate(coeffs) if i >= k)
     return fn
 
 
 _ZERO_TEST_TRIALS = 32
 
 
-def is_zero(e: Expr, table: SymbolTable) -> str:
+def is_zero(e: Expr) -> str:
     """'zero' iff the normal form is 0; otherwise randomized exact evaluation.
 
-    Samples all symbols at random rationals from random.Random(0) (jets
-    independently) and arbitrary functions as random cubic polynomials, a
-    primed symbol G'' as the matching derivative of G's, and evaluates in
-    exact rational arithmetic.  Any nonzero evaluation gives 'nonzero';
-    all-zero without a structural zero is reported 'unknown', never
-    silently treated as zero.  An expression with exp has no exact value,
-    so it is 'unknown' before any sample is drawn.  A sample that cannot
-    be evaluated (a pole, a non-integer power, a function of more than one
-    argument) is drawn again, and the verdict is 'unknown' after five such
-    failures in a row.
+    Samples every symbol at a random rational from random.Random(0) (jets
+    independently) and every applied function as a random cubic, a primed
+    G'' as the matching derivative of G's, and evaluates in exact rational
+    arithmetic.  Any nonzero evaluation gives 'nonzero'; all-zero without a
+    structural zero is reported 'unknown', never silently treated as zero.
+    An expression with exp has no exact value, so it is 'unknown' before
+    any sample is drawn.  A sample that cannot be evaluated (a pole, a
+    non-integer power, a function of more than one argument) is drawn
+    again, and the verdict is 'unknown' after five such failures in a row.
     """
     n = normalize(e)
     if n == ZERO:
         return ZeroVerdict.ZERO
-    syms = sorted(free_symbols(n))
-    if "exp" in syms:
+    nodes = list(subexpressions(n))
+    funcs = {node.func for node in nodes if type(node) is Call}
+    if "exp" in funcs:
         return ZeroVerdict.UNKNOWN
-    rng = random.Random(0)
-    names, funcs = [], []
-    for s in syms:
-        info = table.info(s) if table.is_declared(s) else None
-        if info is not None and info.kind == "arbitrary-function" and (info.arity or 0) >= 1:
-            funcs.append(s)
-        else:
-            names.append(s)
+    names = sorted({node.name for node in nodes if type(node) is Sym})
     bases = sorted({f.rstrip("'") for f in funcs})
+    rng = random.Random(0)
 
     for _ in range(_ZERO_TEST_TRIALS):
         for attempt in range(5):
             env = {s: _sample_fraction(rng) for s in names}
-            polys = {b: _sample_poly(rng) for b in bases}
-            fns = {f: _sampled_function(_poly_derivative(
-                       polys[f.rstrip("'")], f.count("'")))
+            cubics = {b: [_sample_fraction(rng) for _ in range(4)]
+                      for b in bases}
+            fns = {f: _sampled_function(cubics[f.rstrip("'")], f.count("'"))
                    for f in funcs}
             try:
                 if _value(n, env, fns, Fraction, _exact_power) != 0:

@@ -398,6 +398,22 @@ def test_a_failing_report_leaves_no_csv(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", "field.csv"],                     # the default CSV path
+    ["--csv", "a.csv", "--out", "./a.csv"],
+])
+def test_simulate_refuses_a_report_path_that_is_the_csv(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    # the report would overwrite the field: refused before any solve, and
+    # no file is written
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--nr", "8", "--nt", "8"] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "names the CSV file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 _ABOVE = "has a cell volume above the largest float"
 
 
@@ -505,7 +521,7 @@ def test_derive_exits_2_on_an_unknown_zero_verdict(tmp_path, monkeypatch,
     from fluxsym.kernel import ZERO, ZeroVerdict, normalize
     real = isovector.is_zero
     monkeypatch.setattr(
-        isovector, "is_zero", lambda e, table, **kw: real(e, table, **kw)
+        isovector, "is_zero", lambda e: real(e)
         if normalize(e) == ZERO else ZeroVerdict.UNKNOWN)
     code, out = run(tmp_path, "derive", "--n", "symbolic")
     assert code == 2

@@ -816,6 +816,23 @@ def test_invariance_mutated_material_plateaus():
     assert residuals[1] > 1e-3                 # at the epsilon scale
 
 
+@pytest.mark.parametrize("delta, passes", [(0.0, True), (1e-3, False)])
+def test_invariance_band_resolves_a_break_of_1e3(delta, passes):
+    # the verdict's band, the last ratio inside 4 +/- 30% at the levels
+    # 40^2 to 320^2 that `verify --refine 3` runs, sees a Gamma exponent
+    # broken by 1e-3 (ratios 4.113, 3.456, 1.755) and passes the exact
+    # family (3.994, 3.999, 4.000)
+    def gamma(r, t):
+        return 0.5 * (2.0 * t + r * r) ** (-1.0 + delta)
+    mat = MaterialModel(D=constant(0.35), Gamma=gamma, v=1.0)
+    ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
+    report = invariance_residual(GridSpec(0.5, 1.5, 1.0, 40, 40), mat,
+                                 TransformParams(0.02, CASE_D_A), ic,
+                                 ZERO_GRAD, refinements=4)
+    assert report.levels[-1] == (320, 320)
+    assert (2.8 <= report.ratios[-1] <= 5.2) is passes
+
+
 def test_export_csv(tmp_path):
     grid = GridSpec(0.0, 1.0, 1.0, 4, 4)
     mat = MaterialModel(D=constant(0.5), Gamma=constant(0.0))
