@@ -85,29 +85,6 @@ class DifferentialForm(NamedTuple):
                 return coef if sign > 0 else linear_combination(((-1, coef),))
         return ZERO
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __add__(self, other):
-        if isinstance(other, DifferentialForm):
-            if other.is_zero():
-                return self
-            if self.is_zero():
-                return other
-            if other.degree != self.degree:
-                raise FormError("cannot add forms of different degree")
-            return DifferentialForm.build(
-                self.degree, list(self.coefficients) + list(other.coefficients))
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + other.scale(Rat(-1))
-
-    def scale(self, factor) -> "DifferentialForm":
-        return DifferentialForm.build(
-            self.degree,
-            [(key, Mul((as_expr(factor), c))) for key, c in self.coefficients])
-
 
 def scalar_form(e) -> DifferentialForm:
     c = normalize(as_expr(e))

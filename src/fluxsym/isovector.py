@@ -1,4 +1,4 @@
-"""Generator application, ideal reduction and determining-equation extraction.
+"""The generator's action, ideal reduction and determining-equation extraction.
 
 The restricted translation/scaling generator acts on the exterior system
 {mu_1, mu_2}.  Invariance demands each Lie derivative lie in the algebraic
@@ -34,54 +34,37 @@ class DerivationError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Generator
+# The generator
 # --------------------------------------------------------------------------
 
-class Generator(NamedTuple):
-    """Coefficients of the restricted translation/scaling vector field.
-
-    Each coordinate coefficient is affine in its own coordinate with
-    constant symbols only: (a1 + a2*r, a3 + a4*t, a5 + a6*phi, a7 + a8*w).
-    """
-    xi_t: Expr
-    xi_r: Expr
-    xi_phi: Expr
-    xi_w: Expr
-
-    @staticmethod
-    def standard(model: Model) -> "Generator":
-        def coef(c0, c1, coord):
-            return normalize(Add((Sym(c0), Mul((Sym(c1), coord)))))
-        return Generator(
-            xi_t=coef("a3", "a4", model.t),
-            xi_r=coef("a1", "a2", model.r),
-            xi_phi=coef("a5", "a6", model.phi),
-            xi_w=coef("a7", "a8", model.w),
-        )
-
-    def coordinate_coefficient(self, name: str) -> Expr:
-        return {"t": self.xi_t, "r": self.xi_r,
-                "phi": self.xi_phi, "w": self.xi_w}[name]
+def standard_generator(model: Model) -> dict:
+    """The restricted translation/scaling vector field chi, as a map from
+    each coordinate q to its coefficient xi_q: affine in its own coordinate
+    with constant symbols only (a1 + a2*r, a3 + a4*t, a5 + a6*phi, a7 + a8*w)."""
+    def coef(c0, c1, coord):
+        return normalize(Add((Sym(c0), Mul((Sym(c1), coord)))))
+    return {"t": coef("a3", "a4", model.t), "r": coef("a1", "a2", model.r),
+            "phi": coef("a5", "a6", model.phi), "w": coef("a7", "a8", model.w)}
 
 
-def lie_scalar(gen: Generator, f, model: Model) -> Expr:
+def lie_scalar(gen: dict, f, model: Model) -> Expr:
     """Directional derivative of a scalar along the generator, with jet
     propagation: chi(D) = xi_r D_r + xi_t D_t, chi(D_r) = xi_r D_rr + xi_t D_rt."""
     return apply_derivation(
         f, lambda sym: _lie_symbol(sym, gen, model), model.table)
 
 
-def _lie_symbol(s: Sym, gen: Generator, model: Model) -> Expr:
+def _lie_symbol(s: Sym, gen: dict, model: Model) -> Expr:
     """chi(s): a coordinate's coefficient, or else the jet rule of
     `differentiate` along r and t."""
-    if model.table.info(s.name).kind == "coordinate":
-        return gen.coordinate_coefficient(s.name)
-    terms = tuple(Mul((gen.coordinate_coefficient(q), d)) for q in ("r", "t")
+    if s.name in gen:
+        return gen[s.name]
+    terms = tuple(Mul((gen[q], d)) for q in ("r", "t")
                   if (d := differentiate(s, q, model.table)) != ZERO)
     return Add(terms) if terms else ZERO
 
 
-def lie_form(gen: Generator, alpha: DifferentialForm, model: Model) -> DifferentialForm:
+def lie_form(gen: dict, alpha: DifferentialForm, model: Model) -> DifferentialForm:
     """Lie derivative of a form: for each term f dq1∧...∧dqk,
     chi(f)·basis plus f times every slot replaced by d[chi(q_i)]."""
     table = model.table
@@ -231,7 +214,7 @@ def extract_determining(model: Model,
     determining system for the material properties."""
     table = model.table
     geometry = model.geometry_index(geometry_mode)
-    gen = Generator.standard(model)
+    gen = standard_generator(model)
     r_mu1 = build_mu1(model, geometry)
     mu2 = build_mu2(model)
     basis = (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
@@ -310,10 +293,10 @@ def extract_determining(model: Model,
             assumption="D != 0"))
 
     generator_final = {
-        "r": to_text(gen.xi_r),
-        "t": to_text(gen.xi_t),
-        "phi": to_text(substitute(gen.xi_phi, links, table)),
-        "w": to_text(substitute(gen.xi_w, links, table)),
+        "r": to_text(gen["r"]),
+        "t": to_text(gen["t"]),
+        "phi": to_text(substitute(gen["phi"], links, table)),
+        "w": to_text(substitute(gen["w"], links, table)),
     }
 
     system = DeterminingSystem(
@@ -489,7 +472,7 @@ def closure_check(model: Model) -> ClosureResult:
     sections the remainder onto the (r, t) basis, and certifies it is
     identically zero.
     """
-    gen = Generator.standard(model)
+    gen = standard_generator(model)
     mu3 = build_mu3(model)
     lie_mu3 = lie_form(gen, mu3, model)
     solve = ideal_reduce(lie_mu3, (("mu3", mu3, ("t", "D")),))

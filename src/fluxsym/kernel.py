@@ -322,8 +322,20 @@ def _div(a, b):
     return _num(Fraction(a) / b)
 
 
+# A constant power c^k takes about |k| times the bit length of c to store:
+# past this many bits it is refused before it is formed.  10^1000000 (3.3
+# million bits) is below it; 10^(10^7) would take seconds to multiply out.
+_MAX_POWER_BITS = 2 ** 22
+
+
 def _rat_pow(c, k: int):
     """c**k for a nonzero rational c and an integer k, exactly."""
+    n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+    bits = max(abs(n).bit_length(), d.bit_length())
+    if bits > 1 and abs(k) * bits > _MAX_POWER_BITS:
+        base = c if type(c) is int and c > 0 else f"({c})"
+        raise KernelError(
+            f"the constant power {base}^{k} would take more than 2^22 bits")
     return c ** k if k >= 0 else _num(Fraction(c) ** k)
 
 

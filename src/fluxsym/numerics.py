@@ -552,6 +552,9 @@ def invariance_residual(grid: GridSpec, material: MaterialModel,
 
     Each level's interior stencil is built once and shared by its base
     field, its transformed field and (on the first grid) the eps/2 control."""
+    if p.eps == 0:
+        raise SolverError("the invariance study needs a nonzero eps: at "
+                          "eps = 0 the map is the identity")
     levels, residuals, base_residuals = [], [], []
     clipped = 0.0
     f0 = solve_pde(grid, material, ic, bc)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fluxsym.forms import DifferentialForm
 from fluxsym.kernel import Add, Call, Mul, Pow, Rat, Sym
 from fluxsym.model import Model
 
@@ -31,3 +32,15 @@ def random_expression(rng: random.Random, symbols, depth=3, funcs=()):
                    Rat(rng.randint(0, 3)))
     return Call(rng.choice(funcs),
                 (random_expression(rng, symbols, depth - 1, funcs),))
+
+
+def form_sum(*forms):
+    """The sum of forms of one degree, each coefficient normalized once."""
+    return DifferentialForm.build(
+        forms[0].degree, [term for f in forms for term in f.coefficients])
+
+
+def form_scale(form, factor):
+    """`factor` times `form`, each coefficient normalized once."""
+    return DifferentialForm.build(
+        form.degree, [(key, Mul((factor, c))) for key, c in form.coefficients])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,10 @@ def test_tol_is_only_an_option_of_cases_and_verify(tmp_path, command):
     ["verify", "--case", "B", "--a1", "1", "--a2", "0", "--a3", "0",
      "--a4", "0"],
     ["verify", "--case", "D", "--invariance", "--eps", "0.9"],
+    # at eps = 0 the map is the identity: the ratios read 4.00, 4.00 with no
+    # symmetry tested
+    ["verify", "--case", "D", "--a3", "1", "--eps", "0", "--invariance",
+     "--refine", "2"],
     ["verify", "--case", "D", "--a3", "-0.5"],
     ["verify", "--invariance"],
     ["derive", "--config", "missing.json"],
@@ -478,6 +483,27 @@ def test_a_finite_map_past_the_float_range_is_a_one_line_error(tmp_path, argv,
     assert done.returncode == 2
     assert done.stderr == (f"verify: the finite map's factor {factor} is past "
                            f"the float range\n")
+
+
+def test_verify_without_invariance_does_not_read_eps(tmp_path):
+    code, _ = run(tmp_path, "verify", "--case", "D", "--a3", "1",
+                  "--eps", "0")
+    assert code == 0
+
+
+def test_a_constant_power_past_the_bound_fails_at_once(tmp_path, capsys):
+    # 10^(10^7) once took 8 s to multiply out before failing
+    csv = tmp_path / "huge.csv"
+    start = time.perf_counter()
+    code = main(["simulate", "--D", "10^(10^7)", "--nr", "8", "--nt", "8",
+                 "--csv", str(csv), "--out", str(tmp_path / "r.json")])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == ("simulate: the constant power "
+                                       "10^10000000 would take more than "
+                                       "2^22 bits\n")
+    assert elapsed < 1.0
+    assert not csv.exists()
 
 
 def test_the_map_factor_is_checked_only_where_the_map_is_used(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,24 @@ def test_constant_power_with_integer_exponent_joins_the_coefficient():
     assert normalize(h * h - 2) == ZERO
     assert normalize(1 + h * h) == Rat(3)
     assert normalize((1 + h) ** Rat(3)) == normalize(7 + 5 * h)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("10^(10^7)", "10^10000000"), ("(1/3)^(10^7)", "3^-10000000"),
+    # the content of a sum base
+    ("(-3/2 - 3/2*r)^(-10^7)", "(-3/2)^-10000000")])
+def test_a_constant_power_past_2_22_bits_is_refused_before_it_is_formed(
+        model, text, message):
+    # |k| times the bit length of the base bounds the bits of c^k
+    with pytest.raises(KernelError, match=rf"^the constant power "
+                                          rf"{re.escape(message)} would take "
+                                          rf"more than 2\^22 bits$"):
+        parse(text, model.table)
+
+
+def test_a_power_of_1_or_minus_1_is_not_bounded(model):
+    # its bits do not grow with k
+    assert normalize(parse("(-1)^(10^9) + 1^(-10^9)", model.table)) == Rat(2)
 
 
 def test_constant_power_keeps_an_exponent_below_one(model):

@@ -796,6 +796,19 @@ def test_invariance_zero_parameter_equals_base_residual():
         max_interior_residual(field), rel=1e-9)
 
 
+def test_an_invariance_study_at_eps_0_is_refused():
+    # at eps = 0 the map is the identity, so the "transformed" residuals are
+    # the base residuals: their ratios read 4 and no symmetry is tested
+    grid = GridSpec(0.5, 1.5, 1.0, 16, 16)
+    ic = lambda r: 1.0 + np.cos(math.pi * (r - 0.5))
+    with pytest.raises(SolverError, match="^the invariance study needs a "
+                                          "nonzero eps: at eps = 0 the map "
+                                          "is the identity$"):
+        invariance_residual(grid, case_d_material(),
+                            TransformParams(0.0, CASE_D_A), ic, ZERO_GRAD,
+                            refinements=2)
+
+
 def test_invariance_mutated_material_plateaus():
     # perturbing the family exponent breaks the symmetry: the residual sits
     # at an O(epsilon) level instead of vanishing with the mesh

@@ -3,7 +3,9 @@
 On the conftest random expressions, `normalize` and `linear_combination`
 must agree with sympy's `expand`, `differentiate` with `diff` and
 `substitute` with `subs`: the difference of the two results, expanded by
-sympy, is zero.  Material functions map to sympy functions of (r, t), their
+sympy, is zero.  On the shapes of the case families, `is_zero`,
+`poly_div_exact`, `strip_coordinates` and `sign_normalize` are checked the
+same way.  Material functions map to sympy functions of (r, t), their
 jets to derivatives, and a unary function's derivative symbol G' to the
 derivative of G.
 """
@@ -14,8 +16,9 @@ from fractions import Fraction
 import pytest
 
 from fluxsym.kernel import (
-    Add, Call, Mul, Pow, Rat, Sym, ZeroVerdict, differentiate, is_zero,
-    linear_combination, normalize, substitute,
+    Add, Call, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict, differentiate, is_zero,
+    linear_combination, normalize, poly_div_exact, sign_normalize,
+    strip_coordinates, substitute,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -216,3 +219,90 @@ def test_is_zero_agrees_with_expand_on_family_shapes():
     # square to the power -1, such as (F(a4) + r + a1*a2)^(-2).  They are
     # data for the normal form, not failures; more of them is a regression
     assert unknown <= 9
+
+
+TABLE = Model().table
+
+
+def family_normal_form(rng):
+    """A nonzero normal form in the case-family shapes, with no pole."""
+    while True:
+        e = normalize(family_expression(rng))
+        if e != ZERO and not to_sympy(e, TABLE).has(sympy.zoo, sympy.nan):
+            return e
+
+
+def family_monomial(rng):
+    """A rational times one to three powers of a family symbol, of
+    a3 + a4*t to a1/a4 or a2/a4, or G or F applied to a family shape."""
+    factors = [Rat(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3)))]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.6:
+            factors.append(Pow(Sym(rng.choice(FAMILY_NAMES)),
+                               Rat(rng.randint(-2, 3))))
+        elif kind < 0.8:
+            factors.append(Pow(Sym("a3") + Sym("a4") * Sym("t"),
+                               Sym(rng.choice(("a1", "a2"))) / Sym("a4")))
+        else:
+            factors.append(Call(rng.choice(("G", "F")),
+                                (family_expression(rng, 1),)))
+    return normalize(Mul(tuple(factors)))
+
+
+def vanishes(x):
+    """x is 0 for sympy, once over one denominator and with the powers of
+    one base merged: sympy leaves b^(a1/a4)*b^(a2/a4) apart from
+    b^(a1/a4 + a2/a4) when b is a sum."""
+    return sympy.powsimp(sympy.expand(sympy.together(x))) == 0
+
+
+def test_poly_div_exact_agrees_with_expand_on_family_shapes():
+    # q*m0 divided by q is m0; and whatever pair is divided, a quotient it
+    # returns times the divisor is the dividend
+    rng = random.Random(137)
+    returned = 0
+    for _ in range(150):
+        q, m0 = family_normal_form(rng), family_monomial(rng)
+        p = normalize(q * m0)
+        assert poly_div_exact(p, q) == m0, (q, m0)
+        for dividend, divisor in (
+                (normalize(p + family_expression(rng)), q),
+                (family_normal_form(rng), q), (p, m0), (m0, p)):
+            m = poly_div_exact(dividend, divisor)
+            if m is not None:
+                returned += 1
+                assert vanishes(to_sympy(m, TABLE) * to_sympy(divisor, TABLE)
+                                - to_sympy(dividend, TABLE)), (dividend, divisor)
+    assert returned >= 100
+
+
+def test_strip_coordinates_divides_by_a_monomial_in_r_and_t():
+    # strip_coordinates(e) is e / (c*r^i*t^j) for a nonzero rational c and
+    # integers i, j
+    r, t = sympy.symbols("r t")
+    rng = random.Random(139)
+    stripped = 0
+    for _ in range(200):
+        e = family_normal_form(rng)
+        ratio = sympy.cancel(sympy.together(
+            to_sympy(e, TABLE) / to_sympy(strip_coordinates(e), TABLE)))
+        c, rest = ratio.as_independent(r, t, as_Add=False)
+        powers = {} if rest == 1 else rest.as_powers_dict()
+        assert c.is_Rational and c != 0, (e, ratio)
+        assert set(powers) <= {r, t}, (e, ratio)
+        assert all(x.is_Integer for x in powers.values()), (e, ratio)
+        stripped += bool(powers)
+    assert stripped >= 10
+
+
+def test_sign_normalize_is_e_or_minus_e():
+    rng = random.Random(149)
+    flipped = 0
+    for _ in range(200):
+        e = family_normal_form(rng)
+        ours, theirs = to_sympy(sign_normalize(e), TABLE), to_sympy(e, TABLE)
+        if not vanishes(ours - theirs):
+            assert vanishes(ours + theirs), e
+            flipped += 1
+    assert flipped >= 10
