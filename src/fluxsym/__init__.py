@@ -3,18 +3,3 @@ equation: a purpose-built symbolic kernel, differential forms, generator
 application with determining-equation extraction and audit, closed-form
 material families by characteristics, and a finite-difference verification
 harness."""
-
-from .kernel import (
-    Add, Call, Expr, Mul, Pow, Rat, Sym, SymbolTable, ZeroVerdict,
-    differentiate, evaluate, is_zero, normalize, substitute, to_text,
-)
-from .model import Model
-from .parser import parse
-
-__all__ = [
-    "Add", "Call", "Expr", "Model", "Mul", "Pow", "Rat", "Sym",
-    "SymbolTable", "ZeroVerdict", "differentiate", "evaluate", "is_zero",
-    "normalize", "parse", "substitute", "to_text",
-]
-
-__version__ = "0.1.0"

@@ -137,11 +137,6 @@ def _boundary(text):
         "(zero_gradient or dirichlet:<finite value>)")
 
 
-def _a_values(args) -> dict:
-    return {name: float(getattr(args, name))
-            for name in ("a1", "a2", "a3", "a4", "a6")}
-
-
 def _case_materials(case, a: dict, amplitude: float):
     """Numeric material callables for one case instance with G and F from
     `sampled_functions(amplitude)`.  Constants that violate a condition of
@@ -253,12 +248,12 @@ def cmd_verify(args) -> int:
         if not result.identically_zero:
             failures.append("closure residual nonzero")
     if args.case:
-        a = _a_values(args)
+        params = TransformParams(args.eps, vars(args))
+        a = params.a
         grid = GridSpec(args.r0, args.r1, args.t1, args.nr, args.nt,
                         geometry=0)
         case = find_case(model, args.case)
         material = _case_materials(case, a, args.amplitude)
-        params = TransformParams(args.eps, a)
         # the finite-difference floor of the material check needs a fine
         # step; decouple it from the (coarse) solver grid
         fd_grid = GridSpec(args.r0, args.r1, args.t1,
@@ -311,7 +306,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    csv_path = args.csv or "field.csv"
+    csv_path = args.csv
     if args.out is not None and (
             os.path.realpath(args.out) == os.path.realpath(csv_path)):
         # the report would overwrite the field it describes
@@ -418,7 +413,7 @@ def _simulate_arguments(p):
     p.add_argument("--t1", type=_finite, default=1.0)
     p.add_argument("--nr", type=int, default=32)
     p.add_argument("--nt", type=int, default=32)
-    p.add_argument("--csv", default=None)
+    p.add_argument("--csv", default="field.csv")
 
 
 # command -> (its help line, the function adding its own arguments, its handler)

@@ -25,7 +25,7 @@ from .kernel import (
     linear_combination, normalize, poly_div_exact, sign_normalize,
     strip_coordinates, substitute, to_text,
 )
-from .model import Model
+from .model import GROUP_CONSTANTS, Model
 from .parser import parse
 
 
@@ -180,7 +180,7 @@ class Reduction(NamedTuple):
     the symbolic geometry lock, a1 = 0 under a literal one, none without a
     lock)."""
     relations: tuple    # ((jet name, relation, its jet coefficient), ...)
-    links: dict         # {"a5": 0, "a7": 0, "a8": a6 - a2}
+    links: dict         # {"a5": 0, "a7": 0, "a8": a6 - a2}, each solved
     pins: tuple         # ({name: 0}, ...)
 
     def branches(self, e: Expr, table: SymbolTable) -> list:
@@ -220,14 +220,14 @@ def extract_determining(model: Model,
     basis = (("r*mu1", r_mu1, ("r", "phi")), ("mu2", mu2, ("t", "phi")))
 
     lie_r_mu1 = lie_form(gen, r_mu1, model)
-    solve1 = ideal_reduce(lie_r_mu1, basis)
-    solve2 = ideal_reduce(lie_form(gen, mu2, model), basis)
+    solves = (("chi(r*mu1)", ideal_reduce(lie_r_mu1, basis)),
+              ("chi(mu2)", ideal_reduce(lie_form(gen, mu2, model), basis)))
 
     # each coefficient of a monomial in the independent coordinates phi, w
     # must vanish separately for the identity to hold on the manifold
     residual_equations = []
     split_map: dict = {}
-    for source, solve in (("chi(r*mu1)", solve1), ("chi(mu2)", solve2)):
+    for source, solve in solves:
         for slots, expr in solve.residual_form.coefficients:
             label = basis_label(slots)
             for key, coef in sorted(collect_by(expr, ("phi", "w")).items(),
@@ -237,22 +237,31 @@ def extract_determining(model: Model,
                 residual_equations.append(eq)
                 split_map[(source, label, to_text(key))] = eq.expression
 
-    # gradient-definition reduction: w-translation and the w-scaling link
-    e_w_translation = split_map.get(("chi(mu2)", "dt∧dr", "1"), ZERO)
-    e_w_link = split_map.get(("chi(mu2)", "dt∧dr", "w"), ZERO)
-    a8_solution = solve_linear(e_w_link, "a8")
-    if a8_solution is None:
-        raise DerivationError("w-scaling link is not linear in a8")
-
     # flux-balance reduction
     e_dw = split_map.get(("chi(r*mu1)", "dt∧dw", "1"), ZERO)
     diffusion_pde = strip_coordinates(e_dw)
     e_gamma = split_map.get(("chi(r*mu1)", "dt∧dr", "phi"), ZERO)
     gamma_pde = strip_coordinates(e_gamma)
-    e_flux_translation = split_map.get(("chi(r*mu1)", "dt∧dr", "1"), ZERO)
     e_lambda2 = split_map.get(("chi(r*mu1)", "dt∧dr", "w"), ZERO)
 
-    links = {"a5": ZERO, "a7": ZERO, "a8": a8_solution}
+    # each link is solved from its residual: the flux translation r*Gamma*a5,
+    # then the w-translation and the w-scaling link of the gradient definition
+    links = {}
+    constraints = []
+    for name, key, assumption in (
+            ("a5", ("chi(r*mu1)", "dt∧dr", "1"), "Gamma is not identically 0"),
+            ("a7", ("chi(mu2)", "dt∧dr", "1"), None),
+            ("a8", ("chi(mu2)", "dt∧dr", "w"), None)):
+        residual = split_map.get(key, ZERO)
+        solution = solve_linear(residual, name)
+        if solution is None or not free_symbols(solution) <= set(GROUP_CONSTANTS):
+            raise DerivationError(
+                f"the {name} link is not solved by group constants alone: "
+                f"{to_text(residual)} = 0")
+        links[name] = solution
+        constraints.append(Constraint(name, sign_normalize(Sym(name) - solution),
+                                      f"{name} = {to_text(solution)}", assumption))
+
     diffusion_pde_reduced = sign_normalize(
         substitute(diffusion_pde, links, table))
     diffusion_second_order = sign_normalize(
@@ -265,47 +274,27 @@ def extract_determining(model: Model,
             ("D_t", diffusion_pde),
             ("D_rt", differentiate(diffusion_pde, "r", table)),
             ("Gamma_t", gamma_pde)))
-    leftover = strip_coordinates(
-        substitute(_eliminate(e_lambda2, relations), links, table))
+    reduction = Reduction(relations, links, ())
+    leftover = strip_coordinates(reduction.branches(e_lambda2, table)[0])
     if free_symbols(leftover) & {"D_r", "D_t", "D_rr", "D_rt"}:
         raise DerivationError(
             f"unexpected jets in the reduced flux residual: {to_text(leftover)}")
 
-    # the flux-translation residual is r*Gamma*a5: check and reduce
-    a5_eq = strip_coordinates(e_flux_translation)
-    if substitute(a5_eq, {"a5": ZERO}, table) != ZERO:
-        raise DerivationError("flux-translation residual is not linear in a5")
-    constraints = [
-        Constraint("a5", Sym("a5"), "a5 = 0",
-                   assumption="Gamma is not identically 0"),
-        Constraint("a7", sign_normalize(e_w_translation), "a7 = 0"),
-        Constraint("a8", sign_normalize(e_w_link),
-                   f"a8 = {to_text(a8_solution)}"),
-    ]
-
     geometry_lock = None if leftover == ZERO else leftover
-    pins = ()
     if geometry_lock is not None:
         symbolic = geometry_mode == "symbolic"
-        pins = ({"n": ZERO}, {"a1": ZERO}) if symbolic else ({"a1": ZERO},)
+        reduction = reduction._replace(pins=(
+            ({"n": ZERO}, {"a1": ZERO}) if symbolic else ({"a1": ZERO},)))
         constraints.append(Constraint(
             "geometry_lock", leftover, "n*a1 = 0" if symbolic else "a1 = 0",
             assumption="D != 0"))
 
-    generator_final = {
-        "r": to_text(gen["r"]),
-        "t": to_text(gen["t"]),
-        "phi": to_text(substitute(gen["phi"], links, table)),
-        "w": to_text(substitute(gen["w"], links, table)),
-    }
-
     system = DeterminingSystem(
         geometry_mode=geometry_mode,
         residual_equations=tuple(residual_equations),
-        multipliers={
-            "chi(r*mu1)": tuple((n, p, to_text(l)) for n, p, l in solve1.multipliers),
-            "chi(mu2)": tuple((n, p, to_text(l)) for n, p, l in solve2.multipliers),
-        },
+        multipliers={source: tuple((n, p, to_text(l))
+                                   for n, p, l in solve.multipliers)
+                     for source, solve in solves},
         constraints=tuple(constraints),
         diffusion_pde=diffusion_pde,
         diffusion_pde_reduced=diffusion_pde_reduced,
@@ -313,14 +302,15 @@ def extract_determining(model: Model,
         diffusion_second_order=diffusion_second_order,
         geometry_lock=geometry_lock,
         flux_phi_t_coefficient=lie_r_mu1.get("phi", "t"),
-        generator_final=generator_final,
+        generator_final={q: to_text(substitute(xi, links, table))
+                         for q, xi in gen.items()},
         assumptions=("D != 0", "Gamma is not identically 0"),
         notes=(
             "multiplier_w_independence: the dphi∧dt match fixes the second "
             "multiplier without any w dependence; the w-split of the dt∧dr "
             "residual then forces it to vanish",
         ),
-        reduction=Reduction(relations, links, pins),
+        reduction=reduction,
     )
     check_self_consistency(system, model)
     return system
@@ -384,10 +374,6 @@ def audit_against_published(system: DeterminingSystem,
         primary["geometry_translation_lock"] = system.geometry_lock
     primary = {key: strip_coordinates(e) for key, e in primary.items()}
     second_order = strip_coordinates(system.diffusion_second_order)
-    consequences = {
-        "diffusion_second_order": second_order,
-        "diffusion_second_order_reduced": second_order,
-    }
 
     unknown = 0
     rows = []
@@ -402,10 +388,9 @@ def audit_against_published(system: DeterminingSystem,
             rows.append(AuditRow(identifier, text, to_text(engine),
                                  "reproduced"))
             continue
-        conseq = consequences.get(identifier)
-        if conseq is not None and conseq == printed:
+        if printed == second_order:
             rows.append(AuditRow(
-                identifier, text, to_text(conseq), "implied",
+                identifier, text, to_text(second_order), "implied",
                 note="r-derivative of the first-order diffusion condition "
                      "under the w-scaling link"))
             continue

@@ -481,8 +481,30 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
+# A sum of m terms to the power k expands to C(k+m-1, m-1) terms: past
+# this many it is refused before it is multiplied out, as it is when k times
+# the bit length of its coefficients passes _MAX_POWER_BITS.  (1 + r)^399,
+# the largest power of a binomial allowed, takes 0.2-0.3 s to expand on a
+# shared 2-CPU x86-64 host, where (1 + r)^499 took up to 0.42 s.
+_MAX_POWER_TERMS = 400
+
+
 def _poly_int_pow(p: dict, k: int) -> dict:
-    """p**k for k >= 1; `p` itself, read-only, when k is 1."""
+    """p**k for k >= 1; `p` itself, read-only, when k is 1.  Rational
+    coefficients are multiplied out as integers: (d*p)^k / d^k."""
+    if k == 1:
+        return p
+    m = len(p)
+    # the count is above k for m > 1: a large k is refused without it
+    if k >= _MAX_POWER_TERMS or math.comb(k + m - 1, m - 1) > _MAX_POWER_TERMS:
+        raise KernelError(f"a power of a sum of {m} terms would expand to "
+                          f"more than {_MAX_POWER_TERMS} terms")
+    d = math.lcm(*(Fraction(c).denominator for c in p.values()))
+    if d != 1:
+        return _poly_scale(_poly_int_pow(_poly_scale(p, d), k),
+                           Fraction(1, d ** k))
+    if k * max(abs(c).bit_length() for c in p.values()) > _MAX_POWER_BITS:
+        raise KernelError("a power of a sum would take more than 2^22 bits")
     result = None
     while True:
         if k & 1:
@@ -551,8 +573,6 @@ def _poly_product(factors) -> dict:
 
     def absorb(f: Expr, outer):
         nonlocal coef, zero
-        if zero:
-            return
         t = type(f)
         if t is Mul:
             for g in f.factors:
@@ -568,11 +588,13 @@ def _poly_product(factors) -> dict:
             return
         pf = _to_poly(f)
         if not pf:
-            # 0**e: zero for positive exponents, opaque otherwise
-            if not isinstance(outer, Expr) and outer > 0:
-                zero = True
-            else:
-                pairs.append((ZERO, outer))
+            # 0^x is 0 for a constant x > 0 and 1 for x = 0; a pole or a
+            # symbolic power is refused wherever it sits in the product
+            if isinstance(outer, Expr) or outer < 0:
+                raise KernelError(
+                    f"{to_text(Pow(ZERO, as_expr(outer)))} has a zero base "
+                    "and a negative or symbolic exponent")
+            zero = zero or outer > 0
             return
         if len(pf) == 1:
             (mono, c), = pf.items()
@@ -1119,7 +1141,11 @@ def to_text(e: Expr) -> str:
     """Deterministic infix form using the documented grammar."""
     if isinstance(e, Rat):
         v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        try:
+            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        except ValueError:      # sys.get_int_max_str_digits(), 4300 by default
+            raise KernelError("a constant past the interpreter's limit on "
+                              "the digits of an int has no printed form") from None
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Call):

@@ -119,7 +119,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Rat(Fraction(tok.text))
+            try:
+                return Rat(Fraction(tok.text))
+            except ValueError:  # sys.get_int_max_str_digits(), 4300 by default
+                raise ParseError("number past the interpreter's limit on the "
+                                 "digits of an int", tok.offset) from None
         if tok.kind == "(":
             self.advance()
             node = self.expression()

@@ -506,6 +506,50 @@ def test_a_constant_power_past_the_bound_fails_at_once(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("diffusion, message", [
+    # a pole is not a zero: poles that cancel, or a zero factor beside one,
+    # are refused where the product is formed, in either factor order
+    ("1/2 + (r-r)^(-1) - (t-t)^(-1)", "0^(-1) has a zero base"),
+    ("1/2 + 0*(r-r)^(-1)", "0^(-1) has a zero base"),
+    ("1/2 + (r-r)^(-1)*0", "0^(-1) has a zero base"),
+    ("1/0", "0^(-1) has a zero base"),
+    # a power of a sum is bounded by its term count, before it is formed
+    ("(1 + r)^1000", "would expand to more than 400 terms"),
+    ("(1 + r + t)^60", "would expand to more than 400 terms"),
+])
+def test_an_undefined_or_unbounded_diffusion_fails_at_once(tmp_path, capsys,
+                                                           diffusion, message):
+    csv = tmp_path / "d.csv"
+    start = time.perf_counter()
+    code = main(["simulate", "--D", diffusion, "--nr", "8", "--nt", "8",
+                 "--csv", str(csv), "--out", str(tmp_path / "r.json")])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err, err
+    assert elapsed < 0.5
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("through_config", [False, True])
+def test_an_empty_csv_path_is_refused(tmp_path, monkeypatch, capsys,
+                                      through_config):
+    # --csv "" names no file: it does not fall back to field.csv
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--nr", "8", "--nt", "8"]
+    if through_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"csv": ""}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--csv", ""]
+    code = main(argv)
+    assert code == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == (
+        ["config.json"] if through_config else [])
+
+
 def test_the_map_factor_is_checked_only_where_the_map_is_used(tmp_path):
     code, _ = run(tmp_path, "verify", "--case", "D", "--a3", "1",
                   "--a6", "40000")

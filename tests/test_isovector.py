@@ -406,6 +406,49 @@ def test_solve_linear_helper(model):
     assert solve_linear(parse("a8^2 - a6", model.table), "a8") is None
 
 
+def _add_to_the_dt_dr_residual(monkeypatch, source, extra):
+    """Make extract_determining's reduction of `source` ("chi(r*mu1)", the
+    first, or "chi(mu2)") leave `extra` more in its dt∧dr coefficient."""
+    real = isovector.ideal_reduce
+    sources = iter(("chi(r*mu1)", "chi(mu2)"))
+
+    def shifted(lie_mu, basis):
+        solve = real(lie_mu, basis)
+        if next(sources) != source:
+            return solve
+        return solve._replace(residual_form=DifferentialForm.build(2, [
+            *solve.residual_form.coefficients, (("t", "r"), extra)]))
+    monkeypatch.setattr(isovector, "ideal_reduce", shifted)
+
+
+def test_the_links_are_solved_from_their_residuals(model, monkeypatch):
+    # a constant in the w-translation residual, a7 + 3, gives a7 = -3: in
+    # the constraint, the reduction's links and the final generator
+    _add_to_the_dt_dr_residual(monkeypatch, "chi(mu2)", Rat(3))
+    system = extract_determining(model, "symbolic")
+    a7 = next(c for c in system.constraints if c.name == "a7")
+    assert a7.equation == parse("a7 + 3", model.table)
+    assert a7.solved == "a7 = -3"
+    assert system.reduction.links["a7"] == Rat(-3)
+    assert system.generator_final["w"] == to_text(
+        parse("-3 + (a6 - a2)*w", model.table))
+
+
+@pytest.mark.parametrize("source, extra, name", [
+    ("chi(mu2)", "r", "a7"),                # a7 = -r
+    ("chi(mu2)", "a7^2", "a7"),             # not linear in a7
+    ("chi(mu2)", "D_r*w", "a8"),            # a8 = a6 - a2 - D_r
+    ("chi(r*mu1)", "Gamma_t*r", "a5"),      # a5 = Gamma_t/Gamma
+])
+def test_a_link_not_solved_by_group_constants_is_a_derivation_error(
+        model, monkeypatch, source, extra, name):
+    _add_to_the_dt_dr_residual(monkeypatch, source, parse(extra, model.table))
+    with pytest.raises(DerivationError, match=rf"^the {name} link is not "
+                                              r"solved by group constants "
+                                              r"alone: .* = 0$"):
+        extract_determining(model, "symbolic")
+
+
 # --- audit -------------------------------------------------------------------
 
 def test_audit_statuses(model):

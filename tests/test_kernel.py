@@ -7,8 +7,8 @@ import pytest
 
 from fluxsym import kernel
 from fluxsym.kernel import (
-    Add, Call, EvaluationError, KernelError, Mul, Pow, Rat, Sym, ZERO,
-    ZeroVerdict, as_expr, coefficient, differentiate, evaluate, is_zero,
+    Add, Call, EvaluationError, KernelError, MINUS_ONE, Mul, ONE, Pow, Rat,
+    Sym, ZERO, ZeroVerdict, as_expr, coefficient, differentiate, evaluate, is_zero,
     linear_combination, normalize, sign_normalize, substitute, to_text,
     collect_by, poly_div_exact, strip_coordinates, UndeclaredSymbolError,
 )
@@ -255,6 +255,59 @@ def test_a_constant_power_past_2_22_bits_is_refused_before_it_is_formed(
 def test_a_power_of_1_or_minus_1_is_not_bounded(model):
     # its bits do not grow with k
     assert normalize(parse("(-1)^(10^9) + 1^(-10^9)", model.table)) == Rat(2)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "(r-r)^(-1) - (t-t)^(-1)", "0*(r-r)^(-1)", "(r-r)^(-1)*0",
+    "0^a1", "0^(-1/2)", "r + 0^(a1 - a2)"])
+def test_a_zero_base_to_a_negative_or_symbolic_power_is_refused(model, text):
+    with pytest.raises(KernelError, match=r"has a zero base and a negative "
+                                          r"or symbolic exponent$"):
+        parse(text, model.table)
+
+
+def test_zero_to_a_constant_power(model):
+    # 0^0 is 1 and 0^x is 0 for a constant x > 0
+    assert parse("0^0", model.table) == ONE
+    assert parse("0^(1/2)", model.table) == ZERO
+    assert parse("r + 2*0^(3/2)", model.table) == Sym("r")
+
+
+def test_is_zero_of_cancelling_poles_is_not_zero():
+    # (r-r)^(-1) - (t-t)^(-1) once normalized to 0, a structural zero
+    r, t = Sym("r"), Sym("t")
+    e = Add((Pow(r - r, MINUS_ONE), Mul((MINUS_ONE, Pow(t - t, MINUS_ONE)))))
+    with pytest.raises(KernelError):
+        is_zero(e)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1 + r)^400", "a power of a sum of 2 terms would expand to more than "
+                    "400 terms"),
+    ("(1 + r + t)^27", "a power of a sum of 3 terms would expand to more "
+                       "than 400 terms"),
+    ("(1 + r)^(10^5000)", "a power of a sum of 2 terms would expand to more "
+                          "than 400 terms"),
+    ("(10^100000 + r)^300", "a power of a sum would take more than 2^22 bits"),
+    ("(r + 1/10^100000)^300", "a power of a sum would take more than 2^22 "
+                              "bits")])
+def test_a_power_of_a_sum_past_the_bound_is_refused_before_it_is_formed(
+        model, text, message):
+    with pytest.raises(KernelError, match=rf"^{re.escape(message)}$"):
+        parse(text, model.table)
+
+
+def test_a_power_of_a_sum_at_the_bound_is_expanded_exactly(model):
+    # C(k+m-1, m-1) terms, at most 400: 400 for a binomial to the 399th and
+    # 378 for a trinomial to the 26th
+    assert len(parse("(1 + r)^399", model.table).terms) == 400
+    assert len(parse("(1 + r + t)^26", model.table).terms) == 378
+    # rational coefficients are multiplied out over the integers
+    k = 7
+    expected = linear_combination(
+        (math.comb(k, i) * Fraction(1, 3) ** (k - i) * Fraction(-2, 5) ** i,
+         Sym("r") ** Rat(i)) for i in range(k + 1))
+    assert parse("(1/3 - 2*r/5)^7", model.table) == expected
 
 
 def test_constant_power_keeps_an_exponent_below_one(model):

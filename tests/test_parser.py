@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxsym.kernel import (
-    Add, ArityError, Mul, Pow, Rat, Sym, UndeclaredSymbolError,
+    Add, ArityError, KernelError, Mul, Pow, Rat, Sym, UndeclaredSymbolError,
     differentiate, normalize, to_text,
 )
 from fluxsym.model import Model
@@ -148,3 +148,66 @@ def test_round_trip_property(e):
     table = Model().table
     n = normalize(e)
     assert parse(to_text(n), table) == n
+
+
+def test_a_number_past_the_int_digit_limit_is_a_typed_error(model):
+    # Python converts at most 4300 digits between int and str by default:
+    # past it a literal is a ParseError and a constant has no printed form
+    with pytest.raises(ParseError, match="limit on the digits"):
+        parse("1" * 5000, model.table)
+    with pytest.raises(KernelError, match="has no printed form"):
+        to_text(parse("2^18000", model.table))
+    assert len(to_text(parse("2^14000", model.table))) == 4215
+
+
+_ATOMS = ("r", "t", "a1", "a4", "D_r", "Gamma", "q", "0", "1", "2", "1/2",
+          "0.5", "(r - r)")
+_EXPONENTS = ("0", "2", "3", "-1", "(1/2)", "(-1/2)", "a1", "30", "600",
+              "(10^7)")
+
+
+@st.composite
+def texts(draw, depth=3):
+    """Text in the grammar with errors mixed in: an undeclared name (q), a
+    wrong arity, a zero base (r - r) and powers past the bounds."""
+    if depth == 0:
+        return draw(st.sampled_from(_ATOMS))
+    a = draw(texts(depth=depth - 1))
+    kind = draw(st.integers(0, 7))
+    if kind <= 2:
+        op = draw(st.sampled_from("+-*/"))
+        return f"{a} {op} {draw(texts(depth=depth - 1))}"
+    if kind <= 4:
+        return f"({a})^{draw(st.sampled_from(_EXPONENTS))}"
+    if kind == 5:
+        return f"{draw(st.sampled_from(('G', 'exp', 'G', 'exp', 'D')))}({a})"
+    if kind == 6:
+        return f"G({a}, {draw(texts(depth=depth - 1))})"
+    return f"-{a}"
+
+
+@st.composite
+def damaged_texts(draw):
+    """A text of `texts`, one character of it replaced or dropped half of
+    the time."""
+    text = draw(texts())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(("", "(", ")", "^", "*", ",",
+                                                "@"))) + text[i + 1:]
+    return text
+
+
+@given(damaged_texts())
+@settings(max_examples=400, deadline=2000, derandomize=True)
+def test_any_text_round_trips_or_is_a_typed_error(text):
+    # within the deadline: the power bounds refuse what would take longer.
+    # A constant past the interpreter's limit on the digits of an int, such
+    # as (-(2)^30)^600, has no printed form: to_text raises KernelError
+    table = Model().table
+    try:
+        e = parse(text, table)
+        printed = to_text(e)
+    except (ParseError, UndeclaredSymbolError, ArityError, KernelError):
+        return
+    assert parse(printed, table) == e

@@ -10,15 +10,16 @@ jets to derivatives, and a unary function's derivative symbol G' to the
 derivative of G.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
 from fluxsym.kernel import (
-    Add, Call, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict, differentiate, is_zero,
-    linear_combination, normalize, poly_div_exact, sign_normalize,
-    strip_coordinates, substitute,
+    Add, Call, KernelError, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
+    differentiate, is_zero, linear_combination, normalize, poly_div_exact,
+    sign_normalize, strip_coordinates, subexpressions, substitute,
 )
 from fluxsym.model import Model
 from fluxsym.parser import parse
@@ -168,10 +169,10 @@ def test_substitute_agrees_with_subs():
 FAMILY_NAMES = ("r", "t", "a1", "a2", "a3", "a4")
 
 
-def family_expression(rng, depth=3):
+def family_expression(rng, depth=3, funcs=("G", "F")):
     """A random expression in the shapes of the case families: powers of
-    a3 + a4*t to a1/a4 or a2/a4, integer powers from -2 to 3, and G or F
-    applied to such arguments."""
+    a3 + a4*t to a1/a4 or a2/a4, integer powers from -2 to 3, and one of
+    `funcs` applied to such arguments."""
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
         if choice < 0.25:
@@ -183,14 +184,15 @@ def family_expression(rng, depth=3):
         return Sym(rng.choice(FAMILY_NAMES))
     kind = rng.randint(0, 3)
     if kind == 0:
-        return Add(tuple(family_expression(rng, depth - 1)
+        return Add(tuple(family_expression(rng, depth - 1, funcs)
                          for _ in range(rng.randint(2, 3))))
     if kind == 1:
-        return Mul(tuple(family_expression(rng, depth - 1)
+        return Mul(tuple(family_expression(rng, depth - 1, funcs)
                          for _ in range(rng.randint(2, 3))))
     if kind == 2:
-        return Pow(family_expression(rng, depth - 1), Rat(rng.randint(-2, 3)))
-    return Call(rng.choice(("G", "F")), (family_expression(rng, depth - 1),))
+        return Pow(family_expression(rng, depth - 1, funcs),
+                   Rat(rng.randint(-2, 3)))
+    return Call(rng.choice(funcs), (family_expression(rng, depth - 1, funcs),))
 
 
 def test_is_zero_agrees_with_expand_on_family_shapes():
@@ -221,13 +223,62 @@ def test_is_zero_agrees_with_expand_on_family_shapes():
     assert unknown <= 9
 
 
+def test_family_shapes_with_exp_agree_with_sympy_in_value():
+    # exp has no exact value, so is_zero answers unknown on a true zero
+    # that the normal form does not fold; it must never answer nonzero.
+    # normalize(e) and e agree in value at random positive points, with G
+    # and F read as cubics
+    table = Model().table
+    x = sympy.Dummy("x")
+    cubics = {sympy.Function("G"): sympy.Lambda(x, x**3 / 5 - x + 2),
+              sympy.Function("F"): sympy.Lambda(x, x**2 / 3 + x / 7 - 1)}
+    rng = random.Random(151)
+    unknown = checked = 0
+    while checked < 60:
+        e = family_expression(rng, funcs=("G", "F", "exp"))
+        if not any(type(n) is Call and n.func == "exp"
+                   for n in subexpressions(e)):
+            continue
+        theirs = to_sympy(e, table)
+        expanded = sympy.expand(theirs)
+        if expanded.has(sympy.zoo, sympy.nan):
+            continue        # a negative power of an identically zero base
+        try:
+            back = parse(str(expanded).replace("**", "^"), table)
+        except KernelError:
+            continue        # sympy prints exp(1) as E, which is no symbol
+        checked += 1
+        verdict = is_zero(e - back)
+        assert verdict != ZeroVerdict.NONZERO, e
+        unknown += verdict == ZeroVerdict.UNKNOWN
+        ours = to_sympy(normalize(e), table).replace(
+            lambda f: f.func in cubics, lambda f: cubics[f.func](*f.args))
+        theirs = theirs.replace(
+            lambda f: f.func in cubics, lambda f: cubics[f.func](*f.args))
+        point = {sympy.Symbol(n): sympy.Rational(rng.randint(1, 9), 4)
+                 for n in FAMILY_NAMES}
+        want, got = (complex(v.subs(point).evalf(30)) for v in (theirs, ours))
+        if not (cmath.isfinite(want) and cmath.isfinite(got)):
+            continue        # a pole at this point
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (e, point)
+    # an unknown verdict is a true zero that the normal form does not fold:
+    # 16 of these 60 are.  They are data for the normal form, not failures;
+    # more of them is a regression
+    assert unknown <= 16
+
+
 TABLE = Model().table
 
 
 def family_normal_form(rng):
-    """A nonzero normal form in the case-family shapes, with no pole."""
+    """A nonzero normal form in the case-family shapes, with no pole: one
+    that the kernel refuses (a zero base to a negative power) or that sympy
+    reads as zoo or nan is drawn again."""
     while True:
-        e = normalize(family_expression(rng))
+        try:
+            e = normalize(family_expression(rng))
+        except KernelError:
+            continue
         if e != ZERO and not to_sympy(e, TABLE).has(sympy.zoo, sympy.nan):
             return e
 
