@@ -208,8 +208,16 @@ class CaseResult(NamedTuple):
     gamma: MaterialSolution
     coincides_with: str | None
     notes: tuple
-    diffusion_check: BackSubstitution = None
-    gamma_check: BackSubstitution = None
+    diffusion_check: BackSubstitution
+    gamma_check: BackSubstitution
+
+    def failed_checks(self) -> tuple:
+        """(family, verdict) for each family, D then Gamma, whose
+        back-substitution verdict is neither zero nor numeric-only."""
+        return tuple((sol.func, check.verdict) for sol, check in
+                     ((self.diffusion, self.diffusion_check),
+                      (self.gamma, self.gamma_check))
+                     if check.verdict not in ("zero", "numeric-only"))
 
 
 CASE_CONSTRAINTS = {
@@ -222,54 +230,48 @@ CASE_CONSTRAINTS = {
 }
 
 
-def enumerate_cases(model: Model, verify: bool = True,
-                    tol: float = 1e-10) -> list:
-    """The six admissible constraint combinations and their material families.
+def enumerate_cases(model: Model, case_ids=tuple(CASE_CONSTRAINTS),
+                    tol: float = 1e-10) -> dict:
+    """{case id: its CaseResult} for the cases `case_ids`, in table order.
 
     The twelve conditions of the six cases are five distinct ones: three
     for D (c_r = a1 + a2 r, a2 r, 0) and two for Gamma (a1 + a2 r, a2 r).
-    Each is solved and back-substituted once, keyed by its value, and its
-    result shared by the cases that have it.  A case coincides with the
-    first case whose two conditions are equal to its own."""
+    Each condition of a requested case is solved and back-substituted once,
+    keyed by its value, and its result shared by the cases that have it.
+    A case coincides with the first case in the table, requested or not,
+    whose two conditions are equal to its own."""
     solved = {}
     first_with = {}
 
     def solve(pde):
         if pde not in solved:
             sol = solve_characteristics(pde, model)
-            check = back_substitute(sol, pde, model, tol) if verify else None
-            solved[pde] = sol, check
+            solved[pde] = sol, back_substitute(sol, pde, model, tol)
         return solved[pde]
 
-    results = []
+    cases = {}
     for case_id, constraints in CASE_CONSTRAINTS.items():
         pdes = material_conditions(model, constraints)
-        (d_sol, d_check), (g_sol, g_check) = map(solve, pdes)
         first = first_with.setdefault(pdes, case_id)
-        results.append(CaseResult(
-            case_id=case_id,
-            constraints=constraints,
-            diffusion=d_sol,
-            gamma=g_sol,
-            coincides_with=None if first == case_id else first,
-            notes=tuple(published.TABLE_NOTES[case_id]),
-            diffusion_check=d_check,
-            gamma_check=g_check,
-        ))
-    return results
-
-
-def find_case(model: Model, case_id: str) -> CaseResult:
-    """The unverified record of the case `case_id`."""
-    return next(c for c in enumerate_cases(model, verify=False)
-                if c.case_id == case_id)
+        if case_id not in case_ids:
+            continue
+        (d_sol, d_check), (g_sol, g_check) = map(solve, pdes)
+        cases[case_id] = CaseResult(
+            case_id, constraints, d_sol, g_sol,
+            None if first == case_id else first,
+            tuple(published.TABLE_NOTES[case_id]), d_check, g_check)
+    return cases
 
 
 def check_constants(case: CaseResult, a: dict) -> None:
-    """A ValueError naming the first non-degeneracy condition of the case's
-    D or Gamma family ("a2 != 0", "a4 = 0", ...), then the first constraint
-    of the case on a constant ("a1 = 0"), that the constants `a` violate:
+    """A ValueError naming the case's first family that fails
+    back-substitution, then the first non-degeneracy condition of its D or
+    Gamma family ("a2 != 0", "a4 = 0", ...), then the first constraint of
+    the case on a constant ("a1 = 0"), that the constants `a` violate:
     outside them the closed form does not solve its condition."""
+    for func, verdict in case.failed_checks():
+        raise ValueError(f"case {case.case_id}: the {func} family fails "
+                         f"back-substitution ({verdict})")
     checks = [(f"the {sol.func} family", condition)
               for sol in (case.diffusion, case.gamma)
               for condition in sol.conditions]

@@ -333,9 +333,12 @@ def _rat_pow(c, k: int):
     n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
     bits = max(abs(n).bit_length(), d.bit_length())
     if bits > 1 and abs(k) * bits > _MAX_POWER_BITS:
-        base = c if type(c) is int and c > 0 else f"({c})"
+        # str() refuses an int past 4300 digits: a long power is left out
+        power = ""
+        if max(bits, abs(k).bit_length()) <= 64:
+            power = f" {c}^{k}" if type(c) is int and c > 0 else f" ({c})^{k}"
         raise KernelError(
-            f"the constant power {base}^{k} would take more than 2^22 bits")
+            f"the constant power{power} would take more than 2^22 bits")
     return c ** k if k >= 0 else _num(Fraction(c) ** k)
 
 

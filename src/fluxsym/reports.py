@@ -105,7 +105,7 @@ def case_payload(case) -> dict:
             "symbol": sol.symbol,
             "conditions": list(sol.conditions),
             "branch": sol.branch,
-            "back_substitution": None if check is None else {
+            "back_substitution": {
                 "verdict": check.verdict,
                 "symbolic_zero": check.verdict == "zero",
                 "max_residual": check.max_residual,

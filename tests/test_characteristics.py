@@ -8,7 +8,7 @@ from fluxsym import characteristics, published
 from fluxsym.characteristics import (
     CASE_CONSTRAINTS, MaterialSolution, QuasiLinearPDE,
     UnsupportedBranchError, back_substitute, constant_material_constraints,
-    enumerate_cases, find_case, material_condition, solve_characteristics,
+    enumerate_cases, material_condition, solve_characteristics,
 )
 from fluxsym.isovector import extract_determining
 from fluxsym.kernel import (
@@ -60,9 +60,10 @@ def test_diffusion_gradient_free_solution(model):
 
 def test_all_cases_back_substitute_symbolically(model):
     cases = enumerate_cases(model)
-    assert len(cases) == 6
-    assert [c.case_id for c in cases] == list("ABCDEF")
-    for c in cases:
+    assert list(cases) == list("ABCDEF")
+    for case_id, c in cases.items():
+        assert c.case_id == case_id
+        assert c.failed_checks() == ()
         assert c.diffusion_check.verdict == "zero"
         assert c.gamma_check.verdict == "zero"
 
@@ -88,7 +89,7 @@ def test_each_distinct_condition_is_solved_once(model, monkeypatch):
         monkeypatch.setattr(characteristics, name, counted)
     cases = enumerate_cases(model)
     assert calls == {"solve_characteristics": 5, "back_substitute": 5}
-    for case, (case_id, row) in zip(cases, reference, strict=True):
+    for case, (case_id, row) in zip(cases.values(), reference, strict=True):
         assert case.case_id == case_id
         for (sol, check), got_sol, got_check in zip(
                 row, (case.diffusion, case.gamma),
@@ -96,8 +97,27 @@ def test_each_distinct_condition_is_solved_once(model, monkeypatch):
             assert to_text(got_sol.expression) == to_text(sol.expression)
             assert got_sol == sol
             assert got_check == check
-    enumerate_cases(model, verify=False)
-    assert calls == {"solve_characteristics": 10, "back_substitute": 5}
+
+
+def test_only_the_requested_cases_are_solved(model, monkeypatch):
+    # case C has two of the five distinct conditions; it still coincides
+    # with case B, which is not solved
+    calls = {"solve_characteristics": [], "back_substitute": []}
+    for name in calls:
+        def counted(first, *args, _original=getattr(characteristics, name),
+                    _name=name, **kwargs):
+            calls[_name].append(first)
+            return _original(first, *args, **kwargs)
+        monkeypatch.setattr(characteristics, name, counted)
+    cases = enumerate_cases(model, ("C",))
+    assert list(cases) == ["C"]
+    c = cases["C"]
+    assert c.coincides_with == "B"
+    pdes = [material_condition(model, func, CASE_CONSTRAINTS["C"])
+            for func in ("D", "Gamma")]
+    assert calls["solve_characteristics"] == pdes
+    assert calls["back_substitute"] == [c.diffusion, c.gamma]
+    assert enumerate_cases(model, ()) == {}
 
 
 def test_case_constraint_sets(model):
@@ -110,11 +130,12 @@ def test_case_constraint_sets(model):
         "F": ("n = 0", "a1 = 0", "D_r = 0"),
     }
     for case_id, constraints in CASE_CONSTRAINTS.items():
-        assert find_case(model, case_id).constraints == constraints
+        assert enumerate_cases(model, (case_id,))[case_id].constraints \
+            == constraints
 
 
 def test_case_a_shares_similarity_argument(model):
-    cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
+    cases = enumerate_cases(model)
     a = cases["A"]
     assert normalize(a.diffusion.xi - a.gamma.xi) == ZERO
     expected = parse("(r + a1/a2)*(a3 + a4*t)^(-a2/a4)", model.table)
@@ -122,7 +143,7 @@ def test_case_a_shares_similarity_argument(model):
 
 
 def test_case_coincidences(model):
-    cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
+    cases = enumerate_cases(model)
     assert cases["C"].coincides_with == "B"
     assert cases["F"].coincides_with == "E"
     for pair in (("C", "B"), ("F", "E")):
@@ -133,7 +154,7 @@ def test_case_coincidences(model):
 
 
 def test_case_d_gradient_term_absent(model):
-    cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
+    cases = enumerate_cases(model)
     table = model.table
     from fluxsym.kernel import differentiate
     d = cases["D"].diffusion.expression
@@ -248,7 +269,7 @@ def test_back_substitution_is_numeric_only_on_a_residual_it_cannot_fold(model):
 
 
 def test_published_table_notes_recorded(model):
-    cases = {c.case_id: c for c in enumerate_cases(model, verify=False)}
+    cases = enumerate_cases(model)
     assert any("exponent" in n for n in cases["A"].notes)
     assert any("missing t" in n for n in cases["B"].notes)
     assert cases["E"].notes == ()

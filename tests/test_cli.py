@@ -67,6 +67,19 @@ def test_cases_single_case(tmp_path):
     assert data["cases"][0]["D"]["similarity_argument"] is None
 
 
+@pytest.mark.parametrize("case_id", "ABCDEF")
+def test_a_single_case_is_its_entry_of_the_golden_file(tmp_path, capsys,
+                                                       case_id):
+    # solved on its own, a case keeps its families, its checks and the
+    # earlier case it coincides with
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "cases.json").read_text())
+    golden["cases"] = [c for c in golden["cases"] if c["case"] == case_id]
+    assert main(["cases", "--case", case_id, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(golden, sort_keys=True,
+                                                 indent=2) + "\n"
+
+
 def test_cases_json_to_stdout(tmp_path, capsys):
     code = main(["cases", "--case", "B", "--json"])
     assert code == 0
@@ -133,11 +146,40 @@ def test_verify_invariance_holds_with_translations_on(tmp_path, case, argv):
 
 
 @pytest.mark.parametrize("refine", ["0", "-1"])
-def test_verify_invariance_without_a_ratio_fails(tmp_path, refine):
+def test_verify_invariance_without_a_ratio_fails(tmp_path, capsys,
+                                                 monkeypatch, refine):
+    # a study with no refinement yields no ratio: refused before any solve
+    from fluxsym import cli
+    monkeypatch.setattr(cli, "enumerate_cases", None)
     code, out = run(tmp_path, "verify", "--case", "D", "--invariance",
                     "--refine", refine)
     assert code == 2
-    assert json.loads(out.read_text())["invariance"]["ratios"] == []
+    assert capsys.readouterr().err == (
+        "verify: --invariance needs --refine of at least 1\n")
+    assert not out.exists()
+
+
+def test_verify_refuses_a_family_that_fails_back_substitution(
+        tmp_path, capsys, monkeypatch):
+    # the case's own back-substitution is read before anything is compiled
+    from fluxsym import characteristics, cli
+    original = characteristics.back_substitute
+
+    def gamma_nonzero(sol, pde, model, tol=1e-10):
+        check = original(sol, pde, model, tol)
+        return check._replace(verdict="nonzero") if sol.func == "Gamma" \
+            else check
+    monkeypatch.setattr(characteristics, "back_substitute", gamma_nonzero)
+    compiled = []
+    monkeypatch.setattr(cli, "compile_numeric", lambda *a, **k:
+                        compiled.append(a))
+    code, out = run(tmp_path, "verify", "--case", "D", "--a3", "1")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "verify: case D: the Gamma family fails back-substitution "
+        "(nonzero)\n")
+    assert not out.exists()
+    assert compiled == []
 
 
 @pytest.mark.parametrize("command", ["derive", "simulate"])
@@ -331,18 +373,19 @@ def test_verify_checks_that_a_gradient_free_d_has_no_r(tmp_path, capsys,
     # case E's D solves c_t D_t = growth D, and so does D*(1 + r): the
     # unconstrained condition, which verify checks, tells them apart
     from fluxsym import cli
-    from fluxsym.characteristics import find_case
+    from fluxsym.characteristics import enumerate_cases
     from fluxsym.kernel import to_text
     from fluxsym.model import Model
     from fluxsym.parser import parse
 
     model = Model()
-    case = find_case(model, "E")
+    case = enumerate_cases(model, ("E",))["E"]
     d_of_r = parse(f"({to_text(case.diffusion.expression)})*(1 + r)",
                    model.table)
     assert case.diffusion.xi is None
-    monkeypatch.setattr(cli, "find_case", lambda model, case_id: case._replace(
-        diffusion=case.diffusion._replace(expression=d_of_r)))
+    monkeypatch.setattr(cli, "enumerate_cases", lambda model, case_ids: {
+        "E": case._replace(
+            diffusion=case.diffusion._replace(expression=d_of_r))})
     code, out = run(tmp_path, "verify", "--case", "E", "--a3", "1")
     assert code == 2
     assert json.loads(out.read_text())["material_residuals"]["res_D"] > 0.1
@@ -664,6 +707,34 @@ def test_config_never_overrides_an_explicit_flag(tmp_path):
     grid = json.loads(out.read_text())["grid"]
     assert (grid["n_r"], grid["n_t"]) == (32, 8)
     assert csv.is_file()
+
+
+@pytest.mark.parametrize("data", [[1, 2], "D", 3, None])
+def test_a_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys,
+                                                         data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--config", str(config)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "fluxsym derive: error: config file must hold a JSON object\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--D", "exp(r,t)"], "exp takes one argument (byte 0)"),
+    # 1/r is infinite at r0 = 0
+    (["--initial", "1/r", "--r0", "0"],
+     "initial profile must be finite node values"),
+])
+def test_simulate_refuses_a_bad_input_with_no_csv(tmp_path, capsys, argv,
+                                                  message):
+    csv = tmp_path / "field.csv"
+    code, out = run(tmp_path, "simulate", *argv, "--nr", "8", "--nt", "8",
+                    "--csv", str(csv))
+    assert code == 2
+    assert capsys.readouterr().err == f"simulate: {message}\n"
+    assert not csv.exists() and not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):

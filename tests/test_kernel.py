@@ -252,6 +252,18 @@ def test_a_constant_power_past_2_22_bits_is_refused_before_it_is_formed(
         parse(text, model.table)
 
 
+@pytest.mark.parametrize("text", ["2^(10^5000)", "(3/2)^(-10^5000)",
+                                  "(10^5000 + 1)^(10^3)",
+                                  "(-10^5000 - 1)^(10^3)"])
+def test_a_constant_power_too_long_to_print_still_names_the_bound(model,
+                                                                  text):
+    # a base or an exponent past 4300 digits cannot be formatted: the
+    # message leaves the power out
+    with pytest.raises(KernelError, match=r"^the constant power would take "
+                                          r"more than 2\^22 bits$"):
+        parse(text, model.table)
+
+
 def test_a_power_of_1_or_minus_1_is_not_bounded(model):
     # its bits do not grow with k
     assert normalize(parse("(-1)^(10^9) + 1^(-10^9)", model.table)) == Rat(2)

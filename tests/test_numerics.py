@@ -11,7 +11,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from fluxsym import numerics
 from fluxsym.characteristics import (
-    CASE_CONSTRAINTS, find_case, material_condition, sampled_functions,
+    CASE_CONSTRAINTS, enumerate_cases, material_condition, sampled_functions,
 )
 from fluxsym.cli import main
 from fluxsym.kernel import Call, EvaluationError, Pow, Rat, Sym, evaluate
@@ -375,7 +375,7 @@ def test_a_diffusion_zero_only_on_an_end_row_solves(zero_at):
 def test_material_residual_case_b_floor():
     from fluxsym.cli import _case_materials
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0}
-    material = _case_materials(find_case(Model(), "B"), a, 1.0)
+    material = _case_materials(enumerate_cases(Model(), ("B",))["B"], a, 1.0)
     grid = GridSpec(0.0, 1.0, 1.0, 2048, 2048)
     res = material_residual(material, CONDITIONS, TransformParams(0.02, a),
                             grid)
@@ -431,7 +431,8 @@ def test_material_residual_on_broadcast_axes_matches_a_meshgrid(case):
         a = {"a1": 0.3, "a2": 1.0, "a3": 0.5, "a4": 1.5, "a6": 0.1}
         if "a1 = 0" in CASE_CONSTRAINTS[case]:
             a["a1"] = 0.0
-        material = _case_materials(find_case(Model(), case), a, 0.7)
+        material = _case_materials(
+            enumerate_cases(Model(), (case,))[case], a, 0.7)
     params = TransformParams(0.02, a)
     assert (material_residual(material, CONDITIONS, params, grid)
             == _material_residual_on_a_meshgrid(material, params, grid))
@@ -865,7 +866,7 @@ def test_invariance_case_b_function_valued_materials():
     # subdominant; the mutated control separates from it
     from fluxsym.cli import _case_materials
     a = {"a1": 0.0, "a2": 1.0, "a3": 1.0, "a4": 2.0, "a6": 0.0}
-    mat = _case_materials(find_case(Model(), "B"), a, 1.0)
+    mat = _case_materials(enumerate_cases(Model(), ("B",))["B"], a, 1.0)
     p = TransformParams(0.005, a)
     ic = lambda r: 1.0 + np.cos(math.pi * r)
     rep = invariance_residual(GridSpec(0.0, 1.0, 1.0, 32, 32), mat, p, ic,

@@ -5,7 +5,8 @@ must agree with sympy's `expand`, `differentiate` with `diff` and
 `substitute` with `subs`: the difference of the two results, expanded by
 sympy, is zero.  On the shapes of the case families, `is_zero`,
 `poly_div_exact`, `strip_coordinates` and `sign_normalize` are checked the
-same way.  Material functions map to sympy functions of (r, t), their
+same way.  Each case family is checked to be the general solution of its
+condition.  Material functions map to sympy functions of (r, t), their
 jets to derivatives, and a unary function's derivative symbol G' to the
 derivative of G.
 """
@@ -16,6 +17,10 @@ from fractions import Fraction
 
 import pytest
 
+from fluxsym.characteristics import (
+    CASE_CONSTRAINTS, QuasiLinearPDE, material_conditions,
+    solve_characteristics,
+)
 from fluxsym.kernel import (
     Add, Call, KernelError, Mul, Pow, Rat, Sym, ZERO, ZeroVerdict,
     differentiate, is_zero, linear_combination, normalize, poly_div_exact,
@@ -357,3 +362,56 @@ def test_sign_normalize_is_e_or_minus_e():
             assert vanishes(ours + theirs), e
             flipped += 1
     assert flipped >= 10
+
+
+def case_conditions(model):
+    """The distinct conditions of the six cases, each also with a2 = 0,
+    with a4 = 0 and with both."""
+    distinct = dict.fromkeys(
+        pde for constraints in CASE_CONSTRAINTS.values()
+        for pde in material_conditions(model, constraints))
+    assert len(distinct) == 5
+    return [QuasiLinearPDE(pde.func, *(
+                substitute(e, dict.fromkeys(zeros, ZERO), model.table)
+                for e in pde[1:]))
+            for pde in distinct
+            for zeros in ((), ("a2",), ("a4",), ("a2", "a4"))]
+
+
+def test_each_case_family_is_the_general_solution_of_its_condition():
+    # apart from back_substitute, sympy checks that each family f solves
+    # its condition c_r f_r + c_t f_t = growth*f, and that f is general:
+    # a nonzero solution times an arbitrary function H of xi, a
+    # non-constant first integral, or times C with no r when c_r = 0
+    model = Model()
+    conditions = case_conditions(model)
+    assert len(conditions) == 20
+    branches = set()
+    for pde in conditions:
+        sol = solve_characteristics(pde, model)
+        branches.add(sol.branch)
+        c_r, c_t, growth = (to_sympy(e, TABLE) for e in pde[1:])
+
+        def transport(f):
+            return c_r * sympy.diff(f, R) + c_t * sympy.diff(f, T)
+
+        def residual(f):
+            return transport(f) - growth * f
+
+        f = to_sympy(sol.expression, TABLE)
+        if sol.xi is None:
+            assert c_r == 0 and R not in f.free_symbols, pde
+            arbitrary = sympy.Symbol("C")
+        else:
+            xi = to_sympy(sol.xi, TABLE)
+            assert vanishes(transport(xi)), pde
+            assert not vanishes(sympy.diff(xi, R)), pde
+            arbitrary = sympy.Function(sol.symbol)(xi)
+        prefactor = f.subs(arbitrary, 1)
+        assert not prefactor.has(sympy.Symbol("C"),
+                                 sympy.Function(sol.symbol)), pde
+        assert vanishes(f - prefactor * arbitrary), pde
+        assert not vanishes(prefactor), pde
+        assert vanishes(residual(prefactor)), pde
+        assert vanishes(residual(f)), pde
+    assert branches == {"generic", "gradient-free", "extension"}
